@@ -3,12 +3,16 @@
 A belief is a Gaussian distribution N(mu, Sigma) over the flattened weight
 vector of a model. Three covariance families are supported:
 
-* ``full``      - Sigma kept in eigenfactored form U diag(D) U^T,
+* ``full``      - Sigma kept as a square-root pair: a factor L with
+                  Sigma = L L^T, its inverse W = L^{-1}, and log det Sigma,
 * ``diagonal``  - Sigma = diag(variances),
 * ``spherical`` - Sigma = variance * I.
 
-The eigenfactored form is what the flow update needs anyway (whitening uses
-D^{-1/2} U^T), so full beliefs never store a raw covariance matrix.
+Any square root of Sigma whitens (W (w - mu) has identity covariance), and
+the KL-minimal flow does not depend on which root is used. So full beliefs
+never store or decompose a dense covariance: a flow round updates L and W by
+rank-2 products in O(d^2), and sampling (mu + L xi) and whitening (W v) are
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -26,8 +30,11 @@ VARIANTS = (FULL, DIAGONAL, SPHERICAL)
 # Default eigenvalue floor; keeps whitening well conditioned in float64.
 LAMBDA_MIN = 1e-8
 
-# Orthonormality drift beyond this triggers re-orthonormalization.
-ORTHO_TOL = 1e-8
+# A full belief's W is recomputed from L (O(d^3)) after this many flow
+# rounds, which keeps the amortized cost per round at O(d^2) for d <= 1000.
+RESYNC_EVERY = 1000
+# ... or sooner, once the probe residual ||L W z - z|| (unit z) exceeds this.
+RESYNC_TOL = 1e-9
 
 _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 
@@ -37,14 +44,19 @@ class BeliefState:
     """Immutable Gaussian belief. Use the factory functions to build one.
 
     Exactly one covariance payload is populated, matching ``variant``:
-    (``eigenvectors``, ``eigenvalues``) for full, ``variances`` for diagonal,
-    ``variance`` for spherical.
+    (``factor``, ``inv_factor``, ``logdet``) for full, ``variances`` for
+    diagonal, ``variance`` for spherical. A full belief read back from a
+    snapshot stores W only; ``factor`` and ``logdet`` are then None and are
+    rebuilt on demand by :func:`root` and :func:`log_det`. ``age`` counts
+    the flow rounds since L and W were last made consistent.
     """
 
     variant: str
     mean: np.ndarray
-    eigenvectors: np.ndarray | None = None
-    eigenvalues: np.ndarray | None = None
+    factor: np.ndarray | None = None
+    inv_factor: np.ndarray | None = None
+    logdet: float | None = None
+    age: int = 0
     variances: np.ndarray | None = None
     variance: float | None = None
 
@@ -54,7 +66,11 @@ class BeliefState:
 
 
 def full_belief(mean, eigenvectors, eigenvalues) -> BeliefState:
-    """Belief with covariance U diag(D) U^T given by its eigenfactors."""
+    """Belief with covariance U diag(D) U^T given by its eigenfactors.
+
+    The factor pair is L = U D^{1/2} and W = D^{-1/2} U^T, so U must be
+    orthonormal; nothing is decomposed.
+    """
     mean = np.asarray(mean, dtype=float)
     u = np.asarray(eigenvectors, dtype=float)
     d = np.asarray(eigenvalues, dtype=float)
@@ -63,16 +79,36 @@ def full_belief(mean, eigenvectors, eigenvalues) -> BeliefState:
         raise ValueError(f"eigenfactor shapes {u.shape}, {d.shape} do not match dim {n}")
     if not np.all(d > 0.0):
         raise ValueError("eigenvalues must be positive")
-    return BeliefState(FULL, mean, eigenvectors=u, eigenvalues=d)
+    sqrt_d = np.sqrt(d)
+    return BeliefState(FULL, mean, factor=u * sqrt_d, inv_factor=u.T / sqrt_d[:, None],
+                       logdet=float(np.sum(np.log(d))))
+
+
+def full_belief_from_factor(mean, factor) -> BeliefState:
+    """Belief with covariance L L^T for any nonsingular square root L.
+
+    Inverts L once, O(d^3); this is also how a drifted pair is re-synced.
+    """
+    mean = np.asarray(mean, dtype=float)
+    factor = np.asarray(factor, dtype=float)
+    n = mean.shape[0]
+    if factor.shape != (n, n):
+        raise ValueError(f"factor shape {factor.shape} does not match dim {n}")
+    sign, logabs = np.linalg.slogdet(factor)
+    if sign == 0.0 or not math.isfinite(logabs):
+        raise ValueError("factor is singular")
+    return BeliefState(FULL, mean, factor=factor, inv_factor=np.linalg.inv(factor),
+                       logdet=2.0 * float(logabs))
 
 
 def full_belief_from_cov(mean, cov) -> BeliefState:
-    """Eigendecompose a dense SPD covariance into a full belief."""
+    """Cholesky-factor a dense SPD covariance into a full belief."""
     cov = np.asarray(cov, dtype=float)
-    evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    if not np.all(evals > 0.0):
-        raise ValueError("covariance is not positive definite")
-    return full_belief(mean, evecs, evals)
+    try:
+        factor = np.linalg.cholesky(0.5 * (cov + cov.T))
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance is not positive definite") from None
+    return full_belief_from_factor(mean, factor)
 
 
 def diagonal_belief(mean, variances) -> BeliefState:
@@ -93,20 +129,27 @@ def spherical_belief(mean, variance: float) -> BeliefState:
 
 
 def validate(belief: BeliefState, lam_min: float | None = None) -> None:
-    """Raise ValueError if the belief violates its structural invariants."""
+    """Raise ValueError if the belief violates its structural invariants.
+
+    For full beliefs this decomposes W (O(d^3)); it is a test and debugging
+    aid, not part of a round.
+    """
     if belief.variant not in VARIANTS:
         raise ValueError(f"unknown variant {belief.variant!r}")
     if not np.all(np.isfinite(belief.mean)):
         raise ValueError("mean has non-finite entries")
     floor = 0.0 if lam_min is None else lam_min
     if belief.variant == FULL:
-        u, d = belief.eigenvectors, belief.eigenvalues
-        if u is None or d is None:
-            raise ValueError("full belief is missing eigenfactors")
-        drift = np.max(np.abs(u.T @ u - np.eye(belief.dim)))
-        if drift > ORTHO_TOL:
-            raise ValueError(f"eigenvector drift {drift:.3e} exceeds {ORTHO_TOL}")
-        if np.any(d < floor) or not np.all(d > 0.0):
+        w = belief.inv_factor
+        if w is None or w.shape != (belief.dim, belief.dim) or not np.all(np.isfinite(w)):
+            raise ValueError("full belief is missing a finite inverse factor")
+        if belief.factor is not None:
+            drift = np.max(np.abs(belief.factor @ w - np.eye(belief.dim)))
+            if drift > RESYNC_TOL:
+                raise ValueError(f"factor pair drift {drift:.3e} exceeds {RESYNC_TOL}")
+        # Eigenvalues of Sigma are the inverse squared singular values of W.
+        evals = 1.0 / np.linalg.svd(w, compute_uv=False) ** 2
+        if np.any(evals < floor) or not np.all(evals > 0.0):
             raise ValueError("eigenvalues below floor")
     elif belief.variant == DIAGONAL:
         if belief.variances is None or np.any(belief.variances < floor) or not np.all(belief.variances > 0.0):
@@ -116,10 +159,43 @@ def validate(belief: BeliefState, lam_min: float | None = None) -> None:
             raise ValueError("variance below floor")
 
 
+def root(belief: BeliefState) -> np.ndarray:
+    """The square-root factor L of a full belief, Sigma = L L^T.
+
+    A belief read back from a snapshot carries W only; its L is rebuilt as
+    W^{-1} here, O(d^3).
+    """
+    if belief.factor is not None:
+        return belief.factor
+    return np.linalg.inv(belief.inv_factor)
+
+
+def log_det(belief: BeliefState) -> float:
+    """log det Sigma."""
+    if belief.variant == FULL:
+        if belief.logdet is not None:
+            return belief.logdet
+        return -2.0 * float(np.linalg.slogdet(belief.inv_factor)[1])
+    if belief.variant == DIAGONAL:
+        return float(np.sum(np.log(belief.variances)))
+    return belief.dim * math.log(belief.variance)
+
+
+def snapshot_view(belief: BeliefState) -> BeliefState:
+    """What a snapshot keeps of a belief: a full belief without L (the mean
+    and W are what gets written); other variants are returned as they are.
+    Holding views instead of whole full beliefs halves a run's snapshot
+    memory."""
+    if belief.variant != FULL or belief.factor is None:
+        return belief
+    return dataclasses.replace(belief, factor=None)
+
+
 def covariance(belief: BeliefState) -> np.ndarray:
     """Densify the covariance. Intended for desk-scale dimensions only."""
     if belief.variant == FULL:
-        return (belief.eigenvectors * belief.eigenvalues) @ belief.eigenvectors.T
+        factor = root(belief)
+        return factor @ factor.T
     if belief.variant == DIAGONAL:
         return np.diag(belief.variances)
     return belief.variance * np.eye(belief.dim)
@@ -129,31 +205,32 @@ def sample(belief: BeliefState, rng: np.random.Generator) -> np.ndarray:
     """Draw one weight vector from the belief."""
     xi = rng.standard_normal(belief.dim)
     if belief.variant == FULL:
-        return belief.mean + belief.eigenvectors @ (np.sqrt(belief.eigenvalues) * xi)
+        return belief.mean + root(belief) @ xi
     if belief.variant == DIAGONAL:
         return belief.mean + np.sqrt(belief.variances) * xi
     return belief.mean + math.sqrt(belief.variance) * xi
 
 
 def whiten(belief: BeliefState, vec: np.ndarray) -> np.ndarray:
-    """Map a difference vector into whitened coordinates, D^{-1/2} U^T vec.
+    """Map a difference vector into whitened coordinates (W vec for full).
 
     The argument is a displacement (for example w - mu), not a point, so no
-    mean shift is applied.
+    mean shift is applied. For full beliefs vec may also be a (d, k) matrix
+    of displacements.
     """
     vec = np.asarray(vec, dtype=float)
     if belief.variant == FULL:
-        return (belief.eigenvectors.T @ vec) / np.sqrt(belief.eigenvalues)
+        return belief.inv_factor @ vec
     if belief.variant == DIAGONAL:
         return vec / np.sqrt(belief.variances)
     return vec / math.sqrt(belief.variance)
 
 
 def unwhiten(belief: BeliefState, vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`whiten`: U D^{1/2} vec."""
+    """Inverse of :func:`whiten` (L vec for full)."""
     vec = np.asarray(vec, dtype=float)
     if belief.variant == FULL:
-        return belief.eigenvectors @ (np.sqrt(belief.eigenvalues) * vec)
+        return root(belief) @ vec
     if belief.variant == DIAGONAL:
         return np.sqrt(belief.variances) * vec
     return math.sqrt(belief.variance) * vec
@@ -177,40 +254,52 @@ def kl_divergence(posterior: BeliefState, prior: BeliefState) -> float:
         ratio = posterior.variance / prior.variance
         quad = float(dm @ dm) / prior.variance
         return 0.5 * (quad + d * (ratio - math.log(ratio)) - d)
-    # General case through the eigenfactors of both sides.
-    u0, d0 = _eigenfactors(prior)
-    u1, d1 = _eigenfactors(posterior)
-    white = (u0.T @ dm) / np.sqrt(d0)
-    quad = float(white @ white)
-    m = ((u0.T @ u1) * np.sqrt(d1)) / np.sqrt(d0)[:, None]
-    trace = float(np.sum(m * m))
-    logdet = float(np.sum(np.log(d1)) - np.sum(np.log(d0)))
-    return 0.5 * (quad + trace - logdet - d)
+    # General case: with W0 whitening the prior and L1 a root of the
+    # posterior, tr(Sigma0^{-1} Sigma1) = ||W0 L1||_F^2.
+    w0 = _dense_inv_root(prior)
+    white = w0 @ dm
+    m = w0 @ _dense_root(posterior)
+    logdet = log_det(posterior) - log_det(prior)
+    return 0.5 * (float(white @ white) + float(np.sum(m * m)) - logdet - d)
 
 
-def _eigenfactors(belief: BeliefState) -> tuple[np.ndarray, np.ndarray]:
+def _dense_root(belief: BeliefState) -> np.ndarray:
     if belief.variant == FULL:
-        return belief.eigenvectors, belief.eigenvalues
+        return root(belief)
     if belief.variant == DIAGONAL:
-        return np.eye(belief.dim), belief.variances
-    return np.eye(belief.dim), np.full(belief.dim, belief.variance)
+        return np.diag(np.sqrt(belief.variances))
+    return math.sqrt(belief.variance) * np.eye(belief.dim)
+
+
+def _dense_inv_root(belief: BeliefState) -> np.ndarray:
+    if belief.variant == FULL:
+        return belief.inv_factor
+    if belief.variant == DIAGONAL:
+        return np.diag(1.0 / np.sqrt(belief.variances))
+    return np.eye(belief.dim) / math.sqrt(belief.variance)
 
 
 def entropy(belief: BeliefState) -> float:
     """Differential entropy, 1/2 log((2 pi e)^d det Sigma)."""
-    d = belief.dim
-    if belief.variant == FULL:
-        logdet = float(np.sum(np.log(belief.eigenvalues)))
-    elif belief.variant == DIAGONAL:
-        logdet = float(np.sum(np.log(belief.variances)))
-    else:
-        logdet = d * math.log(belief.variance)
-    return 0.5 * (d * _LOG_2PI_E + logdet)
+    return 0.5 * (belief.dim * _LOG_2PI_E + log_det(belief))
 
 
 def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> BeliefState:
     """Numerical correction: floor the spectrum at lam_min and, for full
-    beliefs, re-orthonormalize the eigenvector basis if it has drifted.
+    beliefs, re-sync the factor pair when it has drifted.
+
+    Full beliefs define the floor on the factor: every singular value of L
+    must be at least sqrt(lam_min), which is the same as every eigenvalue of
+    Sigma = L L^T being at least lam_min. The check costs O(d^2):
+    ||W||_F^2 = tr(Sigma^{-1}) bounds the largest precision 1/lambda_min(Sigma)
+    from above, so a belief with ||W||_F^2 <= 1/lam_min passes untouched.
+    Only when that bound fails is L decomposed (SVD, O(d^3)); its singular
+    values are lifted to sqrt(lam_min) and L, W and log det are rebuilt
+    from the decomposition, which also re-syncs them.
+
+    Otherwise W is recomputed from L (O(d^3)) once RESYNC_EVERY flow rounds
+    have passed since the last sync, or as soon as the probe residual
+    ||L (W z) - z|| for a fixed unit z exceeds RESYNC_TOL.
 
     Returns the input object unchanged when no correction is needed, so a
     clean belief passes through bit for bit.
@@ -223,25 +312,24 @@ def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> Belief
         if belief.variance >= lam_min:
             return belief
         return BeliefState(SPHERICAL, belief.mean, variance=lam_min)
-    u, d = belief.eigenvectors, belief.eigenvalues
-    drift = np.max(np.abs(u.T @ u - np.eye(belief.dim)))
-    needs_floor = bool(np.any(d < lam_min))
-    if drift <= ORTHO_TOL and not needs_floor:
-        return belief
-    if drift > ORTHO_TOL:
-        u = _modified_gram_schmidt(u)
-    if needs_floor:
-        d = np.maximum(d, lam_min)
-    return BeliefState(FULL, belief.mean, eigenvectors=u, eigenvalues=d)
+    w = belief.inv_factor
+    if float(np.vdot(w, w)) > 1.0 / lam_min:
+        return _floored(belief, lam_min)
+    if belief.age >= RESYNC_EVERY or _probe_residual(belief) > RESYNC_TOL:
+        return full_belief_from_factor(belief.mean, root(belief))
+    return belief
 
 
-def _modified_gram_schmidt(u: np.ndarray) -> np.ndarray:
-    q = np.array(u, dtype=float, copy=True)
-    for j in range(q.shape[1]):
-        for k in range(j):
-            q[:, j] -= (q[:, k] @ q[:, j]) * q[:, k]
-        norm = np.linalg.norm(q[:, j])
-        if norm == 0.0:
-            raise ValueError("degenerate eigenvector basis")
-        q[:, j] /= norm
-    return q
+def _floored(belief: BeliefState, lam_min: float) -> BeliefState:
+    """Full belief with the singular values of L lifted to sqrt(lam_min)."""
+    u, s, vt = np.linalg.svd(root(belief))
+    s = np.maximum(s, math.sqrt(lam_min))
+    return BeliefState(FULL, belief.mean, factor=(u * s) @ vt, inv_factor=(vt.T / s) @ u.T,
+                       logdet=2.0 * float(np.sum(np.log(s))))
+
+
+def _probe_residual(belief: BeliefState) -> float:
+    """||L (W z) - z|| for a fixed dense unit vector z."""
+    z = np.cos(np.arange(belief.dim))
+    z /= np.linalg.norm(z)
+    return float(np.linalg.norm(root(belief) @ (belief.inv_factor @ z) - z))

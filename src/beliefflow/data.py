@@ -2,7 +2,8 @@
 
 Three on-disk formats are read: LIBSVM sparse text, numeric CSV with a
 designated label column, and the IDX image/label binary pair. Labels are
-normalized to 0-based integers; binary files using {-1, +1} become {0, 1}.
+normalized to 0-based integers; binary LIBSVM files using {-1, +1}, {0, 1}
+or {1, 2} become {0, 1}. Non-finite values fail at the line holding them.
 Every example keeps two labels: the (possibly noise-flipped) training label
 the learner sees and the true label used for judging predictions.
 """
@@ -59,12 +60,22 @@ def _make(name, X, labels, n_classes, sparse_flag) -> Dataset:
                    X.shape[1], n_classes, sparse_flag)
 
 
-def _normalize_binary_label(raw: float, where: str) -> int:
-    if raw == -1.0 or raw == 0.0:
-        return 0
-    if raw == 1.0:
-        return 1
-    raise ValueError(f"{where}: label {raw} not in {{-1,+1}} or {{0,1}}")
+# Label sets a binary LIBSVM file may use, each mapped to {0, 1}. -1 and 0
+# share one set (both mean negative), so {-1, +1} and {0, 1} files fit it.
+_BINARY_LABEL_SETS = ({-1.0: 0, 0.0: 0, 1.0: 1}, {1.0: 0, 2.0: 1})
+
+
+def _binary_labels(raw: list[float], linenos: list[int], where: str) -> list[int]:
+    """Map one file's labels to {0, 1} through the first label set that
+    holds all of them; raise at the first line whose label fits no set
+    together with the labels above it."""
+    fitting = _BINARY_LABEL_SETS
+    for label, lineno in zip(raw, linenos):
+        fitting = [m for m in fitting if label in m]
+        if not fitting:
+            raise ValueError(f"{where} line {lineno}: label {label:g} does not fit one binary "
+                             "label set ({-1,0,+1} or {1,2}) with the labels above it")
+    return [fitting[0][label] for label in raw]
 
 
 def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -> Dataset:
@@ -72,10 +83,12 @@ def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -
 
     Indices are 1-based in the file. The feature count defaults to the
     largest index seen; passing n_features overrides it (it must cover the
-    data). Malformed tokens raise with the offending line number.
+    data). Labels map to {0, 1} as one set per file (see _binary_labels).
+    Malformed tokens, non-finite values and labels outside the file's set
+    raise with the offending line number.
     """
     path = Path(path)
-    rows, cols, vals, labels = [], [], [], []
+    rows, cols, vals, labels, linenos = [], [], [], [], []
     max_idx = 0
     with path.open("r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -87,7 +100,8 @@ def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -
                 raw = float(tokens[0])
             except ValueError:
                 raise ValueError(f"{path.name} line {lineno}: bad label {tokens[0]!r}") from None
-            labels.append(_normalize_binary_label(raw, f"{path.name} line {lineno}"))
+            labels.append(raw)
+            linenos.append(lineno)
             row = len(labels) - 1
             for tok in tokens[1:]:
                 idx_s, _, val_s = tok.partition(":")
@@ -104,6 +118,11 @@ def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -
                 rows.append(row)
                 cols.append(idx - 1)
                 vals.append(val)
+    labels = _binary_labels(labels, linenos, path.name)
+    vals = np.asarray(vals, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"{path.name} line {linenos[rows[bad[0]]]}: non-finite value")
     if n_features is None:
         n_features = max_idx
     elif n_features < max_idx:
@@ -130,14 +149,16 @@ def parse_csv(path, label_column: int = -1, scale_minmax: bool = False,
     """Read a numeric CSV; one column holds integer labels, the rest features.
 
     Row order is preserved (time-ordered streams rely on this). Ragged rows
-    raise with the row number. scale_minmax rescales every feature column to
-    [0, 1]; constant columns map to 0.
+    raise with the row number, nan or inf fields with the line number.
+    scale_minmax rescales every feature column to [0, 1]; constant columns
+    map to 0.
     """
     path = Path(path)
-    rows = []
+    rows, linenos = [], []
     width = None
     with path.open("r", newline="", encoding="ascii") as fh:
-        for rowno, rec in enumerate(_csv.reader(fh), start=1):
+        reader = _csv.reader(fh)
+        for rowno, rec in enumerate(reader, start=1):
             if not rec:
                 continue
             if width is None:
@@ -146,6 +167,7 @@ def parse_csv(path, label_column: int = -1, scale_minmax: bool = False,
                 raise ValueError(f"{path.name} row {rowno}: {len(rec)} fields, expected {width}")
             try:
                 rows.append([float(v) for v in rec])
+                linenos.append(reader.line_num)
             except ValueError:
                 if rowno == 1:
                     width = None  # header row, skip it
@@ -154,6 +176,9 @@ def parse_csv(path, label_column: int = -1, scale_minmax: bool = False,
     if not rows:
         raise ValueError(f"{path.name}: no data rows")
     table = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path.name} line {linenos[bad[0]]}: non-finite value")
     label_column = label_column % table.shape[1]
     raw_labels = table[:, label_column]
     X = np.delete(table, label_column, axis=1)

@@ -19,6 +19,7 @@ identity (a > 0).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .belief import (
     FULL,
     SPHERICAL,
     BeliefState,
+    log_det,
+    root,
     whiten,
 )
 
@@ -147,8 +150,8 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
     w_prime = np.asarray(w_prime, dtype=float)
     if np.array_equal(w, w_prime):
         return FlowSolution(FULL, identity=True, a2=np.eye(2))
-    dt = whiten(belief, w - belief.mean)
-    dtp = whiten(belief, w_prime - belief.mean)
+    # One pass over W whitens both displacements.
+    dt, dtp = whiten(belief, np.column_stack([w - belief.mean, w_prime - belief.mean])).T
     u = float(np.linalg.norm(dt))
     if u <= cfg.eps:
         # Sampled the mean: nothing to anchor a scale on, translate only.
@@ -270,9 +273,13 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
                w: np.ndarray, w_prime: np.ndarray) -> BeliefState:
     """Transport the belief along the flow.
 
-    The posterior is N(A (mu - w) + w', A Sigma A^T); full covariances are
-    re-eigendecomposed so the next round can whiten cheaply. The constraint
+    The posterior is N(A (mu - w) + w', A Sigma A^T). The constraint
     A w + b = w' holds exactly by construction of b.
+
+    For full beliefs A = L M W with the whitened flow M = I + B (a2 - I) B^T
+    and B = [mu_hat, nu_hat], so the posterior root is L M and its inverse
+    M^{-1} W = W + B (a2^{-1} - I) B^T W: two rank-2 updates, O(d^2), and
+    log det Sigma grows by 2 log|det a2|.
     """
     if flow.variant != belief.variant:
         raise ValueError(f"flow variant {flow.variant} does not match belief {belief.variant}")
@@ -291,17 +298,27 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
         norm_dw = float(np.linalg.norm(w - belief.mean))
         mean = w_prime - flow.scale * norm_dw * flow.d_hat
         return BeliefState(SPHERICAL, mean, variance=flow.scale ** 2 * belief.variance)
-    a = flow_matrix(belief, flow)
-    mean = a @ (belief.mean - w) + w_prime
-    au = a @ (belief.eigenvectors * np.sqrt(belief.eigenvalues))
-    cov = au @ au.T
-    evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    return BeliefState(FULL, mean, eigenvectors=evecs, eigenvalues=evals)
+    basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
+    a2 = flow.a2
+    det = a2[0, 0] * a2[1, 1] - a2[0, 1] * a2[1, 0]
+    inner = a2 - np.eye(2)
+    inv_inner = np.array([[a2[1, 1], -a2[0, 1]], [-a2[1, 0], a2[0, 0]]]) / det - np.eye(2)
+    factor = root(belief)
+    lb = factor @ basis
+    # W (mu - w) = -u mu_hat, so A (mu - w) = (mu - w) - u L B (a2 - I) e1.
+    mean = w_prime + (belief.mean - w) - flow.u * (lb @ inner[:, 0])
+    factor = lb @ (inner @ basis.T) + factor
+    # The rank-2 product is a fresh array, so W adds to it in place.
+    inv_factor = basis @ (inv_inner @ (basis.T @ belief.inv_factor))
+    inv_factor += belief.inv_factor
+    logdet = log_det(belief) + 2.0 * math.log(abs(det))
+    return BeliefState(FULL, mean, factor=factor, inv_factor=inv_factor, logdet=logdet,
+                       age=belief.age + 1)
 
 
 def flow_matrix(belief: BeliefState, flow: FlowSolution) -> np.ndarray:
-    """Densify the flow's transformation matrix A. Diagnostic helper; the
-    full-variant update uses it directly, the others never need it."""
+    """Densify the flow's transformation matrix A. Diagnostic helper for
+    verification; no update needs it."""
     d = belief.dim
     if flow.identity:
         return np.eye(d)
@@ -313,9 +330,7 @@ def flow_matrix(belief: BeliefState, flow: FlowSolution) -> np.ndarray:
         # Rotation carrying the sampled displacement direction onto d_hat.
         return flow.scale * _rotation_between(flow.s_hat, flow.d_hat)
     basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
-    inner = basis @ (flow.a2 - np.eye(2)) @ basis.T
-    u, dvals = belief.eigenvectors, belief.eigenvalues
-    return np.eye(d) + (u * np.sqrt(dvals)) @ inner @ (u / np.sqrt(dvals)).T
+    return np.eye(d) + (root(belief) @ basis) @ (flow.a2 - np.eye(2)) @ (basis.T @ belief.inv_factor)
 
 
 def _rotation_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:

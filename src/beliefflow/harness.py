@@ -48,7 +48,10 @@ FULL_VARIANT_MAX_DIM = 2000
 ENTROPY_EVERY_ROUND_MAX_DIM = 20000
 
 SNAPSHOT_MAGIC = b"BFSN"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+# After the magic: version, variant code, dimension, payload length.
+_HEADER_V1 = struct.Struct("<IBII")
+_HEADER_V2 = struct.Struct("<IIII4x")
 _VARIANT_CODES = {bel.FULL: 0, bel.DIAGONAL: 1, bel.SPHERICAL: 2}
 _VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
 
@@ -245,7 +248,7 @@ def run_online(config: ExperimentConfig, run_index: int,
     mistakes = np.zeros(n_train, dtype=np.uint8)
     entropies = np.full(n_train, np.nan)
     entropy_trace = []
-    snapshots = [(0, learner.belief)] if is_belief else []
+    snapshots = [(0, bel.snapshot_view(learner.belief))] if is_belief else []
     for i in range(n_train):
         outcome = learner.step(train.example(i), rng)
         mistakes[i] = 0 if outcome.correct else 1
@@ -254,7 +257,7 @@ def run_online(config: ExperimentConfig, run_index: int,
         rnd = i + 1
         if rnd % cadence == 0 or rnd == n_train:
             if is_belief:
-                snapshots.append((rnd, learner.belief))
+                snapshots.append((rnd, bel.snapshot_view(learner.belief)))
                 ent = outcome.entropy if outcome.entropy is not None else bel.entropy(learner.belief)
                 entropies[i] = ent
                 entropy_trace.append((rnd, ent))
@@ -416,65 +419,88 @@ def write_curve(path, report: RunReport) -> None:
             fh.write(f"{i + 1},{int(cum[i])},{ent_s}\n")
 
 
-def write_snapshots(path, snapshots: list) -> None:
-    """Belief snapshots as a versioned little-endian record stream.
+def _payload_len(variant: str, d: int, version: int) -> int:
+    if variant == bel.FULL:
+        return d * d + d if version == 1 else d * d
+    return d if variant == bel.DIAGONAL else 1
 
-    Header: magic 'BFSN', u32 version, u8 variant code, u32 dimension,
-    u32 payload length. Records: u32 round, then dimension + payload-length
-    float64 values (mean, then the covariance payload: U row-major plus
-    eigenvalues for full, variances for diagonal, the variance for
-    spherical).
+
+def write_snapshots(path, snapshots: list) -> None:
+    """Belief snapshots as a versioned little-endian record stream (v2).
+
+    Header, 24 bytes: magic 'BFSN', u32 version, u32 variant code, u32
+    dimension d, u32 payload length p, 4 zero bytes. Records: u64 round,
+    then d + p float64 values: the mean, then the covariance payload. That
+    is W = L^{-1} row-major for full (the precision is W^T W), the
+    variances for diagonal and the variance for spherical. Every float64
+    starts on an 8-byte boundary, so a reader can use records in place.
     """
     if not snapshots:
         raise ValueError("no snapshots to write")
     first = snapshots[0][1]
     variant, d = first.variant, first.dim
-    payload_len = {bel.FULL: d * d + d, bel.DIAGONAL: d, bel.SPHERICAL: 1}[variant]
+    payload_len = _payload_len(variant, d, SNAPSHOT_VERSION)
     with Path(path).open("wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<IBII", SNAPSHOT_VERSION, _VARIANT_CODES[variant], d, payload_len))
+        fh.write(_HEADER_V2.pack(SNAPSHOT_VERSION, _VARIANT_CODES[variant], d, payload_len))
         for rnd, state in snapshots:
             if state.variant != variant or state.dim != d:
                 raise ValueError("snapshots mix variants or dimensions")
             if variant == bel.FULL:
-                payload = np.concatenate([state.eigenvectors.ravel(), state.eigenvalues])
+                payload = state.inv_factor
             elif variant == bel.DIAGONAL:
                 payload = state.variances
             else:
                 payload = np.array([state.variance])
-            fh.write(struct.pack("<I", rnd))
-            fh.write(state.mean.astype("<f8").tobytes())
-            fh.write(payload.astype("<f8").tobytes())
+            fh.write(struct.pack("<Q", rnd))
+            fh.write(np.ascontiguousarray(state.mean, dtype="<f8"))
+            fh.write(np.ascontiguousarray(payload, dtype="<f8"))
 
 
 def read_snapshots(path) -> list:
-    """Inverse of write_snapshots; returns [(round, BeliefState), ...]."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != SNAPSHOT_MAGIC:
+    """Inverse of write_snapshots; returns [(round, BeliefState), ...].
+
+    v2 records are read-only views into one buffer holding the file, so the
+    file is in memory once. A full v2 belief carries the mean and W only
+    (see ``belief.root``). Version 1 files are still read: a 17-byte header
+    (u8 variant code) and u32 rounds, with the full payload as U row-major
+    plus the eigenvalues of Sigma = U diag(D) U^T.
+    """
+    buf = np.fromfile(path, dtype=np.uint8)
+    if buf[:4].tobytes() != SNAPSHOT_MAGIC or buf.size < 8:
         raise ValueError(f"{path}: not a snapshot file")
-    version, code, d, payload_len = struct.unpack_from("<IBII", raw, 4)
-    if version != SNAPSHOT_VERSION:
+    buf.flags.writeable = False
+    version = struct.unpack_from("<I", buf, 4)[0]
+    if version not in (1, 2):
         raise ValueError(f"{path}: unsupported snapshot version {version}")
+    header, round_fmt = (_HEADER_V1, "<I") if version == 1 else (_HEADER_V2, "<Q")
+    offset = 4 + header.size
+    if buf.size < offset:
+        raise ValueError(f"{path}: truncated header")
+    _, code, d, payload_len = header.unpack_from(buf, 4)
     variant = _VARIANT_NAMES.get(code)
     if variant is None:
         raise ValueError(f"{path}: unknown variant code {code}")
-    offset = 4 + struct.calcsize("<IBII")
-    record = 4 + 8 * (d + payload_len)
-    body = raw[offset:]
-    if len(body) % record:
+    if payload_len != _payload_len(variant, d, version):
+        raise ValueError(f"{path}: payload length {payload_len} does not fit a {variant} "
+                         f"belief of dimension {d}")
+    round_size = struct.calcsize(round_fmt)
+    record = round_size + 8 * (d + payload_len)
+    if (buf.size - offset) % record:
         raise ValueError(f"{path}: truncated record stream")
     snapshots = []
-    for start in range(0, len(body), record):
-        rnd = struct.unpack_from("<I", body, start)[0]
-        vals = np.frombuffer(body, dtype="<f8", count=d + payload_len, offset=start + 4)
-        mean = vals[:d].copy()
-        payload = vals[d:]
-        if variant == bel.FULL:
-            state = bel.BeliefState(bel.FULL, mean,
-                                    eigenvectors=payload[:d * d].reshape(d, d).copy(),
-                                    eigenvalues=payload[d * d:].copy())
+    for start in range(offset, buf.size, record):
+        rnd = struct.unpack_from(round_fmt, buf, start)[0]
+        vals = buf[start + round_size:start + record].view("<f8")
+        if version == 1:
+            vals = vals.copy()  # v1 records are not 8-byte aligned
+        mean, payload = vals[:d], vals[d:]
+        if variant == bel.FULL and version == 1:
+            state = bel.full_belief(mean, payload[:d * d].reshape(d, d), payload[d * d:])
+        elif variant == bel.FULL:
+            state = bel.BeliefState(bel.FULL, mean, inv_factor=payload.reshape(d, d))
         elif variant == bel.DIAGONAL:
-            state = bel.BeliefState(bel.DIAGONAL, mean, variances=payload.copy())
+            state = bel.BeliefState(bel.DIAGONAL, mean, variances=payload)
         else:
             state = bel.BeliefState(bel.SPHERICAL, mean, variance=float(payload[0]))
         snapshots.append((int(rnd), state))
@@ -531,7 +557,7 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
             post = fl.apply_flow(prior, flow, w, w_prime)
             kl_closed = bel.kl_divergence(post, prior)
             if d == 1:
-                sig = math.sqrt(prior.eigenvalues[0])
+                sig = math.sqrt(bel.covariance(prior)[0, 0])
                 u = ((w - mean) / sig).item()
                 v = ((w_prime - mean) / sig).item()
                 _, kl_oracle = orc.minimize_scalar_flow(u, v)

@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from .belief import DIAGONAL, FULL, SPHERICAL, BeliefState, covariance
+from .belief import DIAGONAL, FULL, SPHERICAL, BeliefState, covariance, full_belief
 
 # Relative Frobenius difference below which two covariances count as equal.
 NO_DATAPOINT_TOL = 1e-12
@@ -92,8 +92,8 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
 
 
 def _full_precision(belief: BeliefState) -> np.ndarray:
-    u, d = belief.eigenvectors, belief.eigenvalues
-    return (u / d) @ u.T
+    """Sigma^{-1} = W^T W."""
+    return belief.inv_factor.T @ belief.inv_factor
 
 
 def bayes_update_gaussian(prior: BeliefState, x, cov) -> BeliefState:
@@ -133,7 +133,7 @@ def bayes_update_gaussian(prior: BeliefState, x, cov) -> BeliefState:
         raise ValueError("inconsistent pseudo datapoint: posterior precision not positive")
     rhs = prec0 @ prior.mean + obs_prec @ x
     mean = evecs @ ((evecs.T @ rhs) / evals)
-    return BeliefState(FULL, mean, eigenvectors=evecs, eigenvalues=1.0 / evals)
+    return full_belief(mean, evecs, 1.0 / evals)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,12 +159,17 @@ def pseudo_trace(snapshots) -> list[TraceRow]:
     """
     rows: list[TraceRow] = []
     cum_rho = 0.0
+    prev_prec = None  # full runs: each snapshot's precision is built once
     for (_, prev), (rnd, cur) in zip(snapshots, snapshots[1:]):
         if prev.variant != cur.variant:
             raise ValueError("snapshots mix belief variants")
         spherical = cur.variant == SPHERICAL
         if cur.variant == FULL:
-            rows.append(_full_trace_row(rnd, prev, cur))
+            if prev_prec is None:
+                prev_prec = _full_precision(prev)
+            cur_prec = _full_precision(cur)
+            rows.append(_full_trace_row(rnd, prev_prec, cur_prec))
+            prev_prec = cur_prec
             continue
         pd = extract_pseudo(prev, cur)
         if pd is None:
@@ -182,7 +187,7 @@ def pseudo_trace(snapshots) -> list[TraceRow]:
     return rows
 
 
-def _full_trace_row(rnd: int, prev: BeliefState, cur: BeliefState) -> TraceRow:
+def _full_trace_row(rnd: int, prev_prec: np.ndarray, cur_prec: np.ndarray) -> TraceRow:
     """Informative-subspace eigenvalues of R for one full-covariance interval.
 
     One flow update changes the precision on a low-rank subspace, so the
@@ -190,7 +195,7 @@ def _full_trace_row(rnd: int, prev: BeliefState, cur: BeliefState) -> TraceRow:
     spectrum of the precision difference above numerical noise is what is
     reportable.
     """
-    dprec = _full_precision(cur) - _full_precision(prev)
+    dprec = cur_prec - prev_prec
     dprec = 0.5 * (dprec + dprec.T)
     evals = np.linalg.eigvalsh(dprec)
     scale = float(np.max(np.abs(evals)))

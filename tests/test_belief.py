@@ -1,5 +1,7 @@
 """Gaussian belief states: construction, sampling, KL, entropy, spectrum floor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ def test_entropy_values():
     rng = np.random.default_rng(37)
     b = random_full(rng, 4)
     # entropy depends only on the spectrum
-    want = 0.5 * (4 * np.log(2 * np.pi * np.e) + np.sum(np.log(b.eigenvalues)))
+    want = 0.5 * (4 * np.log(2 * np.pi * np.e) + np.linalg.slogdet(bel.covariance(b))[1])
     np.testing.assert_allclose(bel.entropy(b), want, rtol=1e-12)
     sph = bel.spherical_belief(np.zeros(3), 2.0)
     np.testing.assert_allclose(bel.entropy(sph),
@@ -142,16 +144,51 @@ def test_spectrum_floor_applies_and_is_noop_when_clean():
     assert bel.correct_spectrum(sph, bel.LAMBDA_MIN).variance == bel.LAMBDA_MIN
 
 
-def test_spectrum_floor_full_restores_orthonormality():
+def test_spectrum_floor_full_repairs_factor_pair():
+    # one sub-floor direction plus a drifted W: the floor lifts exactly that
+    # direction and rebuilds a consistent pair from the factor
     rng = np.random.default_rng(41)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    drifted = q + 1e-6 * rng.normal(size=(4, 4))
-    b = bel.BeliefState(bel.FULL, np.zeros(4), eigenvectors=drifted,
-                        eigenvalues=np.array([1e-12, 0.5, 1.0, 2.0]))
+    clean = bel.full_belief(np.zeros(4), q, np.array([1e-12, 0.5, 1.0, 2.0]))
+    b = dataclasses.replace(clean, inv_factor=clean.inv_factor + 1e-6 * rng.normal(size=(4, 4)))
+    with pytest.raises(ValueError):
+        bel.validate(b, bel.LAMBDA_MIN)
     fixed = bel.correct_spectrum(b, bel.LAMBDA_MIN)
-    assert fixed.eigenvalues.min() >= bel.LAMBDA_MIN
-    gram = fixed.eigenvectors.T @ fixed.eigenvectors
-    np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
+    # squared singular values of L are the eigenvalues of Sigma, to full
+    # relative accuracy even at the floor
+    evals = np.sort(np.linalg.svd(fixed.factor, compute_uv=False) ** 2)
+    np.testing.assert_allclose(evals, [bel.LAMBDA_MIN, 0.5, 1.0, 2.0], rtol=1e-9)
+    np.testing.assert_allclose(fixed.factor @ fixed.inv_factor, np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(fixed.logdet, np.sum(np.log(evals)), rtol=1e-12)
+    bel.validate(fixed, bel.LAMBDA_MIN)
+
+
+def test_full_resync_repairs_injected_drift():
+    rng = np.random.default_rng(43)
+    clean = random_full(rng, 5)
+    assert bel.correct_spectrum(clean, bel.LAMBDA_MIN) is clean
+    drifted = dataclasses.replace(clean, age=7, logdet=clean.logdet + 1e-3,
+                                  inv_factor=clean.inv_factor + 1e-7 * rng.normal(size=(5, 5)))
+    with pytest.raises(ValueError, match="drift"):
+        bel.validate(drifted)
+    fixed = bel.correct_spectrum(drifted, bel.LAMBDA_MIN)
+    # L is the master copy: the covariance is untouched, W and log det follow it
+    np.testing.assert_array_equal(fixed.factor, clean.factor)
+    np.testing.assert_allclose(fixed.factor @ fixed.inv_factor, np.eye(5), atol=1e-12)
+    np.testing.assert_allclose(fixed.logdet, clean.logdet, rtol=1e-12)
+    assert fixed.age == 0
+    bel.validate(fixed)
+
+
+def test_full_resync_fires_on_its_cadence():
+    rng = np.random.default_rng(47)
+    clean = random_full(rng, 3)
+    young = dataclasses.replace(clean, age=bel.RESYNC_EVERY - 1)
+    assert bel.correct_spectrum(young) is young
+    due = dataclasses.replace(clean, age=bel.RESYNC_EVERY, logdet=0.0)
+    fixed = bel.correct_spectrum(due)
+    assert fixed is not due and fixed.age == 0
+    np.testing.assert_allclose(fixed.logdet, clean.logdet, rtol=1e-12)
 
 
 def test_validate_rejects_floor_violation():

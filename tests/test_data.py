@@ -53,6 +53,33 @@ def test_libsvm_rejects_too_small_feature_override(tmp_path):
     assert dat.parse_libsvm(p, n_features=10).n_features == 10
 
 
+def test_libsvm_accepts_one_two_labels(tmp_path):
+    # the mushrooms file on the LIBSVM site labels its classes 1 and 2
+    p = tmp_path / "mushrooms"
+    p.write_text("1 1:1 3:1\n2 2:1\n2 1:1\n1 3:1\n")
+    ds = dat.parse_libsvm(p)
+    assert list(ds.labels) == [0, 1, 1, 0]
+    assert ds.n_classes == 2
+
+
+def test_libsvm_rejects_mixed_label_sets_at_first_offending_line(tmp_path):
+    p = tmp_path / "mixed.libsvm"
+    p.write_text("-1 1:1\n1 2:1\n-1 1:1\n2 2:1\n1 1:1\n")
+    with pytest.raises(ValueError, match="line 4: label 2"):
+        dat.parse_libsvm(p)
+    p.write_text("+1 1:1\n3 2:1\n")
+    with pytest.raises(ValueError, match="line 2: label 3"):
+        dat.parse_libsvm(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_libsvm_rejects_non_finite_values(tmp_path, value):
+    p = tmp_path / "nan.libsvm"
+    p.write_text(f"+1 1:0.5\n-1 1:1.0 2:{value}\n+1 2:1.0\n")
+    with pytest.raises(ValueError, match=r"nan\.libsvm line 2: non-finite"):
+        dat.parse_libsvm(p)
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -108,6 +135,14 @@ def test_csv_ragged_row_reports_number(tmp_path):
     p = tmp_path / "ragged.csv"
     p.write_text("1.0,2.0,1\n3.0,0\n")
     with pytest.raises(ValueError, match="row 2"):
+        dat.parse_csv(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_values(tmp_path, value):
+    p = tmp_path / "nan.csv"
+    p.write_text(f"a,b,label\n1.0,2.0,1\n\n3.0,{value},0\n")  # header and blank line count
+    with pytest.raises(ValueError, match=r"nan\.csv line 4: non-finite"):
         dat.parse_csv(p)
 
 

@@ -180,6 +180,42 @@ def test_full_matches_matrix_minimizer():
             assert kl <= kl_oracle + 1e-5
 
 
+def dense_reference_step(mean, cov, w, w_prime):
+    """One flow round on a dense covariance: eigen-root whitening, the
+    in-plane 2x2 solve, then A (mu - w) + w' and A Sigma A^T."""
+    evals, evecs = np.linalg.eigh(cov)
+    sqrt_root = evecs * np.sqrt(evals)
+    inv_root = (evecs / np.sqrt(evals)).T
+    dt, dtp = inv_root @ (w - mean), inv_root @ (w_prime - mean)
+    u = np.linalg.norm(dt)
+    mu_hat = dt / u
+    v_par = dtp @ mu_hat
+    resid = dtp - v_par * mu_hat
+    v_perp = np.linalg.norm(resid)
+    basis = np.stack([mu_hat, resid / v_perp], axis=1)
+    a2 = fl.solve_2x2(u, v_par, v_perp)
+    a = sqrt_root @ (np.eye(mean.shape[0]) + basis @ (a2 - np.eye(2)) @ basis.T) @ inv_root
+    return a @ (mean - w) + w_prime, a @ cov @ a.T
+
+
+@pytest.mark.parametrize("d", [2, 5, 30])
+def test_full_chain_matches_dense_reference(d):
+    # the square-root pair is a different root than the eigen root the
+    # reference whitens with; the KL-minimal posterior must not care
+    rng = np.random.default_rng(100 + d)
+    state = random_belief(bel.FULL, d, rng)
+    mean, cov = state.mean, bel.covariance(state)
+    for _ in range(25):
+        w = bel.sample(state, rng)
+        w_prime = w + rng.normal(scale=0.3, size=d)
+        flow = fl.solve(state, w, w_prime)
+        state = bel.correct_spectrum(fl.apply_flow(state, flow, w, w_prime), bel.LAMBDA_MIN)
+        mean, cov = dense_reference_step(mean, cov, w, w_prime)
+        assert np.linalg.norm(state.mean - mean) <= 1e-10 * np.linalg.norm(mean)
+        assert np.linalg.norm(bel.covariance(state) - cov) <= 1e-10 * np.linalg.norm(cov)
+    np.testing.assert_allclose(state.logdet, np.linalg.slogdet(cov)[1], rtol=1e-10)
+
+
 def test_full_d1_matches_scalar_minimizer():
     rng = np.random.default_rng(23)
     for _ in range(50):
@@ -188,7 +224,7 @@ def test_full_d1_matches_scalar_minimizer():
         w_prime = w + rng.normal(scale=0.5, size=1)
         flow = fl.solve_full(prior, w, w_prime)
         post = fl.apply_flow(prior, flow, w, w_prime)
-        sig = math.sqrt(prior.eigenvalues[0])
+        sig = math.sqrt(bel.covariance(prior)[0, 0])
         u = ((w - prior.mean) / sig).item()
         v = ((w_prime - prior.mean) / sig).item()
         _, kl_oracle = orc.minimize_scalar_flow(u, v)
@@ -241,7 +277,7 @@ def test_collapse_toward_mean_when_target_is_the_mean():
     w = np.array([1.0, 0.0])  # u = 1
     flow = fl.solve_full(prior, w, np.zeros(2))
     post = fl.apply_flow(prior, flow, w, np.zeros(2))
-    evals = np.sort(post.eigenvalues)
+    evals = np.linalg.eigvalsh(bel.covariance(post))
     np.testing.assert_allclose(evals, [0.5, 1.0], atol=1e-9)
     # matches the 1-D spot case u=1, v=0: mu' = -1/sqrt(2)
     np.testing.assert_allclose(post.mean, [-1.0 / math.sqrt(2.0), 0.0], atol=1e-9)
@@ -253,7 +289,7 @@ def test_colinear_target_reduces_to_scalar_branch():
     w_prime = np.array([2.0, 0.0])  # v_par = 2, v_perp = 0
     flow = fl.solve_full(prior, w, w_prime)
     post = fl.apply_flow(prior, flow, w, w_prime)
-    evals = np.sort(post.eigenvalues)
+    evals = np.linalg.eigvalsh(bel.covariance(post))
     np.testing.assert_allclose(evals, [1.0, A_U1_V2 ** 2], atol=1e-9)
     np.testing.assert_allclose(post.mean, [2.0 - A_U1_V2, 0.0], atol=1e-9)
 
@@ -377,3 +413,16 @@ def test_posterior_respects_floor_after_extreme_contraction():
     post = fl.apply_flow(prior, flow, w, w_prime)
     post = bel.correct_spectrum(post, bel.LAMBDA_MIN)
     assert post.variances[0] >= bel.LAMBDA_MIN
+
+
+def test_full_posterior_respects_floor_after_extreme_contraction():
+    prior = bel.full_belief(np.zeros(3), np.eye(3), np.ones(3))
+    w = np.array([1e5, 0.0, 0.0])
+    w_prime = np.zeros(3)  # target at the mean: variance along e1 -> 1e-10
+    flow = fl.solve_full(prior, w, w_prime)
+    post = fl.apply_flow(prior, flow, w, w_prime)
+    assert np.linalg.svd(post.factor, compute_uv=False)[-1] ** 2 < bel.LAMBDA_MIN
+    post = bel.correct_spectrum(post, bel.LAMBDA_MIN)
+    evals = np.sort(np.linalg.svd(post.factor, compute_uv=False) ** 2)
+    np.testing.assert_allclose(evals, [bel.LAMBDA_MIN, 1.0, 1.0], rtol=1e-9)
+    bel.validate(post, bel.LAMBDA_MIN)

@@ -233,6 +233,12 @@ def test_read_snapshots_rejects_garbage(tmp_path):
     good.write_bytes(header + b"\x01\x02")  # partial record
     with pytest.raises(ValueError, match="truncated"):
         hns.read_snapshots(good)
+    good.write_bytes(hns.SNAPSHOT_MAGIC + struct.pack("<II", 2, 1))  # v2 header cut short
+    with pytest.raises(ValueError, match="truncated header"):
+        hns.read_snapshots(good)
+    good.write_bytes(hns.SNAPSHOT_MAGIC + struct.pack("<IIII4x", 2, 0, 3, 12))  # full v2 needs 9
+    with pytest.raises(ValueError, match="payload length"):
+        hns.read_snapshots(good)
 
 
 def test_parallel_workers_env_cap(monkeypatch):
@@ -315,6 +321,56 @@ def test_cli_trace_round_trip(tmp_path):
     lines = (tmp_path / "o" / "trace.csv").read_text().splitlines()
     assert lines[0] == "round,x,r_eigenvalues,rho,cum_rho"
     assert len(lines) > 1
+
+
+def test_cli_full_variant_run_trace_round_trip(tmp_path):
+    cfg = tiny_config(runs=1, dataset={"format": "synthetic", "n": 60, "n_features": 6, "seed": 5},
+                      learner={"algorithm": "bflo", "variant": "full", "eta": 0.05,
+                               "sigma_init": 0.2})
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert hns.cli_main(["run", "--config", str(p), "--out", str(out)]) == 0
+    snap = out / "snapshots.bin"
+    version, code, d, payload_len = struct.unpack_from("<IIII", snap.read_bytes(), 4)
+    assert (version, code, d, payload_len) == (2, 0, 6, 36)  # v2 full: W only
+    snaps = hns.read_snapshots(snap)
+    assert [r for r, _ in snaps] == list(range(49))
+    state = snaps[-1][1]
+    assert state.variant == bel.FULL and state.factor is None
+    # W read back is the inverse of the covariance's square root
+    np.testing.assert_allclose(state.inv_factor @ bel.covariance(state) @ state.inv_factor.T,
+                               np.eye(6), atol=1e-10)
+    again = tmp_path / "again.bin"
+    hns.write_snapshots(again, snaps)
+    assert again.read_bytes() == snap.read_bytes()
+    assert hns.cli_main(["trace", "--snapshots", str(snap), "--out", str(out / "trace.csv")]) == 0
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert len(lines) == 1 + 48
+    assert all(line.split(",")[2] for line in lines[1:])  # informative eigenvalues
+
+
+def test_v1_full_snapshot_still_reads_and_traces(tmp_path):
+    # version 1 stored full beliefs as eigenvectors (row-major) plus eigenvalues
+    rng = np.random.default_rng(8)
+    d = 3
+    records = []
+    for rnd in range(3):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        records.append((rnd, rng.normal(size=d), q, rng.uniform(0.5, 2.0, size=d)))
+    raw = hns.SNAPSHOT_MAGIC + struct.pack("<IBII", 1, 0, d, d * d + d)
+    for rnd, mean, q, evals in records:
+        raw += struct.pack("<I", rnd) + np.concatenate([mean, q.ravel(), evals]).astype("<f8").tobytes()
+    p = tmp_path / "v1.bin"
+    p.write_bytes(raw)
+    snaps = hns.read_snapshots(p)
+    assert [r for r, _ in snaps] == [0, 1, 2]
+    for (_, state), (_, mean, q, evals) in zip(snaps, records):
+        np.testing.assert_array_equal(state.mean, mean)
+        np.testing.assert_allclose(bel.covariance(state), (q * evals) @ q.T, atol=1e-12)
+        np.testing.assert_allclose(bel.entropy(state),
+                                   0.5 * (d * np.log(2 * np.pi * np.e) + np.sum(np.log(evals))))
+    assert hns.cli_main(["trace", "--snapshots", str(p), "--out", str(tmp_path / "t.csv")]) == 0
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 3
 
 
 def test_cli_suite(tmp_path):

@@ -1,5 +1,6 @@
 """Online learners: one shared step interface, hand-checked update rules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,41 @@ def test_bflo_variance_floor_holds_under_aggressive_steps():
     for _ in range(300):
         learner.step(example(rng.normal(size=2) * 5.0, int(rng.integers(0, 2))), rng)
     assert learner.belief.variances.min() >= bel.LAMBDA_MIN
+
+
+DENSE_DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "inv", "pinv", "svd", "qr",
+                        "cholesky", "solve", "lstsq", "slogdet", "det")
+
+
+def test_bflo_full_round_runs_no_dense_decomposition(monkeypatch):
+    # a full-covariance round is O(d^2): no d x d decomposition may run
+    # before the resync cadence comes due
+    d = 50
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            if any(isinstance(a, np.ndarray) and a.ndim >= 2 and a.shape[-2:] == (d, d)
+                   for a in args):
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in DENSE_DECOMPOSITIONS:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    spec = mdl.logistic_model(d)
+    prior = bel.full_belief(np.zeros(d), np.eye(d), np.full(d, 0.04))
+    learner = lrn.BeliefFlowLearner(spec, prior, eta=0.2)
+    rng = np.random.default_rng(13)
+    rounds = 150
+    assert rounds < bel.RESYNC_EVERY
+    for _ in range(rounds):
+        learner.step(example(rng.normal(size=d), int(rng.integers(0, 2))), rng)
+    assert learner.belief.age == rounds
+    assert calls == []
+    # the counter does see the O(d^3) resync once it is due
+    bel.correct_spectrum(dataclasses.replace(learner.belief, age=bel.RESYNC_EVERY))
+    assert "inv" in calls
 
 
 # ---------------------------------------------------------------------------

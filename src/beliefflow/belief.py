@@ -191,6 +191,33 @@ def snapshot_view(belief: BeliefState) -> BeliefState:
     return dataclasses.replace(belief, factor=None)
 
 
+def gather(belief: BeliefState, idx: np.ndarray) -> BeliefState:
+    """The marginal of a diagonal belief over the coordinates idx.
+
+    Diagonal coordinates are independent, so a flow on the marginal is the
+    flow on the whole belief for a step that moves only those coordinates;
+    :func:`scatter` puts the result back.
+    """
+    if belief.variant != DIAGONAL:
+        raise ValueError("gather needs a diagonal belief")
+    return BeliefState(DIAGONAL, belief.mean[idx], variances=belief.variances[idx])
+
+
+def scatter(belief: BeliefState, idx: np.ndarray, sub: BeliefState) -> BeliefState:
+    """A copy of the diagonal belief with coordinates idx taken from sub.
+
+    The mean and variances are fresh arrays, so earlier beliefs (and the
+    snapshots that hold them) stay as they were.
+    """
+    if belief.variant != DIAGONAL or sub.variant != DIAGONAL:
+        raise ValueError("scatter needs diagonal beliefs")
+    mean = belief.mean.copy()
+    mean[idx] = sub.mean
+    variances = belief.variances.copy()
+    variances[idx] = sub.variances
+    return BeliefState(DIAGONAL, mean, variances=variances)
+
+
 def covariance(belief: BeliefState) -> np.ndarray:
     """Densify the covariance. Intended for desk-scale dimensions only."""
     if belief.variant == FULL:

@@ -43,7 +43,11 @@ class Dataset:
 
     def example(self, i: int) -> LabeledExample:
         if self.sparse:
-            x = self.X[i].toarray().ravel()
+            # Row i straight from the CSR arrays; bincount sums duplicate
+            # entries the way toarray() does (and gives ints on an empty row).
+            lo, hi = self.X.indptr[i], self.X.indptr[i + 1]
+            x = np.bincount(self.X.indices[lo:hi], weights=self.X.data[lo:hi],
+                            minlength=self.X.shape[1]).astype(float, copy=False)
         else:
             x = self.X[i]
         return LabeledExample(x, int(self.labels[i]), int(self.true_labels[i]))

@@ -27,14 +27,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import belief as bel
 from . import data as dat
 from . import flow as fl
 from . import learners as lrn
 from . import models as mdl
-from . import oracles as orc
 from . import pseudo as psd
 
 SCHEMA_VERSION = 1
@@ -250,7 +248,10 @@ def run_online(config: ExperimentConfig, run_index: int,
     entropy_trace = []
     snapshots = [(0, bel.snapshot_view(learner.belief))] if is_belief else []
     for i in range(n_train):
-        outcome = learner.step(train.example(i), rng)
+        try:
+            outcome = learner.step(train.example(i), rng)
+        except lrn.NonFiniteStepError as exc:
+            raise lrn.NonFiniteStepError(f"run {run_index} round {i + 1}: {exc}") from exc
         mistakes[i] = 0 if outcome.correct else 1
         if outcome.entropy is not None:
             entropies[i] = outcome.entropy
@@ -385,13 +386,27 @@ def rank_table(rows: list[dict]) -> dict:
     rank_sums: dict[str, list[float]] = {}
     for ds in datasets:
         group = [r for r in rows if r["dataset"] == ds]
-        errors = [r["final_error_pct"] for r in group]
-        ranks = _stats.rankdata(errors, method="average")
+        ranks = average_ranks([r["final_error_pct"] for r in group])
         per_dataset[ds] = {g["learner"]: float(rk) for g, rk in zip(group, ranks)}
         for g, rk in zip(group, ranks):
             rank_sums.setdefault(g["learner"], []).append(float(rk))
     mean_rank = {k: float(np.mean(v)) for k, v in sorted(rank_sums.items())}
     return {"per_dataset": per_dataset, "mean_rank": mean_rank}
+
+
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks with ties sharing their mean rank; all nan if any value
+    is nan (scipy's rankdata, method="average", nan_policy="propagate")."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +553,8 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
     per dimension, the worst stationarity residual of the in-plane solver,
     and the worst flow-constraint violation across variants.
     """
+    from . import oracles as orc  # scipy.optimize and scipy.integrate load only here
+
     checks = []
     rng = np.random.default_rng(seed)
     for d in dims:

@@ -27,7 +27,10 @@ class StepOutcome:
     correct: bool
     loss: float
     entropy: float | None = None
-    sample_norm: float | None = None
+
+
+class NonFiniteStepError(ValueError):
+    """A gradient step left the finite numbers; the belief is not updated."""
 
 
 class BeliefFlowLearner:
@@ -36,7 +39,14 @@ class BeliefFlowLearner:
     Each update iteration draws a weight vector from the belief (Thompson
     sampling), takes one gradient step on the drawn vector, and transports
     the belief along the flow that carries the draw exactly onto the stepped
-    point. The spectrum floor runs after every update.
+    point. The spectrum floor runs after every update, and on the prior.
+
+    A diagonal belief runs the round on the coordinates the forward pass
+    reads (see ``models.active_subproblem``). Every other coordinate has a
+    gradient of exactly 0, so its flow scale is 1.0 and it keeps its mean
+    and variance; its draw would never be read. The round is the same in
+    distribution, but draws only the active coordinates from the rng. Full
+    and spherical flows mix coordinates, so they run on the whole belief.
     """
 
     def __init__(self, spec: mdl.ModelSpec, prior: bel.BeliefState, eta: float,
@@ -47,7 +57,7 @@ class BeliefFlowLearner:
         if prior.dim != spec.n_params:
             raise ValueError(f"prior dimension {prior.dim} != parameter count {spec.n_params}")
         self.spec = spec
-        self.belief = prior
+        self.belief = bel.correct_spectrum(prior, lam_min)
         self.eta = float(eta)
         self.m = int(m)
         self.non_expansive = non_expansive
@@ -57,27 +67,39 @@ class BeliefFlowLearner:
         self.n_updates = 0
 
     def step(self, ex: LabeledExample, rng: np.random.Generator) -> StepOutcome:
+        """One round: predict from the first draw, then m flow updates.
+
+        Raises NonFiniteStepError, leaving the belief as it was, when a
+        stepped point w' has a non-finite coordinate.
+        """
         target = mdl.target_vector(self.spec, ex.label)
+        if self.belief.variant == bel.DIAGONAL:
+            spec, idx, x = mdl.active_subproblem(self.spec, ex.x)
+            belief = bel.gather(self.belief, idx)
+        else:
+            spec, idx, x, belief = self.spec, None, ex.x, self.belief
         predicted = None
         loss_val = None
-        sample_norm = None
         for i in range(self.m):
-            w = bel.sample(self.belief, rng)
-            z, grad = mdl.forward_backward(self.spec, w, ex.x, target)
+            w = bel.sample(belief, rng)
+            z, grad = mdl.forward_backward(spec, w, x, target)
             if i == 0:
                 predicted = mdl.predict_label(z)
                 loss_val = mdl.loss(z, target)
-                sample_norm = float(np.linalg.norm(w))
             w_prime = w - self.eta * grad
-            flow = fl.solve(self.belief, w, w_prime, self.flow_cfg)
+            if not np.isfinite(w_prime).all():
+                raise NonFiniteStepError(
+                    f"bflo-{belief.variant} update {i + 1} of {self.m}: the gradient step "
+                    "is not finite")
+            flow = fl.solve(belief, w, w_prime, self.flow_cfg)
             if self.non_expansive:
                 flow = fl.clamp_nonexpansive(flow)
-            self.belief = fl.apply_flow(self.belief, flow, w, w_prime)
-            self.belief = bel.correct_spectrum(self.belief, self.lam_min)
-            self.n_updates += 1
+            belief = fl.apply_flow(belief, flow, w, w_prime)
+            belief = bel.correct_spectrum(belief, self.lam_min)
+        self.belief = belief if idx is None else bel.scatter(self.belief, idx, belief)
+        self.n_updates += self.m
         ent = bel.entropy(self.belief) if self.track_entropy else None
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val,
-                           entropy=ent, sample_norm=sample_norm)
+        return StepOutcome(predicted, predicted == ex.true_label, loss_val, entropy=ent)
 
     def freeze(self, sample: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         """Weights for offline evaluation: the belief mean, or one draw."""
@@ -107,8 +129,7 @@ class SGDLearner:
                 predicted = mdl.predict_label(z)
                 loss_val = mdl.loss(z, target)
             self.w -= self.eta * grad
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val,
-                           sample_norm=float(np.linalg.norm(self.w)))
+        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
 
     def freeze(self) -> np.ndarray:
         return self.w.copy()
@@ -134,8 +155,7 @@ class LangevinSGDLearner:
                 predicted = mdl.predict_label(z)
                 loss_val = mdl.loss(z, target)
             self.w += -self.eta * grad + noise_scale * rng.standard_normal(self.w.shape[0])
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val,
-                           sample_norm=float(np.linalg.norm(self.w)))
+        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
 
     def freeze(self) -> np.ndarray:
         return self.w.copy()
@@ -174,8 +194,7 @@ class AROWLearner:
             alpha = (1.0 - y * margin) * beta
             self.mu += alpha * y * sx
             self.var -= beta * sx * sx
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val,
-                           sample_norm=float(np.linalg.norm(self.mu)))
+        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
 
     def freeze(self) -> np.ndarray:
         return self.mu.copy()
@@ -227,8 +246,7 @@ class DropoutSGDLearner:
                 delta2,
             ])
             self.w -= self.eta * grad
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val,
-                           sample_norm=float(np.linalg.norm(self.w)))
+        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
 
     def freeze(self) -> np.ndarray:
         """Parameters with the (1 - p_drop) scaling folded into W2."""

@@ -136,9 +136,28 @@ def forward_backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     return z, grad
 
 
-def gradient(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
-             target: np.ndarray) -> np.ndarray:
-    return forward_backward(spec, params, x, target)[1]
+def active_subproblem(spec: ModelSpec, x: np.ndarray) -> tuple[ModelSpec, np.ndarray, np.ndarray]:
+    """The part of the model a forward pass on x reads: a sub-spec over the
+    nonzero features, the flat indices of its parameters in the full vector
+    and x restricted to those features.
+
+    Every other parameter has a gradient of exactly 0 on x: for logistic
+    models the weights of zero features, for the MLP the W1 columns of zero
+    inputs. The sub-spec's parameters are the indexed ones in the same
+    order, so forward_backward(sub_spec, params[idx], x_nz, target) gives
+    the outputs and the gradient restricted to idx.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.n_features,):
+        raise ValueError(f"expected {spec.n_features} features, got shape {x.shape}")
+    nz = np.flatnonzero(x)
+    if spec.kind == LOGISTIC:
+        return logistic_model(nz.size), nz, x[nz]
+    h, p = spec.n_hidden, spec.n_features
+    w1_cols = (np.arange(h)[:, None] * p + nz).ravel()
+    idx = np.concatenate([w1_cols, np.arange(h * p, spec.n_params)])
+    sub = ModelSpec(MLP, n_features=nz.size, n_outputs=spec.n_outputs, n_hidden=h)
+    return sub, idx, x[nz]
 
 
 def predict_label(z: np.ndarray) -> int:

@@ -80,6 +80,34 @@ def test_libsvm_rejects_non_finite_values(tmp_path, value):
         dat.parse_libsvm(p)
 
 
+@pytest.mark.parametrize("text", [
+    "+1 1:0.5 3:2.0\n-1 2:1.5\n0 1:1.0\n",
+    "1 1:1 3:1\n2 2:1\n2 1:1\n1 3:1\n",
+    "+1 7:1.0\n-1\n+1 1:-0.25 7:3e-300\n",
+])
+def test_libsvm_example_rows_match_toarray(tmp_path, text):
+    p = tmp_path / "rows.libsvm"
+    p.write_text(text)
+    ds = dat.parse_libsvm(p, n_features=9)
+    for i in range(len(ds)):
+        x = ds.example(i).x
+        assert x.dtype == np.float64 and x.shape == (9,)
+        np.testing.assert_array_equal(x, ds.X[i].toarray().ravel())
+    # a subset keeps its own row pointers
+    sub = ds.subset(np.array([len(ds) - 1, 0]))
+    np.testing.assert_array_equal(sub.example(0).x, ds.example(len(ds) - 1).x)
+
+
+def test_csr_example_sums_duplicate_entries_like_toarray():
+    from scipy import sparse as sp
+
+    X = sp.csr_matrix((np.array([1.0, 2.0, 0.5]), np.array([2, 2, 0]), np.array([0, 3])),
+                      shape=(1, 4))
+    ds = dat.Dataset("dup", X, np.zeros(1, np.int64), np.zeros(1, np.int64), 4, 2, sparse=True)
+    np.testing.assert_array_equal(ds.example(0).x, X.toarray().ravel())
+    np.testing.assert_array_equal(ds.example(0).x, [0.5, 0.0, 3.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # CSV
 

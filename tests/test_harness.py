@@ -1,13 +1,20 @@
 """Harness: configs, seeded runs, aggregation, file formats, CLI."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beliefflow
 from beliefflow import belief as bel
+from beliefflow import data as dat
 from beliefflow import harness as hns
+from beliefflow import learners as lrn
 from beliefflow import models as mdl
 from beliefflow import pseudo as psd
 
@@ -168,6 +175,40 @@ def test_rank_table():
     assert ranks["per_dataset"]["d1"] == {"sgd": 2.0, "bflo": 1.0}
     assert ranks["per_dataset"]["d2"] == {"sgd": 1.5, "bflo": 1.5}
     assert ranks["mean_rank"] == {"bflo": 1.25, "sgd": 1.75}
+
+
+def test_average_ranks_match_scipy_on_ties():
+    from scipy import stats
+
+    rng = np.random.default_rng(53)
+    cases = [[3.0, 3.0], [1.0, 2.0, 2.0, 2.0, 0.5], [4.0, 4.0, 4.0, 4.0], [7.0], [],
+             rng.integers(0, 4, size=25).astype(float), [2.0, np.nan, 1.0]]
+    for values in cases:
+        np.testing.assert_array_equal(hns.average_ranks(values),
+                                      stats.rankdata(values, method="average"))
+
+
+def test_importing_the_harness_loads_no_scipy_stats_or_optimize():
+    code = ("import sys, beliefflow.harness; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
+            "'beliefflow.oracles') if m in sys.modules))")
+    src = str(Path(beliefflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_run_online_names_run_and_round_of_a_non_finite_step(monkeypatch):
+    # the parsers reject inf, so the bad row comes from an in-memory dataset
+    X = np.random.default_rng(59).normal(size=(10, 3))
+    X[6, 1] = np.inf
+    labels = (X[:, 0] > 0).astype(np.int64)
+    ds = dat.Dataset("inf", X, labels, labels.copy(), 3, 2, sparse=False)
+    monkeypatch.setattr(hns, "load_dataset", lambda dspec: ds)
+    cfg = tiny_config(shuffle=False, train_fraction=0.9, base_seed=7)
+    with pytest.raises(lrn.NonFiniteStepError, match=r"run 2 round 7: bflo-diagonal update 1"), \
+            np.errstate(invalid="ignore"):
+        hns.run_online(cfg, 2)
 
 
 # ---------------------------------------------------------------------------

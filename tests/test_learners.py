@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from beliefflow import belief as bel
+from beliefflow import flow as fl
 from beliefflow import learners as lrn
 from beliefflow import models as mdl
 from beliefflow.data import LabeledExample
@@ -103,6 +104,183 @@ def test_bflo_variance_floor_holds_under_aggressive_steps():
     for _ in range(300):
         learner.step(example(rng.normal(size=2) * 5.0, int(rng.integers(0, 2))), rng)
     assert learner.belief.variances.min() >= bel.LAMBDA_MIN
+
+
+# ---------------------------------------------------------------------------
+# diagonal rounds on the active coordinates
+
+
+def reference_step(learner, ex, rng):
+    """The whole-belief round: every iteration samples, solves and applies
+    over all d coordinates. Returns (predicted, loss, belief)."""
+    target = mdl.target_vector(learner.spec, ex.label)
+    belief = learner.belief
+    predicted = loss_val = None
+    for i in range(learner.m):
+        w = bel.sample(belief, rng)
+        z, grad = mdl.forward_backward(learner.spec, w, ex.x, target)
+        if i == 0:
+            predicted = mdl.predict_label(z)
+            loss_val = mdl.loss(z, target)
+        w_prime = w - learner.eta * grad
+        flow = fl.solve(belief, w, w_prime, learner.flow_cfg)
+        if learner.non_expansive:
+            flow = fl.clamp_nonexpansive(flow)
+        belief = fl.apply_flow(belief, flow, w, w_prime)
+        belief = bel.correct_spectrum(belief, learner.lam_min)
+    return predicted, loss_val, belief
+
+
+def diagonal_learner(spec, rng, **kwargs):
+    d = spec.n_params
+    prior = bel.diagonal_belief(rng.normal(scale=0.3, size=d), rng.uniform(0.01, 0.09, size=d))
+    return lrn.BeliefFlowLearner(spec, prior, **kwargs)
+
+
+@pytest.mark.parametrize("spec", [mdl.logistic_model(6), mdl.mlp_model(5, 4, 3)])
+@pytest.mark.parametrize("non_expansive", [False, True])
+def test_bflo_diagonal_dense_input_matches_whole_belief_loop(spec, non_expansive):
+    # every feature is nonzero, so the active set is every coordinate and
+    # the round must reproduce the whole-belief loop bit for bit
+    rng = np.random.default_rng(31)
+    learner = diagonal_learner(spec, rng, eta=0.3, m=3, non_expansive=non_expansive)
+    rng_new, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(20):
+        x = rng.uniform(0.1, 2.0, size=spec.n_features) * rng.choice([-1.0, 1.0], spec.n_features)
+        ex = example(x, int(rng.integers(0, max(2, spec.n_outputs))))
+        predicted, loss_val, want = reference_step(learner, ex, rng_ref)
+        out = learner.step(ex, rng_new)
+        assert (out.predicted, out.loss) == (predicted, loss_val)
+        assert out.entropy == bel.entropy(want)
+        np.testing.assert_array_equal(learner.belief.mean, want.mean)
+        np.testing.assert_array_equal(learner.belief.variances, want.variances)
+    assert learner.n_updates == 60
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", [mdl.logistic_model(12), mdl.mlp_model(12, 4, 3)])
+def test_bflo_diagonal_sparse_round_is_the_whole_belief_flow(spec, monkeypatch):
+    rng = np.random.default_rng(37)
+    learner = diagonal_learner(spec, rng, eta=0.4, m=1)
+    x = np.zeros(spec.n_features)
+    x[[1, 4, 5, 10]] = rng.normal(size=4)
+    ex = example(x, 1)
+    target = mdl.target_vector(spec, 1)
+    sub_spec, idx, x_nz = mdl.active_subproblem(spec, x)
+    seen = []
+    real_apply = fl.apply_flow
+
+    def recording_apply(belief, flow, w, w_prime):
+        seen.append((w.copy(), w_prime.copy()))
+        return real_apply(belief, flow, w, w_prime)
+
+    monkeypatch.setattr(fl, "apply_flow", recording_apply)
+    before = learner.belief
+    learner.step(ex, rng)
+    monkeypatch.undo()
+    after = learner.belief
+    inactive = np.setdiff1d(np.arange(spec.n_params), idx)
+    assert inactive.size > 0
+    np.testing.assert_array_equal(after.mean[inactive], before.mean[inactive])
+    np.testing.assert_array_equal(after.variances[inactive], before.variances[inactive])
+    # embed the sub-round's (w, w') into the whole belief: inactive
+    # coordinates get w == w', which the whole-belief flow leaves alone
+    (w_sub, w_prime_sub), = seen
+    w = before.mean.copy()
+    w[idx] = w_sub
+    w_prime = w.copy()
+    w_prime[idx] = w_prime_sub
+    whole = bel.correct_spectrum(fl.apply_flow(before, fl.solve(before, w, w_prime), w, w_prime))
+    np.testing.assert_array_equal(after.mean, whole.mean)
+    np.testing.assert_array_equal(after.variances, whole.variances)
+    # the sub-model gradient is the full gradient on idx, zero elsewhere
+    z_full, g_full = mdl.forward_backward(spec, w, x, target)
+    z_sub, g_sub = mdl.forward_backward(sub_spec, w[idx], x_nz, target)
+    assert np.all(g_full[inactive] == 0.0)
+    np.testing.assert_allclose(z_sub, z_full, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(g_sub - g_full[idx])) <= 1e-15 * np.max(np.abs(g_full))
+
+
+def test_bflo_diagonal_round_touches_only_the_active_coordinates(monkeypatch):
+    # MLP 50-8-3 has 435 parameters; 5 nonzero inputs leave 8 * 5 W1
+    # entries plus b1, W2 and b2 = 75 active coordinates
+    spec = mdl.mlp_model(50, 8, 3)
+    assert spec.n_params == 435
+    sizes = {"sample": [], "solve": [], "apply": []}
+
+    def sizing(key, fn):
+        def wrapped(belief, *args):
+            sizes[key].append(belief.dim)
+            return fn(belief, *args)
+        return wrapped
+
+    monkeypatch.setattr(bel, "sample", sizing("sample", bel.sample))
+    monkeypatch.setattr(fl, "solve", sizing("solve", fl.solve))
+    monkeypatch.setattr(fl, "apply_flow", sizing("apply", fl.apply_flow))
+    rng = np.random.default_rng(41)
+    learner = diagonal_learner(spec, rng, eta=0.2, m=4)
+    for _ in range(3):
+        x = np.zeros(50)
+        x[rng.choice(50, 5, replace=False)] = rng.uniform(0.1, 1.0, size=5)
+        learner.step(example(x, int(rng.integers(0, 3))), rng)
+    assert learner.belief.dim == 435
+    for key, dims in sizes.items():
+        assert dims == [75] * 12, key
+
+
+@pytest.mark.parametrize("spec", [mdl.logistic_model(4), mdl.mlp_model(4, 3, 2)])
+def test_bflo_diagonal_all_zero_input(spec):
+    rng = np.random.default_rng(43)
+    learner = diagonal_learner(spec, rng, eta=0.5, m=2)
+    before = learner.belief
+    out = learner.step(example(np.zeros(4), 1), rng)
+    assert out.predicted in (0, 1) and math.isfinite(out.loss)
+    assert learner.n_updates == 2
+    if spec.kind == mdl.LOGISTIC:
+        # nothing is read, so nothing moves
+        np.testing.assert_array_equal(learner.belief.mean, before.mean)
+        np.testing.assert_array_equal(learner.belief.variances, before.variances)
+    else:
+        # only the W1 entries stay; b1, W2 and b2 still learn
+        n_w1 = spec.n_hidden * spec.n_features
+        np.testing.assert_array_equal(learner.belief.mean[:n_w1], before.mean[:n_w1])
+        assert not np.array_equal(learner.belief.mean[n_w1:], before.mean[n_w1:])
+
+
+def test_bflo_diagonal_keeps_earlier_beliefs_intact():
+    # snapshots hold earlier beliefs by reference
+    spec = mdl.logistic_model(5)
+    rng = np.random.default_rng(47)
+    learner = diagonal_learner(spec, rng, eta=0.5)
+    first = learner.belief
+    mean0, var0 = first.mean.copy(), first.variances.copy()
+    for _ in range(5):
+        learner.step(example(rng.normal(size=5), 1), rng)
+    np.testing.assert_array_equal(first.mean, mean0)
+    np.testing.assert_array_equal(first.variances, var0)
+
+
+def test_bflo_prior_below_the_floor_is_floored():
+    spec = mdl.logistic_model(3)
+    prior = bel.diagonal_belief(np.zeros(3), np.array([1e-12, 0.04, 0.04]))
+    learner = lrn.BeliefFlowLearner(spec, prior, eta=0.1)
+    learner.step(example([0.0, 1.0, 1.0], 1), np.random.default_rng(0))
+    assert learner.belief.variances[0] == bel.LAMBDA_MIN
+
+
+@pytest.mark.parametrize("variant", bel.VARIANTS)
+def test_bflo_non_finite_step_raises_and_keeps_the_belief(variant):
+    spec = mdl.logistic_model(3)
+    priors = {bel.FULL: bel.full_belief(np.zeros(3), np.eye(3), np.full(3, 0.04)),
+              bel.DIAGONAL: bel.diagonal_belief(np.zeros(3), np.full(3, 0.04)),
+              bel.SPHERICAL: bel.spherical_belief(np.zeros(3), 0.04)}
+    learner = lrn.BeliefFlowLearner(spec, priors[variant], eta=0.1, m=3)
+    before = learner.belief
+    with pytest.raises(lrn.NonFiniteStepError, match=f"bflo-{variant} update 1 of 3"), \
+            np.errstate(invalid="ignore"):
+        learner.step(example([1.0, np.inf, 0.0], 0), np.random.default_rng(0))
+    assert learner.belief is before
+    assert learner.n_updates == 0
 
 
 DENSE_DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "inv", "pinv", "svd", "qr",

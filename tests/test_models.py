@@ -118,6 +118,27 @@ def test_repeated_steps_on_one_example_reduce_loss():
         prev = cur
 
 
+def test_active_subproblem_layout():
+    x = np.array([0.0, 2.0, 0.0, -1.0, 0.0])
+    sub, idx, x_nz = mdl.active_subproblem(mdl.logistic_model(5), x)
+    assert sub == mdl.logistic_model(2)
+    np.testing.assert_array_equal(idx, [1, 3])
+    np.testing.assert_array_equal(x_nz, [2.0, -1.0])
+    spec = mdl.mlp_model(5, 2, 3)
+    sub, idx, x_nz = mdl.active_subproblem(spec, x)
+    assert sub == mdl.mlp_model(2, 2, 3)
+    # W1 rows keep columns 1 and 3, then b1, W2 and b2 whole
+    np.testing.assert_array_equal(idx[:4], [1, 3, 6, 8])
+    np.testing.assert_array_equal(idx[4:], np.arange(10, spec.n_params))
+    params = np.random.default_rng(61).normal(size=spec.n_params)
+    w1, b1, w2, b2 = mdl.unpack_mlp(spec, params)
+    sw1, sb1, sw2, sb2 = mdl.unpack_mlp(sub, params[idx])
+    np.testing.assert_array_equal(sw1, w1[:, [1, 3]])
+    np.testing.assert_array_equal(sb1, b1)
+    np.testing.assert_array_equal(sw2, w2)
+    np.testing.assert_array_equal(sb2, b2)
+
+
 def test_batch_forward_matches_forward():
     rng = np.random.default_rng(7)
     for spec in (mdl.logistic_model(5), mdl.mlp_model(5, 3, 4)):

@@ -6,135 +6,4 @@ whole belief through the linear map that is consistent with that step
 while staying as close as possible to the prior in KL.
 """
 
-from .belief import (
-    DIAGONAL,
-    FULL,
-    LAMBDA_MIN,
-    SPHERICAL,
-    BeliefState,
-    correct_spectrum,
-    covariance,
-    diagonal_belief,
-    entropy,
-    full_belief,
-    full_belief_from_cov,
-    kl_divergence,
-    sample,
-    spherical_belief,
-)
-from .data import (
-    Dataset,
-    LabeledExample,
-    flip_labels,
-    parse_csv,
-    parse_idx,
-    parse_libsvm,
-    split_shuffle,
-    synthetic_linear,
-)
-from .flow import (
-    FlowConfig,
-    FlowSolution,
-    apply_flow,
-    clamp_nonexpansive,
-    flow_matrix,
-    scalar_scale,
-    solve,
-    solve_2x2,
-    solve_diagonal,
-    solve_full,
-    solve_spherical,
-)
-from .harness import (
-    ExperimentConfig,
-    RunReport,
-    aggregate,
-    load_config,
-    read_snapshots,
-    run_experiment,
-    run_online,
-    verify_flow,
-)
-from .learners import (
-    AROWLearner,
-    BeliefFlowLearner,
-    DropoutSGDLearner,
-    LangevinSGDLearner,
-    SGDLearner,
-    StepOutcome,
-)
-from .models import (
-    ModelSpec,
-    batch_forward,
-    forward,
-    forward_backward,
-    logistic_model,
-    loss,
-    mlp_model,
-    predict_label,
-)
-from .pseudo import PseudoDatapoint, bayes_update_gaussian, extract_pseudo, pseudo_trace
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AROWLearner",
-    "BeliefFlowLearner",
-    "BeliefState",
-    "DIAGONAL",
-    "Dataset",
-    "DropoutSGDLearner",
-    "ExperimentConfig",
-    "FULL",
-    "FlowConfig",
-    "FlowSolution",
-    "LabeledExample",
-    "LAMBDA_MIN",
-    "LangevinSGDLearner",
-    "ModelSpec",
-    "PseudoDatapoint",
-    "RunReport",
-    "SGDLearner",
-    "SPHERICAL",
-    "StepOutcome",
-    "aggregate",
-    "apply_flow",
-    "batch_forward",
-    "bayes_update_gaussian",
-    "clamp_nonexpansive",
-    "correct_spectrum",
-    "covariance",
-    "diagonal_belief",
-    "entropy",
-    "extract_pseudo",
-    "flip_labels",
-    "flow_matrix",
-    "forward",
-    "forward_backward",
-    "full_belief",
-    "full_belief_from_cov",
-    "kl_divergence",
-    "load_config",
-    "logistic_model",
-    "loss",
-    "mlp_model",
-    "parse_csv",
-    "parse_idx",
-    "parse_libsvm",
-    "predict_label",
-    "pseudo_trace",
-    "read_snapshots",
-    "run_experiment",
-    "run_online",
-    "sample",
-    "scalar_scale",
-    "solve",
-    "solve_2x2",
-    "solve_diagonal",
-    "solve_full",
-    "solve_spherical",
-    "spherical_belief",
-    "split_shuffle",
-    "synthetic_linear",
-    "verify_flow",
-]

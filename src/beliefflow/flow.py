@@ -42,23 +42,6 @@ class DegenerateTargetError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True)
-class FlowConfig:
-    """Sign branch and degeneracy tolerance for the flow solvers.
-
-    delta1 = delta2 = +1 selects the branch connected to the identity map;
-    the other branches exist only for verification of the stationarity
-    condition and are never used in production updates.
-    """
-
-    delta1: int = 1
-    delta2: int = 1
-    eps: float = EPS_DEGENERATE
-
-
-DEFAULT_CONFIG = FlowConfig()
-
-
-@dataclasses.dataclass(frozen=True)
 class FlowSolution:
     """Solved flow in the representation natural to the belief variant.
 
@@ -99,12 +82,14 @@ def scalar_scale(u, v):
 
 
 def solve_2x2(u: float, v_par: float, v_perp: float,
-              delta1: int = 1, delta2: int = 1, eps: float = EPS_DEGENERATE) -> np.ndarray:
+              delta1: int = 1, delta2: int = 1) -> np.ndarray:
     """In-plane 2x2 flow matrix for whitened offsets (u, 0) -> (v_par, v_perp).
 
     Requires u > 0 and v_perp >= 0; the target norm must not vanish. The
     returned matrix maps the mu_hat axis onto the target direction and fixes
-    the KL-optimal scale along it.
+    the KL-optimal scale along it. delta1 = delta2 = +1 selects the branch
+    connected to the identity map, the one every update uses; the other
+    sign branches exist to verify the stationarity condition.
     """
     if not u > 0.0:
         raise ValueError("u must be positive; degenerate samples are handled by the caller")
@@ -113,7 +98,7 @@ def solve_2x2(u: float, v_par: float, v_perp: float,
     if delta1 not in (-1, 1) or delta2 not in (-1, 1):
         raise ValueError("sign branches must be +1 or -1")
     s2 = v_par * v_par + v_perp * v_perp
-    if s2 <= eps * eps:
+    if s2 <= EPS_DEGENERATE * EPS_DEGENERATE:
         raise DegenerateTargetError("target vector vanished in whitened coordinates")
     s = np.sqrt(s2)
     c = (u * s + delta1 * np.sqrt(4.0 + u * u * (4.0 + s2))) / (2.0 * (1.0 + u * u))
@@ -135,8 +120,7 @@ def _complement_unit(mu_hat: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
-               cfg: FlowConfig = DEFAULT_CONFIG) -> FlowSolution:
+def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
     """Optimal flow for a full-covariance belief.
 
     Whitens both displacements, solves the in-plane 2x2 problem, and returns
@@ -153,7 +137,7 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
     # One pass over W whitens both displacements.
     dt, dtp = whiten(belief, np.column_stack([w - belief.mean, w_prime - belief.mean])).T
     u = float(np.linalg.norm(dt))
-    if u <= cfg.eps:
+    if u <= EPS_DEGENERATE:
         # Sampled the mean: nothing to anchor a scale on, translate only.
         d = belief.dim
         return FlowSolution(FULL, mu_hat=np.zeros(d), nu_hat=np.zeros(d),
@@ -163,14 +147,14 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
     resid = dtp - v_par * mu_hat
     v_perp = float(np.linalg.norm(resid))
     target_norm = float(np.linalg.norm(dtp))
-    if target_norm <= cfg.eps:
+    if target_norm <= EPS_DEGENERATE:
         # Target collapsed onto the mean: contract along mu_hat.
         a = 1.0 / np.sqrt(1.0 + u * u)
         a2 = np.diag([a, 1.0])
         nu_hat = _complement_unit(mu_hat)
         return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=nu_hat,
                             u=u, v_par=v_par, v_perp=0.0, a2=a2)
-    if v_perp <= cfg.eps:
+    if v_perp <= EPS_DEGENERATE:
         # Colinear geometry: scalar problem along mu_hat with signed v_par.
         a = float(scalar_scale(u, v_par))
         a2 = np.diag([a, 1.0])
@@ -178,17 +162,17 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
         return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=nu_hat,
                             u=u, v_par=v_par, v_perp=0.0, a2=a2)
     nu_hat = resid / v_perp
-    a2 = solve_2x2(u, v_par, v_perp, cfg.delta1, cfg.delta2, cfg.eps)
+    a2 = solve_2x2(u, v_par, v_perp)
     return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=nu_hat,
                         u=u, v_par=v_par, v_perp=v_perp, a2=a2)
 
 
-def solve_diagonal(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
-                   cfg: FlowConfig = DEFAULT_CONFIG) -> FlowSolution:
+def solve_diagonal(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
     """Per-coordinate optimal scales for a diagonal-covariance belief.
 
-    Coordinates the step never touched (w'_i == w_i) keep the exact scale
-    1.0, which keeps sparse online updates bit-stable.
+    Coordinates the step never touched (w'_i == w_i) have u_i == v_i, so
+    scalar_scale gives them the exact scale 1.0, which keeps sparse online
+    updates bit-stable.
     """
     if belief.variant != DIAGONAL:
         raise ValueError("solve_diagonal needs a diagonal belief")
@@ -199,12 +183,10 @@ def solve_diagonal(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
     sig = np.sqrt(belief.variances)
     u = (w - belief.mean) / sig
     v = (w_prime - belief.mean) / sig
-    scales = np.where(w == w_prime, 1.0, scalar_scale(u, v))
-    return FlowSolution(DIAGONAL, scales=scales)
+    return FlowSolution(DIAGONAL, scales=scalar_scale(u, v))
 
 
-def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
-                    cfg: FlowConfig = DEFAULT_CONFIG) -> FlowSolution:
+def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
     """Isotropic flow: rotate the displacement onto the target and scale.
 
     u and v are the whitened norms of w - mu and w' - mu; the scale follows
@@ -225,23 +207,22 @@ def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
     u = norm_dw / sigma
     v = norm_dwp / sigma
     s_hat = dw / norm_dw if norm_dw > 0.0 else np.zeros(belief.dim)
-    if norm_dwp <= cfg.eps * sigma:
+    if norm_dwp <= EPS_DEGENERATE * sigma:
         # Target at the mean: contract along the original direction.
-        d_hat = dw / norm_dw if norm_dw > cfg.eps * sigma else np.zeros(belief.dim)
+        d_hat = dw / norm_dw if norm_dw > EPS_DEGENERATE * sigma else np.zeros(belief.dim)
     else:
         d_hat = dwp / norm_dwp
     a = 1.0 if u == v else float(scalar_scale(u, v))
     return FlowSolution(SPHERICAL, scale=a, d_hat=d_hat, s_hat=s_hat, u=u)
 
 
-def solve(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray,
-          cfg: FlowConfig = DEFAULT_CONFIG) -> FlowSolution:
+def solve(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
     """Dispatch to the solver matching the belief variant."""
     if belief.variant == FULL:
-        return solve_full(belief, w, w_prime, cfg)
+        return solve_full(belief, w, w_prime)
     if belief.variant == DIAGONAL:
-        return solve_diagonal(belief, w, w_prime, cfg)
-    return solve_spherical(belief, w, w_prime, cfg)
+        return solve_diagonal(belief, w, w_prime)
+    return solve_spherical(belief, w, w_prime)
 
 
 def clamp_nonexpansive(flow: FlowSolution) -> FlowSolution:
@@ -288,11 +269,10 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
     w = np.asarray(w, dtype=float)
     w_prime = np.asarray(w_prime, dtype=float)
     if belief.variant == DIAGONAL:
-        untouched = w == w_prime
-        mean = np.where(untouched, belief.mean,
-                        flow.scales * (belief.mean - w) + w_prime)
-        variances = np.where(untouched, belief.variances,
-                             flow.scales * flow.scales * belief.variances)
+        # An untouched coordinate has scale 1.0, so its variance stays as it
+        # is; its mean needs the mask, since (mu - w) + w' may round off mu.
+        mean = np.where(w == w_prime, belief.mean, flow.scales * (belief.mean - w) + w_prime)
+        variances = flow.scales * flow.scales * belief.variances
         return BeliefState(DIAGONAL, mean, variances=variances)
     if belief.variant == SPHERICAL:
         norm_dw = float(np.linalg.norm(w - belief.mean))

@@ -110,6 +110,7 @@ def validate_config(config: ExperimentConfig) -> None:
     variant = config.learner.get("variant", bel.DIAGONAL)
     if tag == "bflo" and variant not in BELIEF_VARIANTS:
         raise ValueError(f"unknown belief variant {variant!r}")
+    lrn.update_count(config.learner.get("m", 1))
     for path in dataset_files(config.dataset):
         if not path.exists():
             raise ValueError(f"dataset file not found: {path}")

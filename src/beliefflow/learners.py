@@ -33,6 +33,13 @@ class NonFiniteStepError(ValueError):
     """A gradient step left the finite numbers; the belief is not updated."""
 
 
+def update_count(m) -> int:
+    """The number m of updates per round, which must be an integer >= 1."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    return int(m)
+
+
 class BeliefFlowLearner:
     """Gaussian belief over weights, updated by KL-minimizing linear flows.
 
@@ -52,17 +59,15 @@ class BeliefFlowLearner:
     def __init__(self, spec: mdl.ModelSpec, prior: bel.BeliefState, eta: float,
                  m: int = 1, non_expansive: bool = False,
                  lam_min: float = bel.LAMBDA_MIN,
-                 flow_cfg: fl.FlowConfig = fl.DEFAULT_CONFIG,
                  track_entropy: bool = True):
         if prior.dim != spec.n_params:
             raise ValueError(f"prior dimension {prior.dim} != parameter count {spec.n_params}")
         self.spec = spec
         self.belief = bel.correct_spectrum(prior, lam_min)
         self.eta = float(eta)
-        self.m = int(m)
+        self.m = update_count(m)
         self.non_expansive = non_expansive
         self.lam_min = lam_min
-        self.flow_cfg = flow_cfg
         self.track_entropy = track_entropy
         self.n_updates = 0
 
@@ -91,7 +96,7 @@ class BeliefFlowLearner:
                 raise NonFiniteStepError(
                     f"bflo-{belief.variant} update {i + 1} of {self.m}: the gradient step "
                     "is not finite")
-            flow = fl.solve(belief, w, w_prime, self.flow_cfg)
+            flow = fl.solve(belief, w, w_prime)
             if self.non_expansive:
                 flow = fl.clamp_nonexpansive(flow)
             belief = fl.apply_flow(belief, flow, w, w_prime)
@@ -111,13 +116,19 @@ class BeliefFlowLearner:
 
 
 class SGDLearner:
-    """Plain stochastic gradient descent on a point estimate."""
+    """Online gradient descent on a point estimate, w <- w - eta grad.
+
+    A positive noise_scale s adds Gaussian exploration noise to every step,
+    w <- w - eta grad + s xi; at 0 no noise is drawn from the rng.
+    """
+
+    noise_scale = 0.0
 
     def __init__(self, spec: mdl.ModelSpec, w0: np.ndarray, eta: float, m: int = 1):
         self.spec = spec
         self.w = np.asarray(w0, dtype=float).copy()
         self.eta = float(eta)
-        self.m = int(m)
+        self.m = update_count(m)
 
     def step(self, ex: LabeledExample, rng: np.random.Generator) -> StepOutcome:
         target = mdl.target_vector(self.spec, ex.label)
@@ -128,37 +139,28 @@ class SGDLearner:
             if i == 0:
                 predicted = mdl.predict_label(z)
                 loss_val = mdl.loss(z, target)
-            self.w -= self.eta * grad
+            # w += -eta grad [+ s xi], built in place in the fresh grad array:
+            # at MLP scale a second d-sized array costs more than the arithmetic.
+            grad *= -self.eta
+            if self.noise_scale:
+                grad += self.noise_scale * rng.standard_normal(self.w.shape[0])
+            self.w += grad
         return StepOutcome(predicted, predicted == ex.true_label, loss_val)
 
     def freeze(self) -> np.ndarray:
         return self.w.copy()
 
 
-class LangevinSGDLearner:
+class LangevinSGDLearner(SGDLearner):
     """SGD plus Gaussian exploration noise, w <- w - eta grad + sqrt(2 eta) xi."""
 
     def __init__(self, spec: mdl.ModelSpec, w0: np.ndarray, eta: float, m: int = 1):
-        self.spec = spec
-        self.w = np.asarray(w0, dtype=float).copy()
-        self.eta = float(eta)
-        self.m = int(m)
+        super().__init__(spec, w0, eta, m=m)
+        self.noise_scale = np.sqrt(2.0 * self.eta)
 
-    def step(self, ex: LabeledExample, rng: np.random.Generator) -> StepOutcome:
-        target = mdl.target_vector(self.spec, ex.label)
-        predicted = None
-        loss_val = None
-        noise_scale = np.sqrt(2.0 * self.eta)
-        for i in range(self.m):
-            z, grad = mdl.forward_backward(self.spec, self.w, ex.x, target)
-            if i == 0:
-                predicted = mdl.predict_label(z)
-                loss_val = mdl.loss(z, target)
-            self.w += -self.eta * grad + noise_scale * rng.standard_normal(self.w.shape[0])
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
-
-    def freeze(self) -> np.ndarray:
-        return self.w.copy()
+    # The SGD round, bound in this class too, so that wrapping one class's
+    # step (as a tracer does) leaves the other class's step alone.
+    step = SGDLearner.step
 
 
 class AROWLearner:
@@ -219,7 +221,7 @@ class DropoutSGDLearner:
         self.w = np.asarray(w0, dtype=float).copy()
         self.eta = float(eta)
         self.p_drop = float(p_drop)
-        self.m = int(m)
+        self.m = update_count(m)
 
     def _eval_forward(self, x: np.ndarray) -> np.ndarray:
         w1, b1, w2, b2 = mdl.unpack_mlp(self.spec, self.w)
@@ -231,20 +233,9 @@ class DropoutSGDLearner:
         z_eval = self._eval_forward(ex.x)
         predicted = mdl.predict_label(z_eval)
         loss_val = mdl.loss(z_eval, target)
-        k = self.spec.n_outputs
         for _ in range(self.m):
-            w1, b1, w2, b2 = mdl.unpack_mlp(self.spec, self.w)
             keep = rng.random(self.spec.n_hidden) >= self.p_drop
-            hidden = mdl.sigmoid(w1 @ ex.x + b1) * keep
-            z = mdl.sigmoid(w2 @ hidden + b2)
-            delta2 = (z - target) / k
-            delta1 = (w2.T @ delta2) * hidden * (1.0 - hidden) * keep
-            grad = np.concatenate([
-                np.outer(delta1, ex.x).ravel(),
-                delta1,
-                np.outer(delta2, hidden).ravel(),
-                delta2,
-            ])
+            _, grad = mdl.forward_backward(self.spec, self.w, ex.x, target, hidden_mask=keep)
             self.w -= self.eta * grad
         return StepOutcome(predicted, predicted == ex.true_label, loss_val)
 

@@ -111,19 +111,27 @@ def loss(z: np.ndarray, target: np.ndarray) -> float:
 
 
 def forward_backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
-                     target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     target: np.ndarray, hidden_mask: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Outputs and the loss gradient w.r.t. the flat parameters.
 
     The 1/K averaging of the loss is part of the gradient: the output-layer
-    error signal is (z - y) / K.
+    error signal is (z - y) / K. hidden_mask (MLP only, one bool per hidden
+    unit) zeroes the units it marks False, as dropout does. A zeroed unit
+    outputs 0, so its derivative term hidden (1 - hidden) and with it every
+    gradient entry of its weights are 0 too.
     """
     params = np.asarray(params, dtype=float)
     x = np.asarray(x, dtype=float)
     if spec.kind == LOGISTIC:
+        if hidden_mask is not None:
+            raise ValueError("the logistic model has no hidden units to mask")
         z = sigmoid(np.array([params @ x]))
         return z, (z[0] - target[0]) * x
     w1, b1, w2, b2 = unpack_mlp(spec, params)
     hidden = sigmoid(w1 @ x + b1)
+    if hidden_mask is not None:
+        hidden = hidden * hidden_mask
     z = sigmoid(w2 @ hidden + b2)
     delta2 = (z - target) / spec.n_outputs
     delta1 = (w2.T @ delta2) * hidden * (1.0 - hidden)

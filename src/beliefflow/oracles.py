@@ -127,29 +127,3 @@ def plane_optimality_residual(u: float, v_par: float, v_perp: float, a2: np.ndar
     lhs -= np.array([[v_par * u, 0.0], [v_perp * u, 0.0]]) @ a2.T
     return float(np.max(np.abs(lhs - np.eye(2))))
 
-
-def rotation_aligning(x, y) -> np.ndarray:
-    """Rotation matrix taking unit vector x to unit vector y, identity on the
-    orthogonal complement of span(x, y). Used as the independent geometric
-    construction for isotropic flows."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x.shape[0]
-    c = float(x @ y)
-    resid = y - c * x
-    s = float(np.linalg.norm(resid))
-    if s < 1e-14:
-        if c > 0:
-            return np.eye(d)
-        # Antipodal: rotate by pi in a plane containing x.
-        k = int(np.argmin(np.abs(x)))
-        q = np.zeros(d)
-        q[k] = 1.0
-        q -= (q @ x) * x
-        q /= np.linalg.norm(q)
-        return np.eye(d) - 2.0 * np.outer(x, x) - 2.0 * np.outer(q, q)
-    y_hat = resid / s
-    r = np.eye(d)
-    r += (c - 1.0) * (np.outer(x, x) + np.outer(y_hat, y_hat))
-    r += s * (np.outer(y_hat, x) - np.outer(x, y_hat))
-    return r

@@ -324,6 +324,27 @@ def test_diagonal_untouched_coordinates_stay_bit_identical():
     assert post.variances[2] == prior.variances[2]
     assert flow.scales[0] == 1.0 and flow.scales[2] == 1.0
     assert post.variances[1] != prior.variances[1]
+    # random sparse steps, signed zeros and means far from w included: every
+    # untouched coordinate keeps its exact bytes, clamped or not
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        d = 12
+        mean = rng.normal(size=d) * 10.0 ** rng.integers(-3, 18, size=d)
+        mean[rng.random(d) < 0.2] = -0.0
+        prior = bel.diagonal_belief(mean, 10.0 ** rng.uniform(-8, 8, size=d))
+        w = bel.sample(prior, rng)
+        w[rng.random(d) < 0.2] = rng.choice([0.0, -0.0])
+        w_prime = w.copy()
+        moved = rng.random(d) < 0.4
+        w_prime[moved] += rng.normal(size=int(moved.sum()))
+        w_prime[~moved & (w == 0.0)] = 0.0  # a zero whose sign flips has not moved
+        untouched = w == w_prime
+        flow = fl.solve_diagonal(prior, w, w_prime)
+        for f in (flow, fl.clamp_nonexpansive(flow)):
+            post = fl.apply_flow(prior, f, w, w_prime)
+            assert f.scales[untouched].tobytes() == np.ones(int(untouched.sum())).tobytes()
+            assert post.mean[untouched].tobytes() == prior.mean[untouched].tobytes()
+            assert post.variances[untouched].tobytes() == prior.variances[untouched].tobytes()
 
 
 def test_spherical_frozen_example():

@@ -72,6 +72,13 @@ def test_validate_rejects_bad_settings():
             dataset={"format": "libsvm", "path": "/nonexistent/file.libsvm"}))
 
 
+@pytest.mark.parametrize("algorithm", ["bflo", "arow"])
+@pytest.mark.parametrize("m", [0, 2.0, True])
+def test_validate_rejects_m_that_is_not_an_integer_of_at_least_one(algorithm, m):
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        hns.validate_config(tiny_config(learner={"algorithm": algorithm, "m": m}))
+
+
 def test_config_key_is_stable_and_sensitive():
     assert hns.config_key(tiny_config()) == hns.config_key(tiny_config())
     assert hns.config_key(tiny_config()) != hns.config_key(tiny_config(base_seed=41))
@@ -332,6 +339,20 @@ def test_cli_run_missing_dataset_fails_without_partial_outputs(tmp_path, capsys)
     assert code == 2
     assert not out_dir.exists()
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["bflo", "sgd"])
+def test_cli_run_rejects_m_zero_without_outputs(tmp_path, capsys, algorithm):
+    # with m = 0 no update would run and every round would count as a mistake
+    cfg = tiny_config(learner={"algorithm": algorithm, "eta": 0.05, "m": 0})
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert "m must be an integer >= 1" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_learner_override(tmp_path):

@@ -123,7 +123,7 @@ def reference_step(learner, ex, rng):
             predicted = mdl.predict_label(z)
             loss_val = mdl.loss(z, target)
         w_prime = w - learner.eta * grad
-        flow = fl.solve(belief, w, w_prime, learner.flow_cfg)
+        flow = fl.solve(belief, w, w_prime)
         if learner.non_expansive:
             flow = fl.clamp_nonexpansive(flow)
         belief = fl.apply_flow(belief, flow, w, w_prime)
@@ -357,6 +357,116 @@ def test_langevin_adds_scaled_noise():
     rng = np.random.default_rng(42)
     want = w0 - eta * g + math.sqrt(2.0 * eta) * rng.standard_normal(2)
     np.testing.assert_allclose(learner.freeze(), want, rtol=1e-12)
+
+
+# One loop body each for sgd, blang and dropout, as the learners ran them
+# before the shared SGD round and the masked forward_backward; the learners
+# must reproduce them bit for bit.
+
+
+def reference_sgd_round(spec, w, eta, m, ex, rng):
+    target = mdl.target_vector(spec, ex.label)
+    predicted = loss_val = None
+    for i in range(m):
+        z, grad = mdl.forward_backward(spec, w, ex.x, target)
+        if i == 0:
+            predicted = mdl.predict_label(z)
+            loss_val = mdl.loss(z, target)
+        w -= eta * grad
+    return lrn.StepOutcome(predicted, predicted == ex.true_label, loss_val)
+
+
+def reference_blang_round(spec, w, eta, m, ex, rng):
+    target = mdl.target_vector(spec, ex.label)
+    predicted = loss_val = None
+    noise_scale = np.sqrt(2.0 * eta)
+    for i in range(m):
+        z, grad = mdl.forward_backward(spec, w, ex.x, target)
+        if i == 0:
+            predicted = mdl.predict_label(z)
+            loss_val = mdl.loss(z, target)
+        w += -eta * grad + noise_scale * rng.standard_normal(w.shape[0])
+    return lrn.StepOutcome(predicted, predicted == ex.true_label, loss_val)
+
+
+def reference_dropout_round(spec, w, eta, m, ex, rng, p_drop):
+    target = mdl.target_vector(spec, ex.label)
+    w1, b1, w2, b2 = mdl.unpack_mlp(spec, w)
+    z_eval = mdl.sigmoid(w2 @ ((1.0 - p_drop) * mdl.sigmoid(w1 @ ex.x + b1)) + b2)
+    predicted = mdl.predict_label(z_eval)
+    loss_val = mdl.loss(z_eval, target)
+    k = spec.n_outputs
+    for _ in range(m):
+        w1, b1, w2, b2 = mdl.unpack_mlp(spec, w)
+        keep = rng.random(spec.n_hidden) >= p_drop
+        hidden = mdl.sigmoid(w1 @ ex.x + b1) * keep
+        z = mdl.sigmoid(w2 @ hidden + b2)
+        delta2 = (z - target) / k
+        delta1 = (w2.T @ delta2) * hidden * (1.0 - hidden) * keep
+        grad = np.concatenate([
+            np.outer(delta1, ex.x).ravel(),
+            delta1,
+            np.outer(delta2, hidden).ravel(),
+            delta2,
+        ])
+        w -= eta * grad
+    return lrn.StepOutcome(predicted, predicted == ex.true_label, loss_val)
+
+
+def assert_replays_reference(learner, reference, spec, seed, **kwargs):
+    rng_data = np.random.default_rng(seed)
+    w_ref = learner.w.copy()
+    rng_new, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(10):
+        x = rng_data.normal(size=spec.n_features)
+        x[rng_data.random(spec.n_features) < 0.3] = 0.0
+        ex = example(x, int(rng_data.integers(0, max(2, spec.n_outputs))))
+        want = reference(spec, w_ref, learner.eta, learner.m, ex, rng_ref, **kwargs)
+        assert learner.step(ex, rng_new) == want
+        assert learner.w.tobytes() == w_ref.tobytes()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", [mdl.logistic_model(6), mdl.mlp_model(6, 5, 3)])
+@pytest.mark.parametrize("cls, reference", [(lrn.SGDLearner, reference_sgd_round),
+                                            (lrn.LangevinSGDLearner, reference_blang_round)])
+def test_sgd_and_langevin_replay_their_reference_rounds(spec, cls, reference):
+    w0 = np.random.default_rng(51).normal(scale=0.5, size=spec.n_params)
+    assert_replays_reference(cls(spec, w0, eta=0.3, m=3), reference, spec, seed=52)
+
+
+@pytest.mark.parametrize("spec", [mdl.mlp_model(6, 5, 1), mdl.mlp_model(6, 5, 3)])
+def test_dropout_replays_its_reference_round(spec):
+    w0 = np.random.default_rng(53).normal(scale=0.5, size=spec.n_params)
+    learner = lrn.DropoutSGDLearner(spec, w0, eta=0.3, p_drop=0.4, m=3)
+    assert_replays_reference(learner, reference_dropout_round, spec, seed=54, p_drop=0.4)
+
+
+# ---------------------------------------------------------------------------
+# shared construction rules
+
+
+@pytest.mark.parametrize("cls", [lrn.BeliefFlowLearner, lrn.SGDLearner, lrn.LangevinSGDLearner,
+                                 lrn.AROWLearner, lrn.DropoutSGDLearner])
+def test_every_learner_class_owns_its_step(cls):
+    # wrapping cls.__dict__["step"] must reach exactly this class's rounds
+    assert callable(cls.__dict__["step"])
+
+
+def learner_with_m(cls, m):
+    spec = mdl.mlp_model(3, 2, 1)
+    if cls is lrn.BeliefFlowLearner:
+        prior = bel.diagonal_belief(np.zeros(spec.n_params), np.full(spec.n_params, 0.04))
+        return cls(spec, prior, eta=0.1, m=m)
+    return cls(spec, np.zeros(spec.n_params), eta=0.1, m=m)
+
+
+@pytest.mark.parametrize("cls", [lrn.BeliefFlowLearner, lrn.SGDLearner,
+                                 lrn.LangevinSGDLearner, lrn.DropoutSGDLearner])
+@pytest.mark.parametrize("m", [0, -2, 2.0, True, "3"])
+def test_constructors_reject_m_below_one_or_not_an_integer(cls, m):
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        learner_with_m(cls, m)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,38 @@ def test_mlp_gradient_matches_finite_differences():
         np.testing.assert_allclose(grad, ref, rtol=1e-5, atol=1e-8)
 
 
+def test_all_ones_hidden_mask_changes_no_byte():
+    rng = np.random.default_rng(6)
+    spec = mdl.mlp_model(5, 4, 3)
+    for _ in range(50):
+        w = rng.normal(scale=0.7, size=spec.n_params)
+        x = rng.normal(size=5)
+        t = mdl.target_vector(spec, int(rng.integers(0, 3)))
+        z, grad = mdl.forward_backward(spec, w, x, t)
+        z_m, grad_m = mdl.forward_backward(spec, w, x, t, hidden_mask=np.ones(4, dtype=bool))
+        assert z_m.tobytes() == z.tobytes()
+        assert grad_m.tobytes() == grad.tobytes()
+
+
+def test_masked_hidden_units_get_no_gradient():
+    spec = mdl.mlp_model(3, 4, 2)
+    rng = np.random.default_rng(8)
+    w = rng.normal(size=spec.n_params)
+    keep = np.array([True, False, True, False])
+    _, grad = mdl.forward_backward(spec, w, rng.normal(size=3), np.array([1.0, 0.0]),
+                                   hidden_mask=keep)
+    g1, gb1, g2, _ = mdl.unpack_mlp(spec, grad)
+    assert np.all(g1[~keep] == 0.0) and np.all(gb1[~keep] == 0.0)
+    assert np.all(g2[:, ~keep] == 0.0)
+    assert np.all(g1[keep] != 0.0) and np.all(g2[:, keep] != 0.0)
+
+
+def test_logistic_model_rejects_a_hidden_mask():
+    with pytest.raises(ValueError, match="no hidden units"):
+        mdl.forward_backward(mdl.logistic_model(2), np.zeros(2), np.ones(2), np.array([1.0]),
+                             hidden_mask=np.ones(1, dtype=bool))
+
+
 def test_repeated_steps_on_one_example_reduce_loss():
     # the loss is convex in the logistic weights, so small steps descend
     spec = mdl.logistic_model(3)

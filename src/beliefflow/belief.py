@@ -230,12 +230,7 @@ def covariance(belief: BeliefState) -> np.ndarray:
 
 def sample(belief: BeliefState, rng: np.random.Generator) -> np.ndarray:
     """Draw one weight vector from the belief."""
-    xi = rng.standard_normal(belief.dim)
-    if belief.variant == FULL:
-        return belief.mean + root(belief) @ xi
-    if belief.variant == DIAGONAL:
-        return belief.mean + np.sqrt(belief.variances) * xi
-    return belief.mean + math.sqrt(belief.variance) * xi
+    return belief.mean + unwhiten(belief, rng.standard_normal(belief.dim))
 
 
 def whiten(belief: BeliefState, vec: np.ndarray) -> np.ndarray:
@@ -282,28 +277,14 @@ def kl_divergence(posterior: BeliefState, prior: BeliefState) -> float:
         quad = float(dm @ dm) / prior.variance
         return 0.5 * (quad + d * (ratio - math.log(ratio)) - d)
     # General case: with W0 whitening the prior and L1 a root of the
-    # posterior, tr(Sigma0^{-1} Sigma1) = ||W0 L1||_F^2.
-    w0 = _dense_inv_root(prior)
+    # posterior, tr(Sigma0^{-1} Sigma1) = ||W0 L1||_F^2; both are the maps
+    # applied to the identity.
+    eye = np.eye(d)
+    w0 = whiten(prior, eye)
     white = w0 @ dm
-    m = w0 @ _dense_root(posterior)
+    m = w0 @ unwhiten(posterior, eye)
     logdet = log_det(posterior) - log_det(prior)
     return 0.5 * (float(white @ white) + float(np.sum(m * m)) - logdet - d)
-
-
-def _dense_root(belief: BeliefState) -> np.ndarray:
-    if belief.variant == FULL:
-        return root(belief)
-    if belief.variant == DIAGONAL:
-        return np.diag(np.sqrt(belief.variances))
-    return math.sqrt(belief.variance) * np.eye(belief.dim)
-
-
-def _dense_inv_root(belief: BeliefState) -> np.ndarray:
-    if belief.variant == FULL:
-        return belief.inv_factor
-    if belief.variant == DIAGONAL:
-        return np.diag(1.0 / np.sqrt(belief.variances))
-    return np.eye(belief.dim) / math.sqrt(belief.variance)
 
 
 def entropy(belief: BeliefState) -> float:

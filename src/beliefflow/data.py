@@ -14,9 +14,13 @@ import csv as _csv
 import dataclasses
 import struct
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as sp
+
+if TYPE_CHECKING:
+    # Loaded at run time only where LIBSVM files are read or written.
+    from scipy import sparse as sp
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,6 +95,8 @@ def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -
     Malformed tokens, non-finite values and labels outside the file's set
     raise with the offending line number.
     """
+    from scipy import sparse as sp
+
     path = Path(path)
     rows, cols, vals, labels, linenos = [], [], [], [], []
     max_idx = 0
@@ -137,6 +143,8 @@ def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -
 
 def write_libsvm(dataset: Dataset, path) -> None:
     """Serialize in the same 1-based sparse text format parse_libsvm reads."""
+    from scipy import sparse as sp
+
     path = Path(path)
     X = dataset.X.tocsr() if dataset.sparse else sp.csr_matrix(dataset.X)
     with path.open("w", encoding="ascii") as fh:
@@ -203,16 +211,6 @@ def _normalize_labels(raw: np.ndarray, where: str) -> tuple[np.ndarray, int]:
         raise ValueError(f"{where}: labels must be integers >= 0 or -1/+1")
     labels = raw.astype(np.int64)
     return labels, max(2, int(labels.max()) + 1)
-
-
-def write_csv(dataset: Dataset, path) -> None:
-    """Serialize as numeric CSV with the label in the last column."""
-    X = np.asarray(dataset.X.todense()) if dataset.sparse else dataset.X
-    table = np.column_stack([X, dataset.labels.astype(float)])
-    with Path(path).open("w", newline="", encoding="ascii") as fh:
-        writer = _csv.writer(fh)
-        for row in table:
-            writer.writerow([f"{v:.17g}" for v in row])
 
 
 IDX_IMAGE_MAGIC = 2051

@@ -108,18 +108,6 @@ def solve_2x2(u: float, v_par: float, v_perp: float,
     ])
 
 
-def _complement_unit(mu_hat: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to mu_hat (zero vector if d = 1)."""
-    d = mu_hat.shape[0]
-    if d == 1:
-        return np.zeros(1)
-    k = int(np.argmin(np.abs(mu_hat)))
-    v = np.zeros(d)
-    v[k] = 1.0
-    v -= (v @ mu_hat) * mu_hat
-    return v / np.linalg.norm(v)
-
-
 def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
     """Optimal flow for a full-covariance belief.
 
@@ -147,20 +135,16 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowS
     resid = dtp - v_par * mu_hat
     v_perp = float(np.linalg.norm(resid))
     target_norm = float(np.linalg.norm(dtp))
-    if target_norm <= EPS_DEGENERATE:
-        # Target collapsed onto the mean: contract along mu_hat.
-        a = 1.0 / np.sqrt(1.0 + u * u)
-        a2 = np.diag([a, 1.0])
-        nu_hat = _complement_unit(mu_hat)
-        return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=nu_hat,
-                            u=u, v_par=v_par, v_perp=0.0, a2=a2)
-    if v_perp <= EPS_DEGENERATE:
-        # Colinear geometry: scalar problem along mu_hat with signed v_par.
-        a = float(scalar_scale(u, v_par))
-        a2 = np.diag([a, 1.0])
-        nu_hat = _complement_unit(mu_hat)
-        return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=nu_hat,
-                            u=u, v_par=v_par, v_perp=0.0, a2=a2)
+    if target_norm <= EPS_DEGENERATE or v_perp <= EPS_DEGENERATE:
+        # The plane is a line: a2 = diag(a, 1) leaves the second axis alone,
+        # so nu_hat is zero. A target collapsed onto the mean contracts along
+        # mu_hat; a colinear one solves the scalar problem with signed v_par.
+        if target_norm <= EPS_DEGENERATE:
+            a = 1.0 / np.sqrt(1.0 + u * u)
+        else:
+            a = float(scalar_scale(u, v_par))
+        return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=np.zeros(belief.dim),
+                            u=u, v_par=v_par, v_perp=0.0, a2=np.diag([a, 1.0]))
     nu_hat = resid / v_perp
     a2 = solve_2x2(u, v_par, v_perp)
     return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=nu_hat,

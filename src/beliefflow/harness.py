@@ -38,6 +38,10 @@ from . import pseudo as psd
 SCHEMA_VERSION = 1
 LEARNER_TAGS = ("bflo", "sgd", "arow", "blang", "dropout")
 BELIEF_VARIANTS = (bel.FULL, bel.DIAGONAL, bel.SPHERICAL)
+# Every key some learner or model reads. One union for all algorithms,
+# because `run --learner TAG` swaps the algorithm and keeps the other keys.
+LEARNER_KEYS = ("algorithm", "variant", "eta", "sigma_init", "m", "non_expansive", "r", "p_drop")
+MODEL_KEYS = ("kind", "hidden")
 
 # Full covariances above this dimension do not fit a desk-scale run.
 FULL_VARIANT_MAX_DIM = 2000
@@ -104,6 +108,11 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValueError("train_fraction must be in (0, 1)")
     if not 0.0 <= config.noise_fraction <= 1.0:
         raise ValueError("noise_fraction must be in [0, 1]")
+    for section, keys, known in (("learner", config.learner, LEARNER_KEYS),
+                                 ("model", config.model, MODEL_KEYS)):
+        unknown = sorted(set(keys) - set(known))
+        if unknown:
+            raise ValueError(f"unknown {section} keys {unknown}; known keys are {list(known)}")
     tag = config.learner.get("algorithm")
     if tag not in LEARNER_TAGS:
         raise ValueError(f"unknown learner algorithm {tag!r}; pick one of {LEARNER_TAGS}")
@@ -118,9 +127,7 @@ def validate_config(config: ExperimentConfig) -> None:
 
 def dataset_files(dspec: dict) -> list[Path]:
     fmt = dspec.get("format")
-    if fmt == "libsvm":
-        return [Path(dspec["path"])]
-    if fmt == "csv":
+    if fmt in ("libsvm", "csv"):
         return [Path(dspec["path"])]
     if fmt == "idx":
         return [Path(dspec["images"]), Path(dspec["labels"])]
@@ -174,11 +181,8 @@ def make_learner(lcfg: dict, spec: mdl.ModelSpec, rng: np.random.Generator):
             prior = bel.diagonal_belief(np.zeros(d), np.full(d, var0))
         else:
             prior = bel.spherical_belief(np.zeros(d), var0)
-        return lrn.BeliefFlowLearner(
-            spec, prior, eta, m=m,
-            non_expansive=lcfg.get("non_expansive", False),
-            lam_min=lcfg.get("lambda_min", bel.LAMBDA_MIN),
-            track_entropy=d <= ENTROPY_EVERY_ROUND_MAX_DIM)
+        return lrn.BeliefFlowLearner(spec, prior, eta, m=m,
+                                     non_expansive=lcfg.get("non_expansive", False))
     if tag == "arow":
         if spec.kind != mdl.LOGISTIC:
             raise ValueError("arow is a linear binary learner; use the logistic model")
@@ -227,6 +231,9 @@ def run_online(config: ExperimentConfig, run_index: int,
     The rng chain is: seed = base_seed + run_index; sub-seeds for the split
     and the label noise are drawn first, then learner initialization, then
     the per-round draws, so every byte of the outcome is reproducible.
+
+    A belief learner's entropy is recorded every round up to
+    ENTROPY_EVERY_ROUND_MAX_DIM parameters, and at every snapshot round.
     """
     t0 = time.perf_counter()
     seed = config.base_seed + run_index
@@ -244,9 +251,9 @@ def run_online(config: ExperimentConfig, run_index: int,
     n_train = len(train)
     cadence = config.snapshot_every or max(1, math.ceil(n_train / 200))
     is_belief = isinstance(learner, lrn.BeliefFlowLearner)
+    every_round = is_belief and spec.n_params <= ENTROPY_EVERY_ROUND_MAX_DIM
     mistakes = np.zeros(n_train, dtype=np.uint8)
     entropies = np.full(n_train, np.nan)
-    entropy_trace = []
     snapshots = [(0, bel.snapshot_view(learner.belief))] if is_belief else []
     for i in range(n_train):
         try:
@@ -254,17 +261,15 @@ def run_online(config: ExperimentConfig, run_index: int,
         except lrn.NonFiniteStepError as exc:
             raise lrn.NonFiniteStepError(f"run {run_index} round {i + 1}: {exc}") from exc
         mistakes[i] = 0 if outcome.correct else 1
-        if outcome.entropy is not None:
-            entropies[i] = outcome.entropy
         rnd = i + 1
-        if rnd % cadence == 0 or rnd == n_train:
-            if is_belief:
-                snapshots.append((rnd, bel.snapshot_view(learner.belief)))
-                ent = outcome.entropy if outcome.entropy is not None else bel.entropy(learner.belief)
-                entropies[i] = ent
-                entropy_trace.append((rnd, ent))
+        snapshot = is_belief and (rnd % cadence == 0 or rnd == n_train)
+        if every_round or snapshot:
+            entropies[i] = bel.entropy(learner.belief)
+        if snapshot:
+            snapshots.append((rnd, bel.snapshot_view(learner.belief)))
     final_error = evaluate_error_pct(spec, learner.freeze(), test) if len(test) else float("nan")
     if snapshot_path is not None and is_belief:
+        Path(snapshot_path).parent.mkdir(parents=True, exist_ok=True)
         write_snapshots(snapshot_path, snapshots)
     return RunReport(
         run_index=run_index,
@@ -273,7 +278,7 @@ def run_online(config: ExperimentConfig, run_index: int,
         n_test=len(test),
         mistakes=mistakes,
         entropies=entropies,
-        entropy_trace=entropy_trace,
+        entropy_trace=[(rnd, float(entropies[rnd - 1])) for rnd, _ in snapshots[1:]],
         online_error_pct=100.0 * float(np.mean(mistakes)) if n_train else float("nan"),
         final_error_pct=final_error,
         wall_time_s=time.perf_counter() - t0,
@@ -295,27 +300,23 @@ def parallel_workers(runs: int) -> int:
     return max(1, min(runs, cap))
 
 
-def _pool_entry(payload):
-    raw, run_index, snapshot_path = payload
-    config = ExperimentConfig.from_dict(raw)
-    return run_online(config, run_index, snapshot_path)
-
-
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
-    """Validate, run all runs (in parallel when allowed), write outputs."""
+    """Validate, run all runs (in parallel when allowed), write outputs.
+
+    The output directory is made only after the runs return, so a failed
+    run leaves none."""
     validate_config(config)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    snap_path = out / "snapshots.bin"
     workers = parallel_workers(config.runs)
-    jobs = [(config.to_dict(), idx, str(snap_path) if idx == 0 else None)
-            for idx in range(config.runs)]
+    indices = range(config.runs)
+    snap_paths = [out / "snapshots.bin" if idx == 0 else None for idx in indices]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_pool_entry, jobs))
+            reports = list(pool.map(run_online, [config] * config.runs, indices, snap_paths))
     else:
-        reports = [_pool_entry(job) for job in jobs]
+        reports = [run_online(config, idx, path) for idx, path in zip(indices, snap_paths)]
     reports.sort(key=lambda r: r.run_index)
+    out.mkdir(parents=True, exist_ok=True)
     summary = summarize(config, reports)
     write_summary(out / "summary.json", summary)
     write_curve(out / "curve.csv", reports[0])
@@ -561,14 +562,7 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
     for d in dims:
         worst_gap = 0.0
         for _ in range(cases):
-            mean = rng.normal(size=d)
-            if d == 1:
-                var = float(rng.uniform(0.2, 3.0)) ** 2
-                prior = bel.full_belief(mean, np.eye(1), np.array([var]))
-            else:
-                q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-                evals = rng.uniform(0.2, 3.0, size=d) ** 2
-                prior = bel.full_belief(mean, q, evals)
+            prior = _random_belief(bel.FULL, d, rng)
             w = bel.sample(prior, rng)
             w_prime = w + rng.normal(scale=0.5, size=d)
             flow = fl.solve_full(prior, w, w_prime)
@@ -576,12 +570,12 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
             kl_closed = bel.kl_divergence(post, prior)
             if d == 1:
                 sig = math.sqrt(bel.covariance(prior)[0, 0])
-                u = ((w - mean) / sig).item()
-                v = ((w_prime - mean) / sig).item()
+                u = ((w - prior.mean) / sig).item()
+                v = ((w_prime - prior.mean) / sig).item()
                 _, kl_oracle = orc.minimize_scalar_flow(u, v)
             else:
-                kl_oracle, _ = orc.minimize_matrix_flow(mean, bel.covariance(prior), w, w_prime,
-                                                        seed=int(rng.integers(2 ** 31)))
+                kl_oracle, _ = orc.minimize_matrix_flow(
+                    prior.mean, bel.covariance(prior), w, w_prime, seed=int(rng.integers(2 ** 31)))
             worst_gap = max(worst_gap, kl_closed - kl_oracle)
         checks.append({"name": f"kl gap vs numerical oracle (d={d}, {cases} cases)",
                        "value": worst_gap, "threshold": 1e-5})
@@ -605,7 +599,8 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
                 w_prime = w + rng.normal(scale=0.5, size=d)
                 flow = fl.solve(prior, w, w_prime)
                 post = fl.apply_flow(prior, flow, w, w_prime)
-                resid = _constraint_residual(prior, post, flow, w, w_prime)
+                a = fl.flow_matrix(prior, flow)
+                resid = float(np.linalg.norm(a @ w + (post.mean - a @ prior.mean) - w_prime))
                 worst_constraint = max(worst_constraint, resid / (1.0 + float(np.linalg.norm(w_prime))))
     checks.append({"name": "flow constraint ||A w + b - w'|| (all variants, d in 1,2,5,20)",
                    "value": worst_constraint, "threshold": 1e-9})
@@ -622,19 +617,6 @@ def _random_belief(variant: str, d: int, rng: np.random.Generator) -> bel.Belief
     if variant == bel.DIAGONAL:
         return bel.diagonal_belief(mean, rng.uniform(0.2, 3.0, size=d) ** 2)
     return bel.spherical_belief(mean, float(rng.uniform(0.2, 3.0)) ** 2)
-
-
-def _constraint_residual(prior, post, flow, w, w_prime) -> float:
-    """|| A w + b - w' || with b recovered from the posterior mean."""
-    if flow.identity:
-        return float(np.linalg.norm(w - w_prime))
-    if flow.variant == bel.SPHERICAL:
-        norm_dw = float(np.linalg.norm(w - prior.mean))
-        aw_minus_amu = flow.scale * norm_dw * flow.d_hat
-        return float(np.linalg.norm(aw_minus_amu + post.mean - w_prime))
-    a = fl.flow_matrix(prior, flow)
-    b = post.mean - a @ prior.mean
-    return float(np.linalg.norm(a @ w + b - w_prime))
 
 
 # ---------------------------------------------------------------------------

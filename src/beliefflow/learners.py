@@ -26,7 +26,6 @@ class StepOutcome:
     predicted: int
     correct: bool
     loss: float
-    entropy: float | None = None
 
 
 class NonFiniteStepError(ValueError):
@@ -57,18 +56,14 @@ class BeliefFlowLearner:
     """
 
     def __init__(self, spec: mdl.ModelSpec, prior: bel.BeliefState, eta: float,
-                 m: int = 1, non_expansive: bool = False,
-                 lam_min: float = bel.LAMBDA_MIN,
-                 track_entropy: bool = True):
+                 m: int = 1, non_expansive: bool = False):
         if prior.dim != spec.n_params:
             raise ValueError(f"prior dimension {prior.dim} != parameter count {spec.n_params}")
         self.spec = spec
-        self.belief = bel.correct_spectrum(prior, lam_min)
+        self.belief = bel.correct_spectrum(prior)
         self.eta = float(eta)
         self.m = update_count(m)
         self.non_expansive = non_expansive
-        self.lam_min = lam_min
-        self.track_entropy = track_entropy
         self.n_updates = 0
 
     def step(self, ex: LabeledExample, rng: np.random.Generator) -> StepOutcome:
@@ -100,18 +95,13 @@ class BeliefFlowLearner:
             if self.non_expansive:
                 flow = fl.clamp_nonexpansive(flow)
             belief = fl.apply_flow(belief, flow, w, w_prime)
-            belief = bel.correct_spectrum(belief, self.lam_min)
+            belief = bel.correct_spectrum(belief)
         self.belief = belief if idx is None else bel.scatter(self.belief, idx, belief)
         self.n_updates += self.m
-        ent = bel.entropy(self.belief) if self.track_entropy else None
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val, entropy=ent)
+        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
 
-    def freeze(self, sample: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Weights for offline evaluation: the belief mean, or one draw."""
-        if sample:
-            if rng is None:
-                raise ValueError("sampling at freeze time needs an rng")
-            return bel.sample(self.belief, rng)
+    def freeze(self) -> np.ndarray:
+        """Weights for offline evaluation: the belief mean."""
         return self.belief.mean.copy()
 
 
@@ -222,15 +212,11 @@ class DropoutSGDLearner:
         self.eta = float(eta)
         self.p_drop = float(p_drop)
         self.m = update_count(m)
-
-    def _eval_forward(self, x: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = mdl.unpack_mlp(self.spec, self.w)
-        hidden = (1.0 - self.p_drop) * mdl.sigmoid(w1 @ x + b1)
-        return mdl.sigmoid(w2 @ hidden + b2)
+        self.eval_scale = np.full(spec.n_hidden, 1.0 - self.p_drop)
 
     def step(self, ex: LabeledExample, rng: np.random.Generator) -> StepOutcome:
         target = mdl.target_vector(self.spec, ex.label)
-        z_eval = self._eval_forward(ex.x)
+        z_eval = mdl.forward(self.spec, self.w, ex.x, hidden_mask=self.eval_scale)
         predicted = mdl.predict_label(z_eval)
         loss_val = mdl.loss(z_eval, target)
         for _ in range(self.m):
@@ -240,9 +226,8 @@ class DropoutSGDLearner:
         return StepOutcome(predicted, predicted == ex.true_label, loss_val)
 
     def freeze(self) -> np.ndarray:
-        """Parameters with the (1 - p_drop) scaling folded into W2."""
+        """Parameters with the evaluation scaling folded into W2."""
         frozen = self.w.copy()
-        h, p, k = self.spec.n_hidden, self.spec.n_features, self.spec.n_outputs
-        start = h * p + h
-        frozen[start:start + k * h] *= 1.0 - self.p_drop
+        w2 = mdl.unpack_mlp(self.spec, frozen)[2]  # a view into frozen
+        w2 *= self.eval_scale
         return frozen

@@ -91,15 +91,22 @@ def target_vector(spec: ModelSpec, label: int) -> np.ndarray:
     return t
 
 
-def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Model outputs z in (0, 1)^K."""
+def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
+            hidden_mask: np.ndarray | None = None) -> np.ndarray:
+    """Model outputs z in (0, 1)^K. hidden_mask (MLP only) multiplies each
+    hidden unit's output: a bool mask drops units as in forward_backward,
+    and dropout predicts with 1 - p_drop per unit."""
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} parameters, got {params.shape}")
     if spec.kind == LOGISTIC:
+        if hidden_mask is not None:
+            raise ValueError("the logistic model has no hidden units to mask")
         return sigmoid(np.array([params @ x]))
     w1, b1, w2, b2 = unpack_mlp(spec, params)
     hidden = sigmoid(w1 @ x + b1)
+    if hidden_mask is not None:
+        hidden = hidden * hidden_mask
     return sigmoid(w2 @ hidden + b2)
 
 

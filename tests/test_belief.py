@@ -1,6 +1,7 @@
 """Gaussian belief states: construction, sampling, KL, entropy, spectrum floor."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,32 @@ def test_sampling_matches_moments():
     draws = np.stack([bel.sample(b, rng) for _ in range(40000)])
     np.testing.assert_allclose(draws.mean(axis=0), b.mean, atol=0.05)
     np.testing.assert_allclose(np.cov(draws.T), bel.covariance(b), atol=0.08)
+
+
+def reference_sample(belief, rng):
+    """One draw with each variant's root written out."""
+    xi = rng.standard_normal(belief.dim)
+    if belief.variant == bel.FULL:
+        return belief.mean + bel.root(belief) @ xi
+    if belief.variant == bel.DIAGONAL:
+        return belief.mean + np.sqrt(belief.variances) * xi
+    return belief.mean + math.sqrt(belief.variance) * xi
+
+
+@pytest.mark.parametrize("variant", bel.VARIANTS)
+def test_sample_replays_its_reference(variant):
+    rng = np.random.default_rng(19)
+    for d in (1, 4, 50):
+        for seed in range(20):
+            if variant == bel.FULL:
+                b = random_full(rng, d)
+            elif variant == bel.DIAGONAL:
+                b = bel.diagonal_belief(rng.normal(size=d), rng.uniform(1e-8, 9.0, size=d))
+            else:
+                b = bel.spherical_belief(rng.normal(size=d), float(rng.uniform(1e-8, 9.0)))
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert bel.sample(b, rng_new).tobytes() == reference_sample(b, rng_ref).tobytes()
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_whiten_unwhiten_inverse():

@@ -1,5 +1,6 @@
 """Flow solver: closed forms vs oracles, frozen examples, degenerate branches."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -292,6 +293,45 @@ def test_colinear_target_reduces_to_scalar_branch():
     evals = np.linalg.eigvalsh(bel.covariance(post))
     np.testing.assert_allclose(evals, [1.0, A_U1_V2 ** 2], atol=1e-9)
     np.testing.assert_allclose(post.mean, [2.0 - A_U1_V2, 0.0], atol=1e-9)
+
+
+def complement_unit(mu_hat):
+    """A unit vector orthogonal to mu_hat (zero if d = 1): another valid
+    second axis for a plane that degenerated to a line."""
+    d = mu_hat.shape[0]
+    if d == 1:
+        return np.zeros(1)
+    k = int(np.argmin(np.abs(mu_hat)))
+    v = np.zeros(d)
+    v[k] = 1.0
+    v -= (v @ mu_hat) * mu_hat
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("non_expansive", [False, True])
+def test_degenerate_plane_needs_no_second_axis(non_expansive):
+    # a2 = diag(a, 1) leaves the second axis alone, so the solver's zero
+    # nu_hat and a unit complement give the same posterior to the byte
+    rng = np.random.default_rng(67)
+    for case in range(400):
+        d = int(rng.integers(1, 31))
+        prior = random_belief(bel.FULL, d, rng)
+        w = bel.sample(prior, rng)
+        if case % 2:
+            w_prime = prior.mean.copy()  # target collapsed onto the mean
+        else:
+            w_prime = prior.mean + rng.uniform(-3.0, 3.0) * (w - prior.mean)  # colinear
+        flow = fl.solve_full(prior, w, w_prime)
+        assert flow.v_perp == 0.0 and not np.any(flow.nu_hat)
+        if non_expansive:
+            flow = fl.clamp_nonexpansive(flow)
+        ref = dataclasses.replace(flow, nu_hat=complement_unit(flow.mu_hat))
+        post = fl.apply_flow(prior, flow, w, w_prime)
+        want = fl.apply_flow(prior, ref, w, w_prime)
+        for field in ("mean", "factor", "inv_factor"):
+            assert getattr(post, field).tobytes() == getattr(want, field).tobytes(), field
+        assert post.logdet == want.logdet
+        assert fl.flow_matrix(prior, flow).tobytes() == fl.flow_matrix(prior, ref).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,26 @@ def test_validate_rejects_m_that_is_not_an_integer_of_at_least_one(algorithm, m)
         hns.validate_config(tiny_config(learner={"algorithm": algorithm, "m": m}))
 
 
+@pytest.mark.parametrize("section, keys, bad", [
+    ("learner", {"algorithm": "bflo", "sigma": 5.0}, "sigma"),
+    ("learner", {"algorithm": "bflo", "lambda_min": 1e-8}, "lambda_min"),
+    ("learner", {"algorithm": "sgd", "hidden": 4}, "hidden"),
+    ("model", {"kind": "mlp", "hiden": 4}, "hiden"),
+])
+def test_validate_rejects_unknown_learner_and_model_keys(section, keys, bad):
+    with pytest.raises(ValueError, match=f"unknown {section} keys .*'{bad}'"):
+        hns.validate_config(tiny_config(**{section: keys}))
+
+
+def test_validate_accepts_every_key_of_every_learner_at_once():
+    # run --learner TAG swaps the algorithm and keeps the other keys
+    learner = {"algorithm": "bflo", "variant": "full", "eta": 0.1, "sigma_init": 0.2, "m": 2,
+               "non_expansive": True, "r": 10.0, "p_drop": 0.5}
+    for tag in hns.LEARNER_TAGS:
+        hns.validate_config(tiny_config(learner=dict(learner, algorithm=tag),
+                                        model={"kind": "mlp", "hidden": 4}))
+
+
 def test_config_key_is_stable_and_sensitive():
     assert hns.config_key(tiny_config()) == hns.config_key(tiny_config())
     assert hns.config_key(tiny_config()) != hns.config_key(tiny_config(base_seed=41))
@@ -195,10 +215,10 @@ def test_average_ranks_match_scipy_on_ties():
                                       stats.rankdata(values, method="average"))
 
 
-def test_importing_the_harness_loads_no_scipy_stats_or_optimize():
+def test_importing_the_harness_loads_no_scipy_sparse_stats_or_optimize():
     code = ("import sys, beliefflow.harness; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
-            "'beliefflow.oracles') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.stats', 'scipy.optimize', "
+            "'scipy.integrate', 'beliefflow.oracles') if m in sys.modules))")
     src = str(Path(beliefflow.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
@@ -243,6 +263,27 @@ def test_run_experiment_writes_all_outputs(tmp_path):
     # cumulative mistakes reconcile with the summary
     last = lines[-1].split(",")
     assert int(last[1]) == on_disk["runs"][0]["total_mistakes"]
+
+
+def curve_entropy_rounds(curve):
+    rows = [line.split(",") for line in curve.read_text().splitlines()[1:]]
+    return [int(r[0]) for r in rows if r[2]], len(rows)
+
+
+def test_entropy_is_recorded_every_round_up_to_the_threshold(tmp_path, monkeypatch):
+    cfg = tiny_config(runs=1)  # d = 8
+    hns.run_experiment(cfg, tmp_path / "every")
+    rounds, n = curve_entropy_rounds(tmp_path / "every" / "curve.csv")
+    assert rounds == list(range(1, n + 1))
+    monkeypatch.setattr(hns, "ENTROPY_EVERY_ROUND_MAX_DIM", 7)
+    summary = hns.run_experiment(cfg, tmp_path / "snapshots")
+    rounds, _ = curve_entropy_rounds(tmp_path / "snapshots" / "curve.csv")
+    assert rounds == [r for r, _ in summary["runs"][0]["entropy_trace"]]
+    assert rounds == list(range(2, n + 1, 2))  # cadence ceil(240 / 200) = 2
+    # the same rounds carry the same bytes either way
+    every = (tmp_path / "every" / "curve.csv").read_text().splitlines()
+    sparse = (tmp_path / "snapshots" / "curve.csv").read_text().splitlines()
+    assert [every[r] for r in rounds] == [sparse[r] for r in rounds]
 
 
 def test_summary_is_deterministic_modulo_wall_time(tmp_path):
@@ -353,6 +394,33 @@ def test_cli_run_rejects_m_zero_without_outputs(tmp_path, capsys, algorithm):
     captured = capsys.readouterr()
     assert "m must be an integer >= 1" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("learner, model", [
+    ({"algorithm": "bflo", "sigma_init": 0}, {}),
+    ({"algorithm": "dropout", "p_drop": 2}, {"kind": "mlp", "hidden": 4}),
+    ({"algorithm": "dropout"}, {"kind": "logistic"}),
+    ({"algorithm": "arow"}, {"kind": "mlp", "hidden": 4}),
+])
+def test_cli_run_with_a_learner_that_cannot_be_built_leaves_no_directory(tmp_path, capsys,
+                                                                         learner, model):
+    cfg = tiny_config(learner=learner, model=model)
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    assert "error" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_an_unknown_learner_key_without_outputs(tmp_path, capsys):
+    cfg = tiny_config(learner={"algorithm": "bflo", "sigma": 5.0})
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    assert "'sigma'" in capsys.readouterr().err
 
 
 def test_cli_learner_override(tmp_path):

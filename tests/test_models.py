@@ -114,6 +114,8 @@ def test_all_ones_hidden_mask_changes_no_byte():
         z_m, grad_m = mdl.forward_backward(spec, w, x, t, hidden_mask=np.ones(4, dtype=bool))
         assert z_m.tobytes() == z.tobytes()
         assert grad_m.tobytes() == grad.tobytes()
+        assert mdl.forward(spec, w, x).tobytes() == z.tobytes()
+        assert mdl.forward(spec, w, x, hidden_mask=np.ones(4)).tobytes() == z.tobytes()
 
 
 def test_masked_hidden_units_get_no_gradient():
@@ -133,6 +135,8 @@ def test_logistic_model_rejects_a_hidden_mask():
     with pytest.raises(ValueError, match="no hidden units"):
         mdl.forward_backward(mdl.logistic_model(2), np.zeros(2), np.ones(2), np.array([1.0]),
                              hidden_mask=np.ones(1, dtype=bool))
+    with pytest.raises(ValueError, match="no hidden units"):
+        mdl.forward(mdl.logistic_model(2), np.zeros(2), np.ones(2), hidden_mask=np.ones(1))
 
 
 def test_repeated_steps_on_one_example_reduce_loss():

@@ -237,14 +237,14 @@ def whiten(belief: BeliefState, vec: np.ndarray) -> np.ndarray:
     """Map a difference vector into whitened coordinates (W vec for full).
 
     The argument is a displacement (for example w - mu), not a point, so no
-    mean shift is applied. For full beliefs vec may also be a (d, k) matrix
-    of displacements.
+    mean shift is applied. vec may also be a (d, k) matrix of displacements,
+    one per column.
     """
     vec = np.asarray(vec, dtype=float)
     if belief.variant == FULL:
         return belief.inv_factor @ vec
     if belief.variant == DIAGONAL:
-        return vec / np.sqrt(belief.variances)
+        return vec / _per_row(np.sqrt(belief.variances), vec)
     return vec / math.sqrt(belief.variance)
 
 
@@ -254,8 +254,13 @@ def unwhiten(belief: BeliefState, vec: np.ndarray) -> np.ndarray:
     if belief.variant == FULL:
         return root(belief) @ vec
     if belief.variant == DIAGONAL:
-        return np.sqrt(belief.variances) * vec
+        return _per_row(np.sqrt(belief.variances), vec) * vec
     return math.sqrt(belief.variance) * vec
+
+
+def _per_row(scales: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Per-coordinate scales shaped to broadcast along the rows of vec."""
+    return scales if vec.ndim == 1 else scales[:, None]
 
 
 def kl_divergence(posterior: BeliefState, prior: BeliefState) -> float:

@@ -37,11 +37,17 @@ from . import pseudo as psd
 
 SCHEMA_VERSION = 1
 LEARNER_TAGS = ("bflo", "sgd", "arow", "blang", "dropout")
-BELIEF_VARIANTS = (bel.FULL, bel.DIAGONAL, bel.SPHERICAL)
 # Every key some learner or model reads. One union for all algorithms,
 # because `run --learner TAG` swaps the algorithm and keeps the other keys.
 LEARNER_KEYS = ("algorithm", "variant", "eta", "sigma_init", "m", "non_expansive", "r", "p_drop")
 MODEL_KEYS = ("kind", "hidden")
+# The keys each dataset format reads.
+DATASET_KEYS = {
+    "libsvm": ("format", "path", "name", "n_features"),
+    "csv": ("format", "path", "name", "label_column", "scale_minmax"),
+    "idx": ("format", "images", "labels", "name"),
+    "synthetic": ("format", "name", "n", "n_features", "seed", "flip_fraction"),
+}
 
 # Full covariances above this dimension do not fit a desk-scale run.
 FULL_VARIANT_MAX_DIM = 2000
@@ -108,7 +114,11 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValueError("train_fraction must be in (0, 1)")
     if not 0.0 <= config.noise_fraction <= 1.0:
         raise ValueError("noise_fraction must be in [0, 1]")
-    for section, keys, known in (("learner", config.learner, LEARNER_KEYS),
+    fmt = config.dataset.get("format")
+    if fmt not in DATASET_KEYS:
+        raise ValueError(f"unknown dataset format {fmt!r}")
+    for section, keys, known in (("dataset", config.dataset, DATASET_KEYS[fmt]),
+                                 ("learner", config.learner, LEARNER_KEYS),
                                  ("model", config.model, MODEL_KEYS)):
         unknown = sorted(set(keys) - set(known))
         if unknown:
@@ -117,7 +127,7 @@ def validate_config(config: ExperimentConfig) -> None:
     if tag not in LEARNER_TAGS:
         raise ValueError(f"unknown learner algorithm {tag!r}; pick one of {LEARNER_TAGS}")
     variant = config.learner.get("variant", bel.DIAGONAL)
-    if tag == "bflo" and variant not in BELIEF_VARIANTS:
+    if tag == "bflo" and variant not in bel.VARIANTS:
         raise ValueError(f"unknown belief variant {variant!r}")
     lrn.update_count(config.learner.get("m", 1))
     for path in dataset_files(config.dataset):
@@ -256,11 +266,12 @@ def run_online(config: ExperimentConfig, run_index: int,
     entropies = np.full(n_train, np.nan)
     snapshots = [(0, bel.snapshot_view(learner.belief))] if is_belief else []
     for i in range(n_train):
+        ex = train.example(i)
         try:
-            outcome = learner.step(train.example(i), rng)
+            predicted = learner.step(ex, rng)
         except lrn.NonFiniteStepError as exc:
             raise lrn.NonFiniteStepError(f"run {run_index} round {i + 1}: {exc}") from exc
-        mistakes[i] = 0 if outcome.correct else 1
+        mistakes[i] = predicted != ex.true_label
         rnd = i + 1
         snapshot = is_belief and (rnd % cadence == 0 or rnd == n_train)
         if every_round or snapshot:
@@ -591,7 +602,7 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
     checks.append({"name": f"stationarity residual, all four branches ({cases} cases)",
                    "value": worst_resid, "threshold": 1e-8})
     worst_constraint = 0.0
-    for variant in BELIEF_VARIANTS:
+    for variant in bel.VARIANTS:
         for d in (1, 2, 5, 20):
             for _ in range(max(1, cases // 8)):
                 prior = _random_belief(variant, d, rng)

@@ -1,15 +1,14 @@
 """Online learners sharing one step contract.
 
-Every learner exposes ``step(example, rng) -> StepOutcome`` and
-``freeze() -> ndarray``. A step emits its prediction before touching any
-state, judges correctness against the example's true label, and updates from
-the observed (possibly noisy) label. With m > 1 the update part of the step
-is repeated m times; the prediction always comes from the first iteration.
+Every learner exposes ``step(example, rng) -> int`` and ``freeze() ->
+ndarray``. A step makes its prediction before touching any state, updates
+from the observed (possibly noisy) label and returns the predicted label.
+No learner reads the example's true label; the run loop judges the
+prediction against it. With m > 1 the update part of the step is repeated m
+times; the prediction always comes from the first iteration.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -17,15 +16,6 @@ from . import belief as bel
 from . import flow as fl
 from . import models as mdl
 from .data import LabeledExample
-
-
-@dataclasses.dataclass(frozen=True)
-class StepOutcome:
-    """What one online round produced, before and after the update."""
-
-    predicted: int
-    correct: bool
-    loss: float
 
 
 class NonFiniteStepError(ValueError):
@@ -64,9 +54,8 @@ class BeliefFlowLearner:
         self.eta = float(eta)
         self.m = update_count(m)
         self.non_expansive = non_expansive
-        self.n_updates = 0
 
-    def step(self, ex: LabeledExample, rng: np.random.Generator) -> StepOutcome:
+    def step(self, ex: LabeledExample, rng: np.random.Generator) -> int:
         """One round: predict from the first draw, then m flow updates.
 
         Raises NonFiniteStepError, leaving the belief as it was, when a
@@ -79,13 +68,11 @@ class BeliefFlowLearner:
         else:
             spec, idx, x, belief = self.spec, None, ex.x, self.belief
         predicted = None
-        loss_val = None
         for i in range(self.m):
             w = bel.sample(belief, rng)
             z, grad = mdl.forward_backward(spec, w, x, target)
             if i == 0:
                 predicted = mdl.predict_label(z)
-                loss_val = mdl.loss(z, target)
             w_prime = w - self.eta * grad
             if not np.isfinite(w_prime).all():
                 raise NonFiniteStepError(
@@ -97,8 +84,7 @@ class BeliefFlowLearner:
             belief = fl.apply_flow(belief, flow, w, w_prime)
             belief = bel.correct_spectrum(belief)
         self.belief = belief if idx is None else bel.scatter(self.belief, idx, belief)
-        self.n_updates += self.m
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
+        return predicted
 
     def freeze(self) -> np.ndarray:
         """Weights for offline evaluation: the belief mean."""
@@ -120,22 +106,20 @@ class SGDLearner:
         self.eta = float(eta)
         self.m = update_count(m)
 
-    def step(self, ex: LabeledExample, rng: np.random.Generator) -> StepOutcome:
+    def step(self, ex: LabeledExample, rng: np.random.Generator) -> int:
         target = mdl.target_vector(self.spec, ex.label)
         predicted = None
-        loss_val = None
         for i in range(self.m):
             z, grad = mdl.forward_backward(self.spec, self.w, ex.x, target)
             if i == 0:
                 predicted = mdl.predict_label(z)
-                loss_val = mdl.loss(z, target)
             # w += -eta grad [+ s xi], built in place in the fresh grad array:
             # at MLP scale a second d-sized array costs more than the arithmetic.
             grad *= -self.eta
             if self.noise_scale:
                 grad += self.noise_scale * rng.standard_normal(self.w.shape[0])
             self.w += grad
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
+        return predicted
 
     def freeze(self) -> np.ndarray:
         return self.w.copy()
@@ -171,14 +155,12 @@ class AROWLearner:
         self.mu = np.zeros(n_features)
         self.var = np.ones(n_features)
 
-    def step(self, ex: LabeledExample, rng: np.random.Generator) -> StepOutcome:
+    def step(self, ex: LabeledExample, rng: np.random.Generator) -> int:
         if ex.label not in (0, 1):
             raise ValueError("arow handles binary labels only")
         x = ex.x
         margin = float(self.mu @ x)
-        z = mdl.sigmoid(np.array([margin]))
-        predicted = mdl.predict_label(z)
-        loss_val = mdl.loss(z, np.array([float(ex.label)]))
+        predicted = mdl.predict_label(mdl.sigmoid(np.array([margin])))
         y = 1.0 if ex.label == 1 else -1.0
         if y * margin < 1.0:
             sx = self.var * x
@@ -186,7 +168,7 @@ class AROWLearner:
             alpha = (1.0 - y * margin) * beta
             self.mu += alpha * y * sx
             self.var -= beta * sx * sx
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
+        return predicted
 
     def freeze(self) -> np.ndarray:
         return self.mu.copy()
@@ -214,16 +196,15 @@ class DropoutSGDLearner:
         self.m = update_count(m)
         self.eval_scale = np.full(spec.n_hidden, 1.0 - self.p_drop)
 
-    def step(self, ex: LabeledExample, rng: np.random.Generator) -> StepOutcome:
+    def step(self, ex: LabeledExample, rng: np.random.Generator) -> int:
         target = mdl.target_vector(self.spec, ex.label)
-        z_eval = mdl.forward(self.spec, self.w, ex.x, hidden_mask=self.eval_scale)
-        predicted = mdl.predict_label(z_eval)
-        loss_val = mdl.loss(z_eval, target)
+        predicted = mdl.predict_label(
+            mdl.forward(self.spec, self.w, ex.x, hidden_mask=self.eval_scale))
         for _ in range(self.m):
             keep = rng.random(self.spec.n_hidden) >= self.p_drop
             _, grad = mdl.forward_backward(self.spec, self.w, ex.x, target, hidden_mask=keep)
             self.w -= self.eta * grad
-        return StepOutcome(predicted, predicted == ex.true_label, loss_val)
+        return predicted
 
     def freeze(self) -> np.ndarray:
         """Parameters with the evaluation scaling folded into W2."""

@@ -123,10 +123,11 @@ def forward_backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     """Outputs and the loss gradient w.r.t. the flat parameters.
 
     The 1/K averaging of the loss is part of the gradient: the output-layer
-    error signal is (z - y) / K. hidden_mask (MLP only, one bool per hidden
-    unit) zeroes the units it marks False, as dropout does. A zeroed unit
-    outputs 0, so its derivative term hidden (1 - hidden) and with it every
-    gradient entry of its weights are 0 too.
+    error signal is (z - y) / K. hidden_mask (MLP only, one multiplier per
+    hidden unit, as in :func:`forward`) scales each unit's output; a bool
+    mask zeroes the units it marks False, as dropout does. The derivative of
+    a scaled unit is its mask times act (1 - act) of the unscaled sigmoid,
+    so every gradient entry of a zeroed unit's weights is 0.
     """
     params = np.asarray(params, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -136,12 +137,13 @@ def forward_backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
         z = sigmoid(np.array([params @ x]))
         return z, (z[0] - target[0]) * x
     w1, b1, w2, b2 = unpack_mlp(spec, params)
-    hidden = sigmoid(w1 @ x + b1)
-    if hidden_mask is not None:
-        hidden = hidden * hidden_mask
+    act = sigmoid(w1 @ x + b1)
+    hidden = act if hidden_mask is None else act * hidden_mask
     z = sigmoid(w2 @ hidden + b2)
     delta2 = (z - target) / spec.n_outputs
-    delta1 = (w2.T @ delta2) * hidden * (1.0 - hidden)
+    delta1 = (w2.T @ delta2) * act * (1.0 - act)
+    if hidden_mask is not None:
+        delta1 *= hidden_mask
     grad = np.concatenate([
         np.outer(delta1, x).ravel(),
         delta1,

@@ -20,9 +20,10 @@ import dataclasses
 
 import numpy as np
 
-from .belief import DIAGONAL, FULL, SPHERICAL, BeliefState, covariance, full_belief
+from .belief import DIAGONAL, FULL, SPHERICAL, BeliefState, full_belief
 
-# Relative Frobenius difference below which two covariances count as equal.
+# Relative variance change below which a diagonal or spherical update counts
+# as the identity.
 NO_DATAPOINT_TOL = 1e-12
 
 
@@ -46,8 +47,9 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
 
     Returns None when the posterior equals the prior within tolerance (an
     identity update implies no observation at all). Raises ValueError when
-    the precision difference is singular but the covariances differ, which
-    happens for updates that only move a proper subspace.
+    the precision difference is singular but not zero, which happens for
+    updates that only move a proper subspace. For full beliefs both checks
+    use the roundoff floor of :func:`_precision_change`.
     """
     if prior.variant != posterior.variant:
         raise ValueError("prior and posterior must share a variant")
@@ -71,18 +73,15 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
         x = np.where(untouched, posterior.mean,
                      (posterior.mean / v1 - prior.mean / v0) / safe_dprec)
         return PseudoDatapoint(DIAGONAL, x, r)
-    cov0, cov1 = covariance(prior), covariance(posterior)
-    denom = np.linalg.norm(cov0, "fro")
-    if np.linalg.norm(cov1 - cov0, "fro") <= NO_DATAPOINT_TOL * denom:
-        return None
     prec0 = _full_precision(prior)
     prec1 = _full_precision(posterior)
-    dprec = 0.5 * ((prec1 - prec0) + (prec1 - prec0).T)
+    dprec, _, informative = _precision_change(prec0, prec1)
+    if not informative.any():
+        return None
     # np.linalg.inv happily "inverts" a numerically singular difference, so
     # check the spectrum explicitly: a linear flow moves only a low-rank
     # precision subspace and has no whole-space pseudo datapoint.
-    evals = np.linalg.eigvalsh(dprec)
-    if np.min(np.abs(evals)) <= 1e-10 * np.max(np.abs(evals)):
+    if not informative.all():
         raise ValueError("precision difference is singular; the update moved a proper "
                          "subspace only (use pseudo_trace for its informative eigenvalues)")
     r = np.linalg.inv(dprec)
@@ -94,6 +93,23 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
 def _full_precision(belief: BeliefState) -> np.ndarray:
     """Sigma^{-1} = W^T W."""
     return belief.inv_factor.T @ belief.inv_factor
+
+
+def _precision_change(prec0: np.ndarray, prec1: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetrized difference Sigma'^{-1} - Sigma^{-1}, and which of its
+    eigenvalues (ascending, as ``eigvalsh`` orders them) stand above roundoff.
+
+    The subtraction cancels digits at the scale of the operands, not of the
+    difference, so the floor is d eps max(tr Sigma^{-1}, tr Sigma'^{-1}); the
+    trace bounds each operand's largest eigenvalue. Returns (dprec, evals,
+    informative).
+    """
+    dprec = prec1 - prec0
+    dprec = 0.5 * (dprec + dprec.T)
+    evals = np.linalg.eigvalsh(dprec)
+    floor = prec0.shape[0] * np.finfo(float).eps * max(np.trace(prec0), np.trace(prec1))
+    return dprec, evals, np.abs(evals) > floor
 
 
 def bayes_update_gaussian(prior: BeliefState, x, cov) -> BeliefState:
@@ -192,16 +208,10 @@ def _full_trace_row(rnd: int, prev_prec: np.ndarray, cur_prec: np.ndarray) -> Tr
 
     One flow update changes the precision on a low-rank subspace, so the
     whole-matrix inverse the exact extraction needs rarely exists; the
-    spectrum of the precision difference above numerical noise is what is
+    spectrum of the precision difference above the roundoff floor is what is
     reportable.
     """
-    dprec = cur_prec - prev_prec
-    dprec = 0.5 * (dprec + dprec.T)
-    evals = np.linalg.eigvalsh(dprec)
-    scale = float(np.max(np.abs(evals)))
-    if scale == 0.0:
-        return TraceRow(rnd, None, None, None, None, True)
-    informative = np.abs(evals) > 1e-10 * scale
+    _, evals, informative = _precision_change(prev_prec, cur_prec)
     if not informative.any():
         return TraceRow(rnd, None, None, None, None, True)
     return TraceRow(rnd, None, 1.0 / evals[informative], None, None, False)

@@ -102,6 +102,26 @@ def test_whiten_unwhiten_inverse():
             assert w.shape == (d,)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_whiten_and_unwhiten_scale_the_rows_of_a_matrix(k):
+    # a (d, k) matrix holds k displacements, one per column; the diagonal
+    # and spherical results must match a full belief of the same covariance
+    rng = np.random.default_rng(19)
+    d = 2
+    vec = rng.normal(size=(d, k))
+    variances = np.array([1.0, 4.0])
+    for b, cov in ((bel.diagonal_belief(np.zeros(d), variances), variances),
+                   (bel.spherical_belief(np.zeros(d), 2.5), np.full(d, 2.5))):
+        full = bel.full_belief(np.zeros(d), np.eye(d), cov)
+        np.testing.assert_allclose(bel.whiten(b, vec), bel.whiten(full, vec), rtol=1e-15)
+        np.testing.assert_allclose(bel.unwhiten(b, vec), bel.unwhiten(full, vec), rtol=1e-15)
+        for j in range(k):
+            assert bel.whiten(b, vec[:, j]).tobytes() == bel.whiten(b, vec)[:, j].tobytes()
+    np.testing.assert_array_equal(
+        bel.whiten(bel.diagonal_belief(np.zeros(2), variances), [[1.0, 2.0], [3.0, 4.0]]),
+        [[1.0, 2.0], [1.5, 2.0]])
+
+
 def test_kl_frozen_values():
     prior = bel.diagonal_belief(np.zeros(1), np.ones(1))
     shifted = bel.diagonal_belief(np.ones(1), np.ones(1))

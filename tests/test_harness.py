@@ -90,6 +90,29 @@ def test_validate_rejects_unknown_learner_and_model_keys(section, keys, bad):
         hns.validate_config(tiny_config(**{section: keys}))
 
 
+@pytest.mark.parametrize("dataset, bad", [
+    ({"format": "synthetic", "n": 50, "flip_fracton": 0.3}, "flip_fracton"),
+    ({"format": "libsvm", "path": "x.libsvm", "label_column": 0}, "label_column"),
+    ({"format": "csv", "path": "x.csv", "n_features": 3}, "n_features"),
+    ({"format": "idx", "images": "i", "labels": "l", "path": "p"}, "path"),
+])
+def test_validate_rejects_unknown_dataset_keys_per_format(dataset, bad):
+    with pytest.raises(ValueError, match=f"unknown dataset keys .*'{bad}'"):
+        hns.validate_config(tiny_config(dataset=dataset))
+
+
+def test_validate_accepts_every_key_of_every_dataset_format(tmp_path):
+    for name in ("x.libsvm", "x.csv", "images", "labels"):
+        (tmp_path / name).write_bytes(b"")
+    values = {"name": "ds", "n_features": 3, "label_column": 0, "scale_minmax": True,
+              "n": 50, "seed": 1, "flip_fraction": 0.1,
+              "images": str(tmp_path / "images"), "labels": str(tmp_path / "labels")}
+    for fmt, keys in hns.DATASET_KEYS.items():
+        # "path" (and "format", replaced below) fall back to the format's file
+        dataset = {key: values.get(key, str(tmp_path / f"x.{fmt}")) for key in keys}
+        hns.validate_config(tiny_config(dataset=dict(dataset, format=fmt)))
+
+
 def test_validate_accepts_every_key_of_every_learner_at_once():
     # run --learner TAG swaps the algorithm and keeps the other keys
     learner = {"algorithm": "bflo", "variant": "full", "eta": 0.1, "sigma_init": 0.2, "m": 2,
@@ -143,6 +166,25 @@ def test_run_online_every_learner_tag():
                                        "sigma_init": 0.2})
         rep = hns.run_online(cfg, 0)
         assert np.isfinite(rep.final_error_pct), algo
+
+
+def test_run_online_judges_predictions_against_true_labels(monkeypatch):
+    # the learner trains on noise-flipped labels; a mistake is a prediction
+    # that misses the true label, not the observed one
+    rounds = []
+    real_step = lrn.BeliefFlowLearner.step
+
+    def recording_step(self, ex, rng):
+        predicted = real_step(self, ex, rng)
+        rounds.append((predicted, ex.label, ex.true_label))
+        return predicted
+
+    monkeypatch.setattr(lrn.BeliefFlowLearner, "step", recording_step)
+    rep = hns.run_online(tiny_config(noise_fraction=0.3), 0)
+    predicted, observed, true = np.array(rounds).T
+    assert np.any(observed != true)
+    np.testing.assert_array_equal(rep.mistakes, predicted != true)
+    assert not np.array_equal(rep.mistakes, predicted != observed)
 
 
 def test_evaluate_error_pct_hand_case():
@@ -411,6 +453,20 @@ def test_cli_run_with_a_learner_that_cannot_be_built_leaves_no_directory(tmp_pat
     assert code == 2
     assert not out_dir.exists()
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_a_misspelt_dataset_key_without_outputs(tmp_path, capsys):
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "synthetic_quick.json").read_text())
+    raw["dataset"]["flip_fracton"] = 0.3
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(p), "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert "flip_fracton" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_run_rejects_an_unknown_learner_key_without_outputs(tmp_path, capsys):

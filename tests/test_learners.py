@@ -18,19 +18,31 @@ def example(x, label, true_label=None):
     return LabeledExample(x, label, label if true_label is None else true_label)
 
 
+def count_solves(monkeypatch):
+    """Record every flow solve; a belief-flow update solves exactly once."""
+    calls = []
+    real_solve = fl.solve
+
+    def counting(belief, *args):
+        calls.append(belief.dim)
+        return real_solve(belief, *args)
+
+    monkeypatch.setattr(fl, "solve", counting)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # belief-flow learner
 
 
-def test_bflo_step_moves_the_belief():
+def test_bflo_step_moves_the_belief(monkeypatch):
     spec = mdl.logistic_model(3)
     prior = bel.diagonal_belief(np.zeros(3), np.full(3, 0.04))
     learner = lrn.BeliefFlowLearner(spec, prior, eta=0.5)
     rng = np.random.default_rng(0)
-    out = learner.step(example([1.0, -1.0, 0.5], 1), rng)
-    assert out.predicted in (0, 1)
-    assert math.isfinite(out.loss)
-    assert learner.n_updates == 1
+    solves = count_solves(monkeypatch)
+    assert learner.step(example([1.0, -1.0, 0.5], 1), rng) in (0, 1)
+    assert len(solves) == 1
     assert not np.array_equal(learner.belief.mean, prior.mean)
 
 
@@ -44,32 +56,22 @@ def test_bflo_is_deterministic_given_the_rng():
         prior = bel.diagonal_belief(np.zeros(4), np.full(4, 0.04))
         learner = lrn.BeliefFlowLearner(spec, prior, eta=0.1, m=2)
         rng = np.random.default_rng(99)
-        outs = [learner.step(ex, rng) for ex in stream]
-        return learner.freeze(), [o.correct for o in outs]
+        predicted = [learner.step(ex, rng) for ex in stream]
+        return learner.freeze(), predicted
 
-    w_a, correct_a = run()
-    w_b, correct_b = run()
+    w_a, predicted_a = run()
+    w_b, predicted_b = run()
     np.testing.assert_array_equal(w_a, w_b)
-    assert correct_a == correct_b
+    assert predicted_a == predicted_b
 
 
-def test_bflo_m_updates_per_round():
+def test_bflo_m_updates_per_round(monkeypatch):
     spec = mdl.logistic_model(2)
     prior = bel.spherical_belief(np.zeros(2), 0.04)
     learner = lrn.BeliefFlowLearner(spec, prior, eta=0.1, m=5)
+    solves = count_solves(monkeypatch)
     learner.step(example([1.0, 0.0], 1), np.random.default_rng(0))
-    assert learner.n_updates == 5
-
-
-def test_bflo_correctness_judged_against_true_label():
-    # strongly positive belief, observed label flipped: prediction is 1,
-    # correctness must compare against the true label, not the observed one
-    spec = mdl.logistic_model(1)
-    prior = bel.diagonal_belief(np.array([10.0]), np.array([1e-6]))
-    learner = lrn.BeliefFlowLearner(spec, prior, eta=0.01)
-    out = learner.step(example([1.0], label=0, true_label=1), np.random.default_rng(3))
-    assert out.predicted == 1
-    assert out.correct
+    assert len(solves) == 5
 
 
 def test_bflo_freeze_returns_the_mean():
@@ -109,23 +111,22 @@ def test_bflo_variance_floor_holds_under_aggressive_steps():
 
 def reference_step(learner, ex, rng):
     """The whole-belief round: every iteration samples, solves and applies
-    over all d coordinates. Returns (predicted, loss, belief)."""
+    over all d coordinates. Returns (predicted, belief)."""
     target = mdl.target_vector(learner.spec, ex.label)
     belief = learner.belief
-    predicted = loss_val = None
+    predicted = None
     for i in range(learner.m):
         w = bel.sample(belief, rng)
         z, grad = mdl.forward_backward(learner.spec, w, ex.x, target)
         if i == 0:
             predicted = mdl.predict_label(z)
-            loss_val = mdl.loss(z, target)
         w_prime = w - learner.eta * grad
         flow = fl.solve(belief, w, w_prime)
         if learner.non_expansive:
             flow = fl.clamp_nonexpansive(flow)
         belief = fl.apply_flow(belief, flow, w, w_prime)
         belief = bel.correct_spectrum(belief)
-    return predicted, loss_val, belief
+    return predicted, belief
 
 
 def diagonal_learner(spec, rng, **kwargs):
@@ -136,22 +137,23 @@ def diagonal_learner(spec, rng, **kwargs):
 
 @pytest.mark.parametrize("spec", [mdl.logistic_model(6), mdl.mlp_model(5, 4, 3)])
 @pytest.mark.parametrize("non_expansive", [False, True])
-def test_bflo_diagonal_dense_input_matches_whole_belief_loop(spec, non_expansive):
+def test_bflo_diagonal_dense_input_matches_whole_belief_loop(spec, non_expansive, monkeypatch):
     # every feature is nonzero, so the active set is every coordinate and
     # the round must reproduce the whole-belief loop bit for bit
     rng = np.random.default_rng(31)
     learner = diagonal_learner(spec, rng, eta=0.3, m=3, non_expansive=non_expansive)
     rng_new, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+    solves = count_solves(monkeypatch)
     for _ in range(20):
         x = rng.uniform(0.1, 2.0, size=spec.n_features) * rng.choice([-1.0, 1.0], spec.n_features)
         ex = example(x, int(rng.integers(0, max(2, spec.n_outputs))))
-        predicted, loss_val, want = reference_step(learner, ex, rng_ref)
-        out = learner.step(ex, rng_new)
-        assert (out.predicted, out.loss) == (predicted, loss_val)
+        predicted, want = reference_step(learner, ex, rng_ref)
+        del solves[:]
+        assert learner.step(ex, rng_new) == predicted
+        assert len(solves) == 3
         assert bel.entropy(learner.belief) == bel.entropy(want)
         np.testing.assert_array_equal(learner.belief.mean, want.mean)
         np.testing.assert_array_equal(learner.belief.variances, want.variances)
-    assert learner.n_updates == 60
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -226,13 +228,13 @@ def test_bflo_diagonal_round_touches_only_the_active_coordinates(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", [mdl.logistic_model(4), mdl.mlp_model(4, 3, 2)])
-def test_bflo_diagonal_all_zero_input(spec):
+def test_bflo_diagonal_all_zero_input(spec, monkeypatch):
     rng = np.random.default_rng(43)
     learner = diagonal_learner(spec, rng, eta=0.5, m=2)
     before = learner.belief
-    out = learner.step(example(np.zeros(4), 1), rng)
-    assert out.predicted in (0, 1) and math.isfinite(out.loss)
-    assert learner.n_updates == 2
+    solves = count_solves(monkeypatch)
+    assert learner.step(example(np.zeros(4), 1), rng) in (0, 1)
+    assert len(solves) == 2
     if spec.kind == mdl.LOGISTIC:
         # nothing is read, so nothing moves
         np.testing.assert_array_equal(learner.belief.mean, before.mean)
@@ -266,18 +268,19 @@ def test_bflo_prior_below_the_floor_is_floored():
 
 
 @pytest.mark.parametrize("variant", bel.VARIANTS)
-def test_bflo_non_finite_step_raises_and_keeps_the_belief(variant):
+def test_bflo_non_finite_step_raises_and_keeps_the_belief(variant, monkeypatch):
     spec = mdl.logistic_model(3)
     priors = {bel.FULL: bel.full_belief(np.zeros(3), np.eye(3), np.full(3, 0.04)),
               bel.DIAGONAL: bel.diagonal_belief(np.zeros(3), np.full(3, 0.04)),
               bel.SPHERICAL: bel.spherical_belief(np.zeros(3), 0.04)}
     learner = lrn.BeliefFlowLearner(spec, priors[variant], eta=0.1, m=3)
     before = learner.belief
+    solves = count_solves(monkeypatch)
     with pytest.raises(lrn.NonFiniteStepError, match=f"bflo-{variant} update 1 of 3"), \
             np.errstate(invalid="ignore"):
         learner.step(example([1.0, np.inf, 0.0], 0), np.random.default_rng(0))
     assert learner.belief is before
-    assert learner.n_updates == 0
+    assert solves == []
 
 
 DENSE_DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "inv", "pinv", "svd", "qr",
@@ -363,27 +366,25 @@ def test_langevin_adds_scaled_noise():
 
 def reference_sgd_round(spec, w, eta, m, ex, rng):
     target = mdl.target_vector(spec, ex.label)
-    predicted = loss_val = None
+    predicted = None
     for i in range(m):
         z, grad = mdl.forward_backward(spec, w, ex.x, target)
         if i == 0:
             predicted = mdl.predict_label(z)
-            loss_val = mdl.loss(z, target)
         w -= eta * grad
-    return lrn.StepOutcome(predicted, predicted == ex.true_label, loss_val)
+    return predicted
 
 
 def reference_blang_round(spec, w, eta, m, ex, rng):
     target = mdl.target_vector(spec, ex.label)
-    predicted = loss_val = None
+    predicted = None
     noise_scale = np.sqrt(2.0 * eta)
     for i in range(m):
         z, grad = mdl.forward_backward(spec, w, ex.x, target)
         if i == 0:
             predicted = mdl.predict_label(z)
-            loss_val = mdl.loss(z, target)
         w += -eta * grad + noise_scale * rng.standard_normal(w.shape[0])
-    return lrn.StepOutcome(predicted, predicted == ex.true_label, loss_val)
+    return predicted
 
 
 def reference_dropout_round(spec, w, eta, m, ex, rng, p_drop):
@@ -391,7 +392,6 @@ def reference_dropout_round(spec, w, eta, m, ex, rng, p_drop):
     w1, b1, w2, b2 = mdl.unpack_mlp(spec, w)
     z_eval = mdl.sigmoid(w2 @ ((1.0 - p_drop) * mdl.sigmoid(w1 @ ex.x + b1)) + b2)
     predicted = mdl.predict_label(z_eval)
-    loss_val = mdl.loss(z_eval, target)
     k = spec.n_outputs
     for _ in range(m):
         w1, b1, w2, b2 = mdl.unpack_mlp(spec, w)
@@ -407,7 +407,7 @@ def reference_dropout_round(spec, w, eta, m, ex, rng, p_drop):
             delta2,
         ])
         w -= eta * grad
-    return lrn.StepOutcome(predicted, predicted == ex.true_label, loss_val)
+    return predicted
 
 
 def assert_replays_reference(learner, reference, spec, seed, **kwargs):
@@ -450,6 +450,46 @@ def test_every_learner_class_owns_its_step(cls):
     assert callable(cls.__dict__["step"])
 
 
+class BlindExample:
+    """An example whose true label cannot be read."""
+
+    def __init__(self, x, label):
+        self.x = np.asarray(x, dtype=float)
+        self.label = label
+
+    @property
+    def true_label(self):
+        raise AssertionError("a learner read the true label")
+
+
+BLIND_SPEC = mdl.mlp_model(3, 2, 1)
+BLIND_PRIORS = {
+    bel.FULL: bel.full_belief(np.zeros(BLIND_SPEC.n_params), np.eye(BLIND_SPEC.n_params),
+                              np.full(BLIND_SPEC.n_params, 0.04)),
+    bel.DIAGONAL: bel.diagonal_belief(np.zeros(BLIND_SPEC.n_params),
+                                      np.full(BLIND_SPEC.n_params, 0.04)),
+    bel.SPHERICAL: bel.spherical_belief(np.zeros(BLIND_SPEC.n_params), 0.04),
+}
+BLIND_LEARNERS = {
+    **{f"bflo-{v}": lambda v=v: lrn.BeliefFlowLearner(BLIND_SPEC, BLIND_PRIORS[v], eta=0.1, m=2)
+       for v in bel.VARIANTS},
+    "sgd": lambda: lrn.SGDLearner(BLIND_SPEC, np.full(BLIND_SPEC.n_params, 0.1), eta=0.1, m=2),
+    "blang": lambda: lrn.LangevinSGDLearner(BLIND_SPEC, np.full(BLIND_SPEC.n_params, 0.1),
+                                            eta=0.1, m=2),
+    "arow": lambda: lrn.AROWLearner(3),
+    "dropout": lambda: lrn.DropoutSGDLearner(BLIND_SPEC, np.full(BLIND_SPEC.n_params, 0.1),
+                                             eta=0.1, p_drop=0.3, m=2),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(BLIND_LEARNERS))
+def test_no_learner_reads_the_true_label(tag):
+    learner = BLIND_LEARNERS[tag]()
+    rng = np.random.default_rng(61)
+    for label in (0, 1, 1, 0):
+        assert learner.step(BlindExample(rng.normal(size=3), label), rng) in (0, 1)
+
+
 def learner_with_m(cls, m):
     spec = mdl.mlp_model(3, 2, 1)
     if cls is lrn.BeliefFlowLearner:
@@ -482,8 +522,7 @@ def test_arow_skips_confident_margins():
     learner = lrn.AROWLearner(2, r=10.0)
     learner.mu = np.array([5.0, 0.0])
     before_var = learner.var.copy()
-    out = learner.step(example([1.0, 0.0], 1), np.random.default_rng(0))
-    assert out.predicted == 1
+    assert learner.step(example([1.0, 0.0], 1), np.random.default_rng(0)) == 1
     np.testing.assert_array_equal(learner.mu, [5.0, 0.0])
     np.testing.assert_array_equal(learner.var, before_var)
 
@@ -532,9 +571,9 @@ def test_dropout_prediction_uses_scaled_hidden_units():
     w0 = np.random.default_rng(19).normal(size=spec.n_params)
     learner = lrn.DropoutSGDLearner(spec, w0, eta=0.0, p_drop=0.5)
     x = np.array([0.7, -0.3])
-    out = learner.step(example(x, 1), np.random.default_rng(0))
+    predicted = learner.step(example(x, 1), np.random.default_rng(0))
     z = mdl.forward(spec, learner.freeze(), x)
-    assert out.predicted == mdl.predict_label(z)
+    assert predicted == mdl.predict_label(z)
 
 
 def test_dropout_updates_change_only_kept_units():

@@ -131,6 +131,27 @@ def test_masked_hidden_units_get_no_gradient():
     assert np.all(g1[keep] != 0.0) and np.all(g2[:, keep] != 0.0)
 
 
+def test_real_valued_hidden_mask_gradient_matches_finite_differences():
+    # central differences of the masked forward pass, mask entries in (0, 2)
+    rng = np.random.default_rng(9)
+    spec = mdl.mlp_model(3, 4, 2)
+    step = 1e-6
+    for _ in range(50):
+        w = rng.normal(scale=0.7, size=spec.n_params)
+        x = rng.normal(size=3)
+        t = mdl.target_vector(spec, int(rng.integers(0, 2)))
+        mask = rng.uniform(0.0, 2.0, size=4)
+        _, grad = mdl.forward_backward(spec, w, x, t, hidden_mask=mask)
+        ref = np.zeros_like(w)
+        for i in range(w.size):
+            hi, lo = w.copy(), w.copy()
+            hi[i] += step
+            lo[i] -= step
+            ref[i] = (mdl.loss(mdl.forward(spec, hi, x, hidden_mask=mask), t)
+                      - mdl.loss(mdl.forward(spec, lo, x, hidden_mask=mask), t)) / (2.0 * step)
+        np.testing.assert_allclose(grad, ref, rtol=1e-5, atol=1e-8)
+
+
 def test_logistic_model_rejects_a_hidden_mask():
     with pytest.raises(ValueError, match="no hidden units"):
         mdl.forward_backward(mdl.logistic_model(2), np.zeros(2), np.ones(2), np.array([1.0]),

@@ -170,3 +170,58 @@ def test_trace_full_variant_reports_informative_eigenvalues():
     # the flow changes precision in a low-rank subspace only
     assert 1 <= row.eigenvalues.shape[0] <= 4
     assert np.all(np.abs(row.eigenvalues) > 0.0)
+
+
+def test_full_trace_reports_one_eigenvalue_for_a_rank_one_change():
+    # W' = (I + beta g g^T) W changes the precision W^T W by a rank-one
+    # term that is small against ||W||^2, so forming the difference leaves
+    # roundoff of about 1e-13 in every other direction
+    rng = np.random.default_rng(23)
+    d = 100
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    w = q / 0.2  # Sigma = 0.04 I
+    g = rng.normal(size=d)
+    g /= np.linalg.norm(g)
+    beta = 1e-6
+    w_post = w + beta * np.outer(g, g @ w)
+    want = ((1.0 + beta) ** 2 - 1.0) * float(np.sum((g @ w) ** 2))
+    prior = bel.BeliefState(bel.FULL, np.zeros(d), inv_factor=w)
+    post = bel.BeliefState(bel.FULL, np.zeros(d), inv_factor=w_post)
+    row, = psd.pseudo_trace([(0, prior), (1, post)])
+    assert not row.degenerate
+    assert row.eigenvalues.shape == (1,)
+    np.testing.assert_allclose(1.0 / row.eigenvalues, [want], rtol=1e-6)
+    with pytest.raises(ValueError, match="singular"):
+        psd.extract_pseudo(prior, post)
+
+
+def test_full_trace_reports_nothing_where_a_clamped_run_did_not_move(tmp_path):
+    # with the non-expansive clamp the precision never shrinks; about half
+    # of this run's rounds leave it unchanged up to roundoff (|lambda| of the
+    # difference below 1e-14), and those rows must be degenerate, not six
+    # roundoff "eigenvalues" of either sign
+    from beliefflow import harness as hns
+
+    cfg = hns.ExperimentConfig.from_dict({
+        "name": "clamped",
+        "dataset": {"format": "synthetic", "n": 120, "n_features": 6, "seed": 5,
+                    "flip_fraction": 0.1},
+        "learner": {"algorithm": "bflo", "variant": "full", "non_expansive": True,
+                    "eta": 0.05},
+        "base_seed": 7,
+    })
+    hns.run_online(cfg, 0, tmp_path / "snapshots.bin")
+    snapshots = hns.read_snapshots(tmp_path / "snapshots.bin")
+    rows = psd.pseudo_trace(snapshots)
+    unmoved = 0
+    for row, ((_, prev), (_, cur)) in zip(rows, zip(snapshots, snapshots[1:])):
+        dprec = cur.inv_factor.T @ cur.inv_factor - prev.inv_factor.T @ prev.inv_factor
+        if np.max(np.abs(np.linalg.eigvalsh(0.5 * (dprec + dprec.T)))) < 1e-12:
+            unmoved += 1
+            assert row.degenerate, row.round
+            assert psd.extract_pseudo(prev, cur) is None
+        else:
+            # one round moves the precision on a plane, and never down
+            assert 1 <= row.eigenvalues.size <= 2, row.round
+            assert np.all(row.eigenvalues > 0.0), row.round
+    assert unmoved > 0

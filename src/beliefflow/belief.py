@@ -41,7 +41,9 @@ _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 
 @dataclasses.dataclass(frozen=True)
 class BeliefState:
-    """Immutable Gaussian belief. Use the factory functions to build one.
+    """Gaussian belief. Use the factory functions to build one. Fields are
+    never reassigned; a belief-flow learner updates its own diagonal arrays
+    in place, so hold a :func:`snapshot` of its belief across rounds.
 
     Exactly one covariance payload is populated, matching ``variant``:
     (``factor``, ``inv_factor``, ``logdet``) for full, ``variances`` for
@@ -181,41 +183,16 @@ def log_det(belief: BeliefState) -> float:
     return belief.dim * math.log(belief.variance)
 
 
-def snapshot_view(belief: BeliefState) -> BeliefState:
-    """What a snapshot keeps of a belief: a full belief without L (the mean
-    and W are what gets written); other variants are returned as they are.
-    Holding views instead of whole full beliefs halves a run's snapshot
-    memory."""
+def snapshot(belief: BeliefState) -> BeliefState:
+    """What a held copy of a belief keeps: a full belief without L (the mean
+    and W are what gets written, and no round writes into them), copies of
+    a diagonal belief's arrays, which its learner updates in place, and a
+    spherical belief as it is."""
+    if belief.variant == DIAGONAL:
+        return BeliefState(DIAGONAL, belief.mean.copy(), variances=belief.variances.copy())
     if belief.variant != FULL or belief.factor is None:
         return belief
     return dataclasses.replace(belief, factor=None)
-
-
-def gather(belief: BeliefState, idx: np.ndarray) -> BeliefState:
-    """The marginal of a diagonal belief over the coordinates idx.
-
-    Diagonal coordinates are independent, so a flow on the marginal is the
-    flow on the whole belief for a step that moves only those coordinates;
-    :func:`scatter` puts the result back.
-    """
-    if belief.variant != DIAGONAL:
-        raise ValueError("gather needs a diagonal belief")
-    return BeliefState(DIAGONAL, belief.mean[idx], variances=belief.variances[idx])
-
-
-def scatter(belief: BeliefState, idx: np.ndarray, sub: BeliefState) -> BeliefState:
-    """A copy of the diagonal belief with coordinates idx taken from sub.
-
-    The mean and variances are fresh arrays, so earlier beliefs (and the
-    snapshots that hold them) stay as they were.
-    """
-    if belief.variant != DIAGONAL or sub.variant != DIAGONAL:
-        raise ValueError("scatter needs diagonal beliefs")
-    mean = belief.mean.copy()
-    mean[idx] = sub.mean
-    variances = belief.variances.copy()
-    variances[idx] = sub.variances
-    return BeliefState(DIAGONAL, mean, variances=variances)
 
 
 def covariance(belief: BeliefState) -> np.ndarray:

@@ -196,7 +196,7 @@ def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> 
         d_hat = dw / norm_dw if norm_dw > EPS_DEGENERATE * sigma else np.zeros(belief.dim)
     else:
         d_hat = dwp / norm_dwp
-    a = 1.0 if u == v else float(scalar_scale(u, v))
+    a = float(scalar_scale(u, v))
     return FlowSolution(SPHERICAL, scale=a, d_hat=d_hat, s_hat=s_hat, u=u)
 
 

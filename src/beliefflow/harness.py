@@ -48,6 +48,9 @@ DATASET_KEYS = {
     "idx": ("format", "images", "labels", "name"),
     "synthetic": ("format", "name", "n", "n_features", "seed", "flip_fraction"),
 }
+# The keys that name each format's files.
+DATASET_FILE_KEYS = {"libsvm": ("path",), "csv": ("path",), "idx": ("images", "labels"),
+                     "synthetic": ()}
 
 # Full covariances above this dimension do not fit a desk-scale run.
 FULL_VARIANT_MAX_DIM = 2000
@@ -106,6 +109,10 @@ def config_key(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _unknown(what: str, value, known) -> ValueError:
+    return ValueError(f"unknown {what} {value!r}; pick one of {tuple(known)}")
+
+
 def validate_config(config: ExperimentConfig) -> None:
     """Surface config and file errors before any computation or output."""
     if config.runs < 1:
@@ -116,7 +123,7 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValueError("noise_fraction must be in [0, 1]")
     fmt = config.dataset.get("format")
     if fmt not in DATASET_KEYS:
-        raise ValueError(f"unknown dataset format {fmt!r}")
+        raise _unknown("dataset format", fmt, DATASET_KEYS)
     for section, keys, known in (("dataset", config.dataset, DATASET_KEYS[fmt]),
                                  ("learner", config.learner, LEARNER_KEYS),
                                  ("model", config.model, MODEL_KEYS)):
@@ -125,10 +132,13 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ValueError(f"unknown {section} keys {unknown}; known keys are {list(known)}")
     tag = config.learner.get("algorithm")
     if tag not in LEARNER_TAGS:
-        raise ValueError(f"unknown learner algorithm {tag!r}; pick one of {LEARNER_TAGS}")
+        raise _unknown("learner algorithm", tag, LEARNER_TAGS)
     variant = config.learner.get("variant", bel.DIAGONAL)
     if tag == "bflo" and variant not in bel.VARIANTS:
-        raise ValueError(f"unknown belief variant {variant!r}")
+        raise _unknown("belief variant", variant, bel.VARIANTS)
+    kind = config.model.get("kind")
+    if kind and kind not in mdl.KINDS:
+        raise _unknown("model kind", kind, mdl.KINDS)
     lrn.update_count(config.learner.get("m", 1))
     for path in dataset_files(config.dataset):
         if not path.exists():
@@ -137,17 +147,16 @@ def validate_config(config: ExperimentConfig) -> None:
 
 def dataset_files(dspec: dict) -> list[Path]:
     fmt = dspec.get("format")
-    if fmt in ("libsvm", "csv"):
-        return [Path(dspec["path"])]
-    if fmt == "idx":
-        return [Path(dspec["images"]), Path(dspec["labels"])]
-    if fmt == "synthetic":
-        return []
-    raise ValueError(f"unknown dataset format {fmt!r}")
+    if fmt not in DATASET_FILE_KEYS:
+        raise _unknown("dataset format", fmt, DATASET_FILE_KEYS)
+    missing = [key for key in DATASET_FILE_KEYS[fmt] if dspec.get(key) is None]
+    if missing:
+        raise ValueError(f"{fmt} dataset is missing file keys {missing}")
+    return [Path(dspec[key]) for key in DATASET_FILE_KEYS[fmt]]
 
 
 def load_dataset(dspec: dict) -> dat.Dataset:
-    fmt = dspec["format"]
+    fmt = dspec.get("format")
     name = dspec.get("name")
     if fmt == "libsvm":
         return dat.parse_libsvm(dspec["path"], n_features=dspec.get("n_features"), name=name)
@@ -156,10 +165,12 @@ def load_dataset(dspec: dict) -> dat.Dataset:
                              scale_minmax=dspec.get("scale_minmax", False), name=name)
     if fmt == "idx":
         return dat.parse_idx(dspec["images"], dspec["labels"], name=name)
-    return dat.synthetic_linear(dspec.get("n", 2000), dspec.get("n_features", 20),
-                                dspec.get("seed", 0),
-                                flip_fraction=dspec.get("flip_fraction", 0.0),
-                                name=name or "synthetic")
+    if fmt == "synthetic":
+        return dat.synthetic_linear(dspec.get("n", 2000), dspec.get("n_features", 20),
+                                    dspec.get("seed", 0),
+                                    flip_fraction=dspec.get("flip_fraction", 0.0),
+                                    name=name or "synthetic")
+    raise _unknown("dataset format", fmt, DATASET_KEYS)
 
 
 def build_model(mcfg: dict, dataset: dat.Dataset) -> mdl.ModelSpec:
@@ -168,13 +179,15 @@ def build_model(mcfg: dict, dataset: dat.Dataset) -> mdl.ModelSpec:
         if dataset.n_classes != 2:
             raise ValueError("logistic model needs a binary dataset")
         return mdl.logistic_model(dataset.n_features)
-    outputs = 1 if dataset.n_classes == 2 else dataset.n_classes
-    return mdl.mlp_model(dataset.n_features, mcfg.get("hidden", 200), outputs)
+    if kind == mdl.MLP:
+        outputs = 1 if dataset.n_classes == 2 else dataset.n_classes
+        return mdl.mlp_model(dataset.n_features, mcfg.get("hidden", 200), outputs)
+    raise _unknown("model kind", kind, mdl.KINDS)
 
 
 def make_learner(lcfg: dict, spec: mdl.ModelSpec, rng: np.random.Generator):
     """Build the configured learner, drawing its initialization from rng."""
-    tag = lcfg["algorithm"]
+    tag = lcfg.get("algorithm")
     eta = lcfg.get("eta", 0.001)
     sigma = lcfg.get("sigma_init", 0.2)
     m = lcfg.get("m", 1)
@@ -189,8 +202,10 @@ def make_learner(lcfg: dict, spec: mdl.ModelSpec, rng: np.random.Generator):
             prior = bel.full_belief(np.zeros(d), np.eye(d), np.full(d, var0))
         elif variant == bel.DIAGONAL:
             prior = bel.diagonal_belief(np.zeros(d), np.full(d, var0))
-        else:
+        elif variant == bel.SPHERICAL:
             prior = bel.spherical_belief(np.zeros(d), var0)
+        else:
+            raise _unknown("belief variant", variant, bel.VARIANTS)
         return lrn.BeliefFlowLearner(spec, prior, eta, m=m,
                                      non_expansive=lcfg.get("non_expansive", False))
     if tag == "arow":
@@ -202,7 +217,9 @@ def make_learner(lcfg: dict, spec: mdl.ModelSpec, rng: np.random.Generator):
         return lrn.SGDLearner(spec, w0, eta, m=m)
     if tag == "blang":
         return lrn.LangevinSGDLearner(spec, w0, eta, m=m)
-    return lrn.DropoutSGDLearner(spec, w0, eta, p_drop=lcfg.get("p_drop", 0.5), m=m)
+    if tag == "dropout":
+        return lrn.DropoutSGDLearner(spec, w0, eta, p_drop=lcfg.get("p_drop", 0.5), m=m)
+    raise _unknown("learner algorithm", tag, LEARNER_TAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +281,7 @@ def run_online(config: ExperimentConfig, run_index: int,
     every_round = is_belief and spec.n_params <= ENTROPY_EVERY_ROUND_MAX_DIM
     mistakes = np.zeros(n_train, dtype=np.uint8)
     entropies = np.full(n_train, np.nan)
-    snapshots = [(0, bel.snapshot_view(learner.belief))] if is_belief else []
+    snapshots = [(0, bel.snapshot(learner.belief))] if is_belief else []
     for i in range(n_train):
         ex = train.example(i)
         try:
@@ -277,7 +294,7 @@ def run_online(config: ExperimentConfig, run_index: int,
         if every_round or snapshot:
             entropies[i] = bel.entropy(learner.belief)
         if snapshot:
-            snapshots.append((rnd, bel.snapshot_view(learner.belief)))
+            snapshots.append((rnd, bel.snapshot(learner.belief)))
     final_error = evaluate_error_pct(spec, learner.freeze(), test) if len(test) else float("nan")
     if snapshot_path is not None and is_belief:
         Path(snapshot_path).parent.mkdir(parents=True, exist_ok=True)
@@ -714,11 +731,8 @@ def _cmd_suite(args) -> int:
             "online_error_pct": agg["online_error_pct"]["mean"],
         })
         print(f"{config.name}: final {agg['final_error_pct']['mean']:.2f}%")
-    ranks = rank_table(rows)
-    with (out / "suite_summary.json").open("w", encoding="utf-8") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, "results": rows, "ranks": ranks},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_summary(out / "suite_summary.json",
+                  {"schema_version": SCHEMA_VERSION, "results": rows, "ranks": rank_table(rows)})
     return 0
 
 

@@ -43,6 +43,8 @@ class BeliefFlowLearner:
     and variance; its draw would never be read. The round is the same in
     distribution, but draws only the active coordinates from the rng. Full
     and spherical flows mix coordinates, so they run on the whole belief.
+    The learner owns a copy of a diagonal prior and writes each round's
+    result into it on the active coordinates.
     """
 
     def __init__(self, spec: mdl.ModelSpec, prior: bel.BeliefState, eta: float,
@@ -50,7 +52,8 @@ class BeliefFlowLearner:
         if prior.dim != spec.n_params:
             raise ValueError(f"prior dimension {prior.dim} != parameter count {spec.n_params}")
         self.spec = spec
-        self.belief = bel.correct_spectrum(prior)
+        belief = bel.correct_spectrum(prior)
+        self.belief = bel.snapshot(belief) if belief.variant == bel.DIAGONAL else belief
         self.eta = float(eta)
         self.m = update_count(m)
         self.non_expansive = non_expansive
@@ -64,7 +67,8 @@ class BeliefFlowLearner:
         target = mdl.target_vector(self.spec, ex.label)
         if self.belief.variant == bel.DIAGONAL:
             spec, idx, x = mdl.active_subproblem(self.spec, ex.x)
-            belief = bel.gather(self.belief, idx)
+            belief = bel.BeliefState(bel.DIAGONAL, self.belief.mean[idx],
+                                     variances=self.belief.variances[idx])
         else:
             spec, idx, x, belief = self.spec, None, ex.x, self.belief
         predicted = None
@@ -83,7 +87,11 @@ class BeliefFlowLearner:
                 flow = fl.clamp_nonexpansive(flow)
             belief = fl.apply_flow(belief, flow, w, w_prime)
             belief = bel.correct_spectrum(belief)
-        self.belief = belief if idx is None else bel.scatter(self.belief, idx, belief)
+        if idx is None:
+            self.belief = belief
+        else:
+            self.belief.mean[idx] = belief.mean
+            self.belief.variances[idx] = belief.variances
         return predicted
 
     def freeze(self) -> np.ndarray:
@@ -203,7 +211,8 @@ class DropoutSGDLearner:
         for _ in range(self.m):
             keep = rng.random(self.spec.n_hidden) >= self.p_drop
             _, grad = mdl.forward_backward(self.spec, self.w, ex.x, target, hidden_mask=keep)
-            self.w -= self.eta * grad
+            grad *= self.eta  # in place, as in the SGD round
+            self.w -= grad
         return predicted
 
     def freeze(self) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 LOGISTIC = "logistic"
 MLP = "mlp"
+KINDS = (LOGISTIC, MLP)
 
 # Predictions are clamped to [Z_CLAMP, 1 - Z_CLAMP] before the loss.
 Z_CLAMP = 1e-12
@@ -144,12 +145,16 @@ def forward_backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     delta1 = (w2.T @ delta2) * act * (1.0 - act)
     if hidden_mask is not None:
         delta1 *= hidden_mask
-    grad = np.concatenate([
-        np.outer(delta1, x).ravel(),
-        delta1,
-        np.outer(delta2, hidden).ravel(),
-        delta2,
-    ])
+    # The outer products are written straight into the flat gradient. With a
+    # second d-sized temporary per call, malloc can hand the heap top back to
+    # the OS and fault it in again on every update, which at MLP scale costs
+    # more than the arithmetic.
+    grad = np.empty(spec.n_params)
+    g_w1, g_b1, g_w2, g_b2 = unpack_mlp(spec, grad)
+    np.outer(delta1, x, out=g_w1)
+    g_b1[:] = delta1
+    np.outer(delta2, hidden, out=g_w2)
+    g_b2[:] = delta2
     return z, grad
 
 

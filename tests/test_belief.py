@@ -238,6 +238,22 @@ def test_full_resync_fires_on_its_cadence():
     np.testing.assert_allclose(fixed.logdet, clean.logdet, rtol=1e-12)
 
 
+def test_snapshot_copies_diagonal_arrays_and_drops_the_full_factor():
+    diag = bel.diagonal_belief(np.arange(3.0), np.full(3, 0.5))
+    snap = bel.snapshot(diag)
+    assert not np.shares_memory(snap.mean, diag.mean)
+    assert not np.shares_memory(snap.variances, diag.variances)
+    np.testing.assert_array_equal(snap.mean, diag.mean)
+    np.testing.assert_array_equal(snap.variances, diag.variances)
+    full = bel.full_belief(np.arange(3.0), np.eye(3), np.full(3, 0.5))
+    snap = bel.snapshot(full)
+    assert snap.factor is None
+    assert snap.mean is full.mean and snap.inv_factor is full.inv_factor
+    assert bel.snapshot(snap) is snap
+    sph = bel.spherical_belief(np.arange(3.0), 0.5)
+    assert bel.snapshot(sph) is sph
+
+
 def test_validate_rejects_floor_violation():
     b = bel.BeliefState(bel.DIAGONAL, np.zeros(1), variances=np.array([1e-12]))
     with pytest.raises(ValueError):

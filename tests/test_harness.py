@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -70,6 +71,10 @@ def test_validate_rejects_bad_settings():
     with pytest.raises(ValueError, match="not found"):
         hns.validate_config(tiny_config(
             dataset={"format": "libsvm", "path": "/nonexistent/file.libsvm"}))
+    with pytest.raises(ValueError, match="unknown model kind 'mlpp'"):
+        hns.validate_config(tiny_config(model={"kind": "mlpp"}))
+    with pytest.raises(ValueError, match=r"missing file keys \['labels'\]"):
+        hns.validate_config(tiny_config(dataset={"format": "idx", "images": "a.idx"}))
 
 
 @pytest.mark.parametrize("algorithm", ["bflo", "arow"])
@@ -280,6 +285,52 @@ def test_run_online_names_run_and_round_of_a_non_finite_step(monkeypatch):
         hns.run_online(cfg, 2)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"dataset": {"format": "libsvmm", "path": "nope"}},
+     f"unknown dataset format 'libsvmm'; pick one of {tuple(hns.DATASET_KEYS)}"),
+    ({"learner": {"algorithm": "bflo", "variant": "diagnal"}},
+     f"unknown belief variant 'diagnal'; pick one of {bel.VARIANTS}"),
+    ({"learner": {"algorithm": "sgdd"}},
+     f"unknown learner algorithm 'sgdd'; pick one of {hns.LEARNER_TAGS}"),
+    ({"model": {"kind": "mlpp"}}, f"unknown model kind 'mlpp'; pick one of {mdl.KINDS}"),
+])
+def test_run_online_rejects_an_unknown_config_value(overrides, message):
+    # run_online does not validate the config, so each builder must refuse
+    # a value it does not know instead of falling through to another branch
+    with pytest.raises(ValueError, match=re.escape(message)):
+        hns.run_online(tiny_config(**overrides), 0)
+
+
+def test_run_online_diagonal_snapshots_stay_intact(tmp_path, monkeypatch):
+    # the learner writes its diagonal belief in place; each snapshot is a
+    # copy, so consecutive ones differ exactly on the coordinates one round
+    # moved (the active ones of its sparse example)
+    rng = np.random.default_rng(61)
+    X = rng.normal(size=(40, 8)) * (rng.random((40, 8)) < 0.3)
+    labels = (X.sum(axis=1) > 0).astype(np.int64)
+    ds = dat.Dataset("sparse", X, labels, labels.copy(), 8, 2, sparse=False)
+    monkeypatch.setattr(hns, "load_dataset", lambda dspec: ds)
+    active = []
+    real_step = lrn.BeliefFlowLearner.step
+
+    def recording_step(self, ex, rng):
+        active.append(mdl.active_subproblem(self.spec, ex.x)[1])
+        return real_step(self, ex, rng)
+
+    monkeypatch.setattr(lrn.BeliefFlowLearner, "step", recording_step)
+    path = tmp_path / "snapshots.bin"
+    hns.run_online(tiny_config(runs=1, snapshot_every=1), 0, path)
+    snaps = hns.read_snapshots(path)
+    assert [rnd for rnd, _ in snaps] == list(range(33))
+    prior = snaps[0][1]
+    np.testing.assert_array_equal(prior.mean, np.zeros(8))
+    np.testing.assert_array_equal(prior.variances, np.full(8, 0.2 * 0.2))
+    assert any(idx.size for idx in active) and any(idx.size < 8 for idx in active)
+    for (_, prev), (rnd, cur), idx in zip(snaps, snaps[1:], active):
+        np.testing.assert_array_equal(np.flatnonzero(prev.mean != cur.mean), idx)
+        np.testing.assert_array_equal(np.flatnonzero(prev.variances != cur.variances), idx)
+
+
 # ---------------------------------------------------------------------------
 # outputs
 
@@ -466,6 +517,27 @@ def test_cli_run_rejects_a_misspelt_dataset_key_without_outputs(tmp_path, capsys
     assert not out_dir.exists()
     captured = capsys.readouterr()
     assert "flip_fracton" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"model": {"kind": "mlpp"}}, "'mlpp'"),
+    ({"dataset": {"format": "csv", "label_column": 0}}, "'path'"),
+    ({"dataset": {"format": "libsvm"}}, "'path'"),
+    ({"dataset": {"format": "libsvm", "path": None}}, "'path'"),
+    ({"dataset": {"format": "idx", "images": "train-images.idx"}}, "'labels'"),
+])
+def test_cli_run_rejects_a_malformed_config_without_outputs(tmp_path, capsys, overrides, named):
+    # an unknown model kind used to build an MLP, a missing file key ended
+    # in a KeyError traceback and a null one in a TypeError traceback
+    cfg = tiny_config(**overrides)
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert named in captured.err
     assert captured.out == ""
 
 

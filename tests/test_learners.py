@@ -174,7 +174,7 @@ def test_bflo_diagonal_sparse_round_is_the_whole_belief_flow(spec, monkeypatch):
         return real_apply(belief, flow, w, w_prime)
 
     monkeypatch.setattr(fl, "apply_flow", recording_apply)
-    before = learner.belief
+    before = bel.snapshot(learner.belief)
     learner.step(ex, rng)
     monkeypatch.undo()
     after = learner.belief
@@ -231,7 +231,7 @@ def test_bflo_diagonal_round_touches_only_the_active_coordinates(monkeypatch):
 def test_bflo_diagonal_all_zero_input(spec, monkeypatch):
     rng = np.random.default_rng(43)
     learner = diagonal_learner(spec, rng, eta=0.5, m=2)
-    before = learner.belief
+    before = bel.snapshot(learner.belief)
     solves = count_solves(monkeypatch)
     assert learner.step(example(np.zeros(4), 1), rng) in (0, 1)
     assert len(solves) == 2
@@ -246,17 +246,51 @@ def test_bflo_diagonal_all_zero_input(spec, monkeypatch):
         assert not np.array_equal(learner.belief.mean[n_w1:], before.mean[n_w1:])
 
 
-def test_bflo_diagonal_keeps_earlier_beliefs_intact():
-    # snapshots hold earlier beliefs by reference
+@pytest.mark.parametrize("floored", [False, True])
+def test_bflo_diagonal_learners_leave_a_shared_prior_intact(floored):
+    # a diagonal learner writes its belief in place, so it must own a copy of
+    # the prior; a floored prior still carries the caller's mean array
     spec = mdl.logistic_model(5)
     rng = np.random.default_rng(47)
-    learner = diagonal_learner(spec, rng, eta=0.5)
-    first = learner.belief
-    mean0, var0 = first.mean.copy(), first.variances.copy()
-    for _ in range(5):
-        learner.step(example(rng.normal(size=5), 1), rng)
-    np.testing.assert_array_equal(first.mean, mean0)
-    np.testing.assert_array_equal(first.variances, var0)
+    variances = rng.uniform(0.01, 0.09, size=5)
+    if floored:
+        variances[0] = 1e-12
+    prior = bel.diagonal_belief(rng.normal(scale=0.3, size=5), variances)
+    mean0, var0 = prior.mean.copy(), prior.variances.copy()
+    learners = [lrn.BeliefFlowLearner(spec, prior, eta=0.5) for _ in range(2)]
+    for learner in learners:
+        for _ in range(5):
+            learner.step(example(rng.normal(size=5), 1), rng)
+    np.testing.assert_array_equal(prior.mean, mean0)
+    np.testing.assert_array_equal(prior.variances, var0)
+    assert not np.array_equal(learners[0].belief.mean, learners[1].belief.mean)
+
+
+def test_bflo_diagonal_non_finite_later_update_keeps_the_belief(monkeypatch):
+    # the round writes into the belief only after all m updates, so a failure
+    # at update 2 leaves it as update 1 found it
+    spec = mdl.logistic_model(4)
+    rng = np.random.default_rng(53)
+    learner = diagonal_learner(spec, rng, eta=0.5, m=3)
+    belief = learner.belief
+    before = bel.snapshot(belief)
+    calls = []
+    real_forward_backward = mdl.forward_backward
+
+    def poisoned(*args, **kwargs):
+        z, grad = real_forward_backward(*args, **kwargs)
+        calls.append(grad.shape[0])
+        if len(calls) == 2:
+            grad[0] = np.inf
+        return z, grad
+
+    monkeypatch.setattr(mdl, "forward_backward", poisoned)
+    with pytest.raises(lrn.NonFiniteStepError, match="bflo-diagonal update 2 of 3"):
+        learner.step(example([1.0, -0.5, 0.0, 2.0], 1), rng)
+    assert calls == [3, 3]
+    assert learner.belief is belief
+    np.testing.assert_array_equal(belief.mean, before.mean)
+    np.testing.assert_array_equal(belief.variances, before.variances)
 
 
 def test_bflo_prior_below_the_floor_is_floored():

@@ -69,6 +69,25 @@ class FlowSolution:
     s_hat: np.ndarray | None = None
 
 
+@dataclasses.dataclass(frozen=True)
+class FlowLog:
+    """A full belief given by the flows applied to the one before it.
+
+    Holds the mean and, in the order applied, the full-variant
+    FlowSolutions whose mu_hat, nu_hat and a2 (as applied, after any clamp)
+    move the previous W onto this one; see :func:`replay`. Snapshot files
+    store such deltas in place of W.
+    """
+
+    mean: np.ndarray
+    flows: tuple
+    variant = FULL
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
+
+
 def scalar_scale(u, v):
     """Positive-root scale of the 1-D flow problem; broadcasts over arrays.
 
@@ -266,18 +285,36 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
     a2 = flow.a2
     det = a2[0, 0] * a2[1, 1] - a2[0, 1] * a2[1, 0]
     inner = a2 - np.eye(2)
-    inv_inner = np.array([[a2[1, 1], -a2[0, 1]], [-a2[1, 0], a2[0, 0]]]) / det - np.eye(2)
     factor = root(belief)
     lb = factor @ basis
     # W (mu - w) = -u mu_hat, so A (mu - w) = (mu - w) - u L B (a2 - I) e1.
     mean = w_prime + (belief.mean - w) - flow.u * (lb @ inner[:, 0])
     factor = lb @ (inner @ basis.T) + factor
-    # The rank-2 product is a fresh array, so W adds to it in place.
-    inv_factor = basis @ (inv_inner @ (basis.T @ belief.inv_factor))
-    inv_factor += belief.inv_factor
+    inv_factor, _ = transport_inverse(belief.inv_factor, flow)
     logdet = log_det(belief) + 2.0 * math.log(abs(det))
     return BeliefState(FULL, mean, factor=factor, inv_factor=inv_factor, logdet=logdet,
                        age=belief.age + 1)
+
+
+def transport_inverse(inv_factor: np.ndarray,
+                      flow: FlowSolution) -> tuple[np.ndarray, np.ndarray]:
+    """W' = W + B (a2^{-1} - I) G for a full flow, with B = [mu_hat, nu_hat]
+    and G = B^T W; returns (W', G).
+
+    This is the whole of a full flow's effect on W, and both
+    :func:`apply_flow` and :func:`replay` call it, so a W replayed from
+    logged flows has the learner's bytes. G is what a trace row needs: the
+    precision W^T W moves by G^T (a2^{-T} a2^{-1} - I) G.
+    """
+    basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
+    a2 = flow.a2
+    det = a2[0, 0] * a2[1, 1] - a2[0, 1] * a2[1, 0]
+    inv_inner = np.array([[a2[1, 1], -a2[0, 1]], [-a2[1, 0], a2[0, 0]]]) / det - np.eye(2)
+    g = basis.T @ inv_factor
+    # The rank-2 product is a fresh array, so W adds to it in place.
+    moved = basis @ (inv_inner @ g)
+    moved += inv_factor
+    return moved, g
 
 
 def flow_matrix(belief: BeliefState, flow: FlowSolution) -> np.ndarray:
@@ -320,3 +357,25 @@ def _rotation_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     rot += (c - 1.0) * (np.outer(x, x) + np.outer(y_hat, y_hat))
     rot += s * (np.outer(y_hat, x) - np.outer(x, y_hat))
     return rot
+
+
+def replay(snapshots):
+    """Yield (round, belief, logged) for a sequence of snapshot records.
+
+    A :class:`FlowLog` becomes a full belief whose W is the previous one's
+    moved by each logged flow through :func:`transport_inverse`, as the
+    learner moved it, so the bytes are the learner's. Its logged are the
+    (G, a2) pair of each flow, G = B^T W before that flow; a BeliefState
+    comes through as it is, with logged None. Only the latest W is held.
+    """
+    inv_factor = None
+    for rnd, record in snapshots:
+        if not isinstance(record, FlowLog):
+            inv_factor = record.inv_factor
+            yield rnd, record, None
+            continue
+        logged = []
+        for flow in record.flows:
+            inv_factor, g = transport_inverse(inv_factor, flow)
+            logged.append((g, flow.a2))
+        yield rnd, BeliefState(FULL, record.mean, inv_factor=inv_factor), logged

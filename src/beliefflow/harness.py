@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -52,17 +53,22 @@ DATASET_KEYS = {
 DATASET_FILE_KEYS = {"libsvm": ("path",), "csv": ("path",), "idx": ("images", "labels"),
                      "synthetic": ()}
 
-# Full covariances above this dimension do not fit a desk-scale run.
+# Full covariances above this dimension do not fit a desk-scale run: a full
+# belief holds the 2 d^2 floats of L and W (snapshots hold one W per keyframe).
 FULL_VARIANT_MAX_DIM = 2000
 # Per-round entropy is recorded only below this dimension; above it the
 # entropy trace falls back to snapshot rounds.
 ENTROPY_EVERY_ROUND_MAX_DIM = 20000
 
 SNAPSHOT_MAGIC = b"BFSN"
-SNAPSHOT_VERSION = 2
+# Full beliefs are written as v3 (keyframes plus logged flows), the others as v2.
+SNAPSHOT_VERSIONS = {bel.FULL: 3, bel.DIAGONAL: 2, bel.SPHERICAL: 2}
 # After the magic: version, variant code, dimension, payload length.
 _HEADER_V1 = struct.Struct("<IBII")
 _HEADER_V2 = struct.Struct("<IIII4x")
+# A v3 record starts with its round, its kind and its update count.
+_RECORD_V3 = struct.Struct("<QII")
+_KEYFRAME, _DELTA = 0, 1
 _VARIANT_CODES = {bel.FULL: 0, bel.DIAGONAL: 1, bel.SPHERICAL: 2}
 _VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
 
@@ -156,21 +162,20 @@ def dataset_files(dspec: dict) -> list[Path]:
 
 
 def load_dataset(dspec: dict) -> dat.Dataset:
-    fmt = dspec.get("format")
+    files = dataset_files(dspec)  # rejects an unknown format or a missing file key
+    fmt = dspec["format"]
     name = dspec.get("name")
     if fmt == "libsvm":
-        return dat.parse_libsvm(dspec["path"], n_features=dspec.get("n_features"), name=name)
+        return dat.parse_libsvm(files[0], n_features=dspec.get("n_features"), name=name)
     if fmt == "csv":
-        return dat.parse_csv(dspec["path"], label_column=dspec.get("label_column", -1),
+        return dat.parse_csv(files[0], label_column=dspec.get("label_column", -1),
                              scale_minmax=dspec.get("scale_minmax", False), name=name)
     if fmt == "idx":
-        return dat.parse_idx(dspec["images"], dspec["labels"], name=name)
-    if fmt == "synthetic":
-        return dat.synthetic_linear(dspec.get("n", 2000), dspec.get("n_features", 20),
-                                    dspec.get("seed", 0),
-                                    flip_fraction=dspec.get("flip_fraction", 0.0),
-                                    name=name or "synthetic")
-    raise _unknown("dataset format", fmt, DATASET_KEYS)
+        return dat.parse_idx(files[0], files[1], name=name)
+    return dat.synthetic_linear(dspec.get("n", 2000), dspec.get("n_features", 20),
+                                dspec.get("seed", 0),
+                                flip_fraction=dspec.get("flip_fraction", 0.0),
+                                name=name or "synthetic")
 
 
 def build_model(mcfg: dict, dataset: dat.Dataset) -> mdl.ModelSpec:
@@ -261,6 +266,8 @@ def run_online(config: ExperimentConfig, run_index: int,
 
     A belief learner's entropy is recorded every round up to
     ENTROPY_EVERY_ROUND_MAX_DIM parameters, and at every snapshot round.
+    Given a snapshot_path, a belief learner's run keeps its snapshots (see
+    :func:`_snapshot_record`) and writes them there.
     """
     t0 = time.perf_counter()
     seed = config.base_seed + run_index
@@ -279,9 +286,12 @@ def run_online(config: ExperimentConfig, run_index: int,
     cadence = config.snapshot_every or max(1, math.ceil(n_train / 200))
     is_belief = isinstance(learner, lrn.BeliefFlowLearner)
     every_round = is_belief and spec.n_params <= ENTROPY_EVERY_ROUND_MAX_DIM
+    keep = is_belief and snapshot_path is not None
     mistakes = np.zeros(n_train, dtype=np.uint8)
     entropies = np.full(n_train, np.nan)
-    snapshots = [(0, bel.snapshot(learner.belief))] if is_belief else []
+    snapshot_rounds = []
+    snapshots = [(0, bel.snapshot(learner.belief))] if keep else []
+    age = learner.belief.age if is_belief else 0
     for i in range(n_train):
         ex = train.example(i)
         try:
@@ -294,9 +304,13 @@ def run_online(config: ExperimentConfig, run_index: int,
         if every_round or snapshot:
             entropies[i] = bel.entropy(learner.belief)
         if snapshot:
-            snapshots.append((rnd, bel.snapshot(learner.belief)))
+            snapshot_rounds.append(rnd)
+            flows, learner.flow_log = learner.flow_log, []
+            if keep:
+                snapshots.append((rnd, _snapshot_record(learner.belief, flows, age)))
+            age = learner.belief.age
     final_error = evaluate_error_pct(spec, learner.freeze(), test) if len(test) else float("nan")
-    if snapshot_path is not None and is_belief:
+    if keep:
         Path(snapshot_path).parent.mkdir(parents=True, exist_ok=True)
         write_snapshots(snapshot_path, snapshots)
     return RunReport(
@@ -306,12 +320,29 @@ def run_online(config: ExperimentConfig, run_index: int,
         n_test=len(test),
         mistakes=mistakes,
         entropies=entropies,
-        entropy_trace=[(rnd, float(entropies[rnd - 1])) for rnd, _ in snapshots[1:]],
+        entropy_trace=[(rnd, float(entropies[rnd - 1])) for rnd in snapshot_rounds],
         online_error_pct=100.0 * float(np.mean(mistakes)) if n_train else float("nan"),
         final_error_pct=final_error,
         wall_time_s=time.perf_counter() - t0,
         key=config_key(config),
     )
+
+
+def _snapshot_record(belief: bel.BeliefState, flows: list | None, age: int):
+    """What a run keeps of its belief at a snapshot round: the belief (a
+    keyframe) or, for a full belief, the flows its learner logged since the
+    previous record (a delta, as a ``flow.FlowLog``; see
+    :func:`write_snapshots`).
+
+    A delta is kept only where it rebuilds W from the previous record's W:
+    the learner kept its log (it drops one that outgrows W), and
+    ``correct_spectrum`` floored or re-synced nothing in between, which it
+    would show by resetting the belief's ``age`` (``age`` is its value at
+    the previous record).
+    """
+    if flows is not None and belief.variant == bel.FULL and belief.age == age + len(flows):
+        return fl.FlowLog(belief.mean, tuple(flows))
+    return bel.snapshot(belief)
 
 
 def parallel_workers(runs: int) -> int:
@@ -331,23 +362,32 @@ def parallel_workers(runs: int) -> int:
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Validate, run all runs (in parallel when allowed), write outputs.
 
-    The output directory is made only after the runs return, so a failed
-    run leaves none."""
+    The output directory and its outputs appear only after all runs
+    return, so a failed run leaves none. Run 0 writes its snapshots to a
+    hidden file beside the directory (so they never travel through the
+    pool), which becomes snapshots.bin once every run has returned and is
+    removed if one fails."""
     validate_config(config)
     out = Path(out_dir)
     workers = parallel_workers(config.runs)
     indices = range(config.runs)
-    snap_paths = [out / "snapshots.bin" if idx == 0 else None for idx in indices]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_online, [config] * config.runs, indices, snap_paths))
-    else:
-        reports = [run_online(config, idx, path) for idx, path in zip(indices, snap_paths)]
-    reports.sort(key=lambda r: r.run_index)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = summarize(config, reports)
-    write_summary(out / "summary.json", summary)
-    write_curve(out / "curve.csv", reports[0])
+    staged = out.parent / f".{out.name}.snapshots.{os.getpid()}.tmp"
+    snap_paths = [staged if idx == 0 else None for idx in indices]
+    try:
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(run_online, [config] * config.runs, indices, snap_paths))
+        else:
+            reports = [run_online(config, idx, path) for idx, path in zip(indices, snap_paths)]
+        reports.sort(key=lambda r: r.run_index)
+        out.mkdir(parents=True, exist_ok=True)
+        summary = summarize(config, reports)
+        write_summary(out / "summary.json", summary)
+        write_curve(out / "curve.csv", reports[0])
+        if staged.exists():
+            os.replace(staged, out / "snapshots.bin")
+    finally:
+        staged.unlink(missing_ok=True)
     return summary
 
 
@@ -447,8 +487,24 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str, encoding: str | None = None):
+    """Open a temporary file next to path for writing, and move it onto path
+    once the block finishes; if the block raises, remove it instead. So a
+    reader never sees a half-written output, and a failed write leaves none."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open(mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_summary(path, summary: dict) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with _replacing(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -456,7 +512,7 @@ def write_summary(path, summary: dict) -> None:
 def write_curve(path, report: RunReport) -> None:
     """Per-round curve for one run: round,cum_mistakes,entropy."""
     cum = np.cumsum(report.mistakes)
-    with Path(path).open("w", encoding="ascii") as fh:
+    with _replacing(path, "w", encoding="ascii") as fh:
         fh.write("round,cum_mistakes,entropy\n")
         for i in range(report.n_train):
             ent = report.entropies[i]
@@ -471,52 +527,75 @@ def _payload_len(variant: str, d: int, version: int) -> int:
 
 
 def write_snapshots(path, snapshots: list) -> None:
-    """Belief snapshots as a versioned little-endian record stream (v2).
+    """Belief snapshots as a versioned little-endian record stream.
 
     Header, 24 bytes: magic 'BFSN', u32 version, u32 variant code, u32
-    dimension d, u32 payload length p, 4 zero bytes. Records: u64 round,
-    then d + p float64 values: the mean, then the covariance payload. That
-    is W = L^{-1} row-major for full (the precision is W^T W), the
-    variances for diagonal and the variance for spherical. Every float64
-    starts on an 8-byte boundary, so a reader can use records in place.
+    dimension d, u32 payload length p, 4 zero bytes.
+
+    Diagonal and spherical beliefs are v2. Records: u64 round, then d + p
+    float64 values: the mean, then the variances (diagonal) or the variance
+    (spherical).
+
+    Full beliefs are v3, with p = d^2. A record starts with u64 round, u32
+    kind and u32 update count k, then the d floats of the mean. A keyframe
+    (kind 0, k = 0) goes on with W = L^{-1} row-major (the precision is
+    W^T W). A delta (kind 1), a ``flow.FlowLog``, goes on with mu_hat,
+    nu_hat and a2 (row-major) of each of the k flows applied since the
+    previous record, 2 d + 4 floats each; its W is the previous one moved
+    by each in turn (``flow.transport_inverse``). The first record is a
+    keyframe, and a FlowLog is written only where it rebuilds W (see
+    ``_snapshot_record``).
+
+    Every float64 starts on an 8-byte boundary, so a reader can use records
+    in place.
     """
     if not snapshots:
         raise ValueError("no snapshots to write")
     first = snapshots[0][1]
+    if isinstance(first, fl.FlowLog):
+        raise ValueError("the first snapshot must be a keyframe, not a flow log")
     variant, d = first.variant, first.dim
-    payload_len = _payload_len(variant, d, SNAPSHOT_VERSION)
-    with Path(path).open("wb") as fh:
+    version = SNAPSHOT_VERSIONS[variant]
+    payload_len = _payload_len(variant, d, version)
+
+    with _replacing(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(_HEADER_V2.pack(SNAPSHOT_VERSION, _VARIANT_CODES[variant], d, payload_len))
+        fh.write(_HEADER_V2.pack(version, _VARIANT_CODES[variant], d, payload_len))
         for rnd, state in snapshots:
             if state.variant != variant or state.dim != d:
                 raise ValueError("snapshots mix variants or dimensions")
-            if variant == bel.FULL:
-                payload = state.inv_factor
-            elif variant == bel.DIAGONAL:
-                payload = state.variances
+            if variant != bel.FULL:
+                fh.write(struct.pack("<Q", rnd))
+                arrays = [state.mean,
+                          state.variances if variant == bel.DIAGONAL else [state.variance]]
+            elif isinstance(state, fl.FlowLog):
+                fh.write(_RECORD_V3.pack(rnd, _DELTA, len(state.flows)))
+                arrays = [state.mean] + [a for f in state.flows for a in (f.mu_hat, f.nu_hat, f.a2)]
             else:
-                payload = np.array([state.variance])
-            fh.write(struct.pack("<Q", rnd))
-            fh.write(np.ascontiguousarray(state.mean, dtype="<f8"))
-            fh.write(np.ascontiguousarray(payload, dtype="<f8"))
+                fh.write(_RECORD_V3.pack(rnd, _KEYFRAME, 0))
+                arrays = [state.mean, state.inv_factor]
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_snapshots(path) -> list:
-    """Inverse of write_snapshots; returns [(round, BeliefState), ...].
+    """Inverse of write_snapshots; returns [(round, record), ...].
 
-    v2 records are read-only views into one buffer holding the file, so the
-    file is in memory once. A full v2 belief carries the mean and W only
-    (see ``belief.root``). Version 1 files are still read: a 17-byte header
-    (u8 variant code) and u32 rounds, with the full payload as U row-major
-    plus the eigenvalues of Sigma = U diag(D) U^T.
+    A record is a BeliefState, except for the deltas of a v3 file, which are
+    ``flow.FlowLog``s; ``flow.replay`` turns these into beliefs one at a
+    time. Records are read-only views into one buffer holding the file, so
+    the file is in memory once. A full belief read back carries the mean and
+    W only (see ``belief.root``). Version 2 files hold full beliefs as
+    keyframes only, in v2 records. Version 1 files are still read: a 17-byte
+    header (u8 variant code) and u32 rounds, with the full payload as U
+    row-major plus the eigenvalues of Sigma = U diag(D) U^T.
     """
     buf = np.fromfile(path, dtype=np.uint8)
     if buf[:4].tobytes() != SNAPSHOT_MAGIC or buf.size < 8:
         raise ValueError(f"{path}: not a snapshot file")
     buf.flags.writeable = False
     version = struct.unpack_from("<I", buf, 4)[0]
-    if version not in (1, 2):
+    if version not in (1, 2, 3):
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     header, round_fmt = (_HEADER_V1, "<I") if version == 1 else (_HEADER_V2, "<Q")
     offset = 4 + header.size
@@ -526,9 +605,13 @@ def read_snapshots(path) -> list:
     variant = _VARIANT_NAMES.get(code)
     if variant is None:
         raise ValueError(f"{path}: unknown variant code {code}")
+    if version == 3 and variant != bel.FULL:
+        raise ValueError(f"{path}: version 3 holds full beliefs only, not {variant}")
     if payload_len != _payload_len(variant, d, version):
         raise ValueError(f"{path}: payload length {payload_len} does not fit a {variant} "
                          f"belief of dimension {d}")
+    if version == 3:
+        return _read_flow_log(path, buf, offset, d)
     round_size = struct.calcsize(round_fmt)
     record = round_size + 8 * (d + payload_len)
     if (buf.size - offset) % record:
@@ -552,6 +635,42 @@ def read_snapshots(path) -> list:
     return snapshots
 
 
+def _read_flow_log(path, buf: np.ndarray, offset: int, d: int) -> list:
+    """The keyframe and delta records of a v3 file (see write_snapshots)."""
+    step = 2 * d + 4
+    snapshots = []
+    start = offset
+    while start < buf.size:
+        body = start + _RECORD_V3.size + 8 * d
+        if body > buf.size:
+            raise ValueError(f"{path}: truncated record at byte {start}")
+        rnd, kind, count = _RECORD_V3.unpack_from(buf, start)
+        if kind == _KEYFRAME:
+            end = body + 8 * d * d
+            if end > buf.size:
+                raise ValueError(f"{path}: truncated keyframe at byte {start}")
+        elif kind == _DELTA:
+            if not snapshots:
+                raise ValueError(f"{path}: delta at byte {start} comes before any keyframe")
+            end = body + 8 * count * step
+            if end > buf.size:
+                raise ValueError(f"{path}: truncated delta at byte {start}: its update count "
+                                 f"{count} runs past the end of the file")
+        else:
+            raise ValueError(f"{path}: unknown record kind {kind} at byte {start}")
+        mean = buf[start + _RECORD_V3.size:body].view("<f8")
+        vals = buf[body:end].view("<f8")
+        if kind == _KEYFRAME:
+            state = bel.BeliefState(bel.FULL, mean, inv_factor=vals.reshape(d, d))
+        else:
+            state = fl.FlowLog(mean, tuple(
+                fl.FlowSolution(bel.FULL, mu_hat=v[:d], nu_hat=v[d:2 * d], a2=v[2 * d:].reshape(2, 2))
+                for v in vals.reshape(count, step)))
+        snapshots.append((int(rnd), state))
+        start = end
+    return snapshots
+
+
 def write_trace(path, rows: list) -> None:
     """Pseudo-datapoint trace CSV: round,x,r_eigenvalues,rho,cum_rho.
 
@@ -564,7 +683,7 @@ def write_trace(path, rows: list) -> None:
             return ""
         return ";".join(_fmt(float(v)) for v in np.atleast_1d(arr))
 
-    with Path(path).open("w", encoding="ascii") as fh:
+    with _replacing(path, "w", encoding="ascii") as fh:
         fh.write("round,x,r_eigenvalues,rho,cum_rho\n")
         for row in rows:
             rho = "" if row.rho is None else _fmt(row.rho)
@@ -723,8 +842,9 @@ def _cmd_suite(args) -> int:
     for config in experiments:
         summary = run_experiment(config, out / config.name)
         agg = summary["aggregate"]
+        files = dataset_files(config.dataset)
         rows.append({
-            "dataset": config.dataset.get("name") or config.dataset.get("path", "synthetic"),
+            "dataset": config.dataset.get("name") or (str(files[0]) if files else "synthetic"),
             "learner": config.learner["algorithm"],
             "experiment": config.name,
             "final_error_pct": agg["final_error_pct"]["mean"],

@@ -20,6 +20,7 @@ import dataclasses
 
 import numpy as np
 
+from . import flow as fl
 from .belief import DIAGONAL, FULL, SPHERICAL, BeliefState, full_belief
 
 # Relative variance change below which a diagonal or spherical update counts
@@ -108,8 +109,13 @@ def _precision_change(prec0: np.ndarray, prec1: np.ndarray
     dprec = prec1 - prec0
     dprec = 0.5 * (dprec + dprec.T)
     evals = np.linalg.eigvalsh(dprec)
-    floor = prec0.shape[0] * np.finfo(float).eps * max(np.trace(prec0), np.trace(prec1))
+    floor = _roundoff_floor(prec0.shape[0], np.trace(prec0), np.trace(prec1))
     return dprec, evals, np.abs(evals) > floor
+
+
+def _roundoff_floor(d: int, trace0: float, trace1: float) -> float:
+    """d eps max(tr Sigma^{-1}, tr Sigma'^{-1})."""
+    return d * np.finfo(float).eps * max(trace0, trace1)
 
 
 def bayes_update_gaussian(prior: BeliefState, x, cov) -> BeliefState:
@@ -167,27 +173,38 @@ class TraceRow:
 def pseudo_trace(snapshots) -> list[TraceRow]:
     """Pseudo datapoints between consecutive belief snapshots of one run.
 
-    snapshots is a sequence of (round, BeliefState) pairs in round order.
-    Spherical runs also report rho = 1/lambda per row and its running sum;
-    identity intervals become degenerate marker rows and do not contribute
-    to the sum. Full-covariance rows report the informative-subspace
-    eigenvalues of R only (the location has no stable basis to live in).
+    snapshots is a sequence of (round, record) pairs in round order, as
+    ``harness.read_snapshots`` returns them; a ``flow.FlowLog`` record is
+    replayed (``flow.replay``), so only the latest W is held. Spherical
+    runs also report rho = 1/lambda per row and its running sum; identity
+    intervals become degenerate marker rows and do not contribute to the
+    sum. Full-covariance rows report the informative-subspace eigenvalues of
+    R only (the location has no stable basis to live in): from the logged
+    flows where the interval has them, else from the dense precisions.
     """
     rows: list[TraceRow] = []
     cum_rho = 0.0
-    prev_prec = None  # full runs: each snapshot's precision is built once
-    for (_, prev), (rnd, cur) in zip(snapshots, snapshots[1:]):
+    prev = prev_prec = None  # full runs: a dense route builds each precision once
+    for rnd, cur, logged in fl.replay(snapshots):
+        if prev is None:
+            prev = cur
+            continue
         if prev.variant != cur.variant:
             raise ValueError("snapshots mix belief variants")
         spherical = cur.variant == SPHERICAL
+        if logged is not None:
+            rows.append(_logged_trace_row(rnd, prev.inv_factor, cur.inv_factor, logged))
+            prev, prev_prec = cur, None
+            continue
         if cur.variant == FULL:
             if prev_prec is None:
                 prev_prec = _full_precision(prev)
             cur_prec = _full_precision(cur)
             rows.append(_full_trace_row(rnd, prev_prec, cur_prec))
-            prev_prec = cur_prec
+            prev, prev_prec = cur, cur_prec
             continue
         pd = extract_pseudo(prev, cur)
+        prev = cur
         if pd is None:
             rows.append(TraceRow(rnd, None, None, None,
                                  cum_rho if spherical else None, True))
@@ -212,6 +229,35 @@ def _full_trace_row(rnd: int, prev_prec: np.ndarray, cur_prec: np.ndarray) -> Tr
     reportable.
     """
     _, evals, informative = _precision_change(prev_prec, cur_prec)
+    return _eigen_row(rnd, evals, informative)
+
+
+def _logged_trace_row(rnd: int, prev_inv: np.ndarray, cur_inv: np.ndarray,
+                      logged: list) -> TraceRow:
+    """:func:`_full_trace_row` for an interval given by its logged flows.
+
+    Flow j moves the precision by G_j^T S_j G_j, with G_j = B_j^T W_{j-1}
+    and S_j = a2_j^{-T} a2_j^{-1} - I. So Sigma'^{-1} - Sigma^{-1} = H^T D H,
+    with H stacking the G_j and D block-diagonal in the S_j, and with
+    H^T = Q R its nonzero eigenvalues are those of the r x r matrix R D R^T
+    (r = 2 per flow): O(d r^2), against O(d^3) for the dense spectrum. The
+    roundoff floor is the dense route's.
+    """
+    if not logged:
+        return TraceRow(rnd, None, None, None, None, True)
+    r = np.linalg.qr(np.concatenate([g for g, _ in logged]).T, mode="r")
+    blocks = np.zeros((r.shape[1], r.shape[1]))
+    for j, (_, a2) in enumerate(logged):
+        inv = np.linalg.inv(a2)
+        blocks[2 * j:2 * j + 2, 2 * j:2 * j + 2] = inv.T @ inv - np.eye(2)
+    small = r @ blocks @ r.T
+    evals = np.linalg.eigvalsh(0.5 * (small + small.T))
+    floor = _roundoff_floor(prev_inv.shape[0], np.vdot(prev_inv, prev_inv),
+                            np.vdot(cur_inv, cur_inv))
+    return _eigen_row(rnd, evals, np.abs(evals) > floor)
+
+
+def _eigen_row(rnd: int, evals: np.ndarray, informative: np.ndarray) -> TraceRow:
     if not informative.any():
         return TraceRow(rnd, None, None, None, None, True)
     return TraceRow(rnd, None, 1.0 / evals[informative], None, None, False)

@@ -14,6 +14,7 @@ import pytest
 import beliefflow
 from beliefflow import belief as bel
 from beliefflow import data as dat
+from beliefflow import flow as fl
 from beliefflow import harness as hns
 from beliefflow import learners as lrn
 from beliefflow import models as mdl
@@ -293,6 +294,8 @@ def test_run_online_names_run_and_round_of_a_non_finite_step(monkeypatch):
     ({"learner": {"algorithm": "sgdd"}},
      f"unknown learner algorithm 'sgdd'; pick one of {hns.LEARNER_TAGS}"),
     ({"model": {"kind": "mlpp"}}, f"unknown model kind 'mlpp'; pick one of {mdl.KINDS}"),
+    ({"dataset": {"format": "libsvm"}}, "libsvm dataset is missing file keys ['path']"),
+    ({"dataset": {"format": "idx", "images": "i"}}, "idx dataset is missing file keys ['labels']"),
 ])
 def test_run_online_rejects_an_unknown_config_value(overrides, message):
     # run_online does not validate the config, so each builder must refuse
@@ -590,10 +593,10 @@ def test_cli_full_variant_run_trace_round_trip(tmp_path):
     assert hns.cli_main(["run", "--config", str(p), "--out", str(out)]) == 0
     snap = out / "snapshots.bin"
     version, code, d, payload_len = struct.unpack_from("<IIII", snap.read_bytes(), 4)
-    assert (version, code, d, payload_len) == (2, 0, 6, 36)  # v2 full: W only
+    assert (version, code, d, payload_len) == (3, 0, 6, 36)  # v3 full: keyframes hold W
     snaps = hns.read_snapshots(snap)
     assert [r for r, _ in snaps] == list(range(49))
-    state = snaps[-1][1]
+    state = list(fl.replay(snaps))[-1][1]
     assert state.variant == bel.FULL and state.factor is None
     # W read back is the inverse of the covariance's square root
     np.testing.assert_allclose(state.inv_factor @ bel.covariance(state) @ state.inv_factor.T,
@@ -631,6 +634,311 @@ def test_v1_full_snapshot_still_reads_and_traces(tmp_path):
     assert len((tmp_path / "t.csv").read_text().splitlines()) == 3
 
 
+# ---------------------------------------------------------------------------
+# snapshot v3: keyframes plus logged flows for full beliefs
+
+
+def full_config(**overrides):
+    raw = {"dataset": {"format": "synthetic", "n": 60, "n_features": 40, "seed": 5,
+                       "flip_fraction": 0.1},
+           "learner": {"algorithm": "bflo", "variant": "full", "eta": 0.5, "sigma_init": 0.2},
+           "runs": 1, "base_seed": 3}
+    learner = overrides.pop("learner", {})
+    raw.update(overrides)
+    raw["learner"] = dict(raw["learner"], **learner)
+    return tiny_config(**raw)
+
+
+def record_full_run(cfg, path, monkeypatch):
+    """Run cfg with a snapshot path; return the learner's (mean, W) after
+    each round, and whether correct_spectrum floored or re-synced in it."""
+    states, fixed = [], []
+    real_step, real_fix = lrn.BeliefFlowLearner.step, bel.correct_spectrum
+    fixes = []
+
+    def step(self, ex, rng):
+        fixes.clear()
+        out = real_step(self, ex, rng)
+        states.append((self.belief.mean, self.belief.inv_factor))
+        fixed.append(bool(fixes))
+        return out
+
+    def correct_spectrum(belief, *args):
+        out = real_fix(belief, *args)
+        if out is not belief:
+            fixes.append(True)
+        return out
+
+    monkeypatch.setattr(lrn.BeliefFlowLearner, "step", step)
+    monkeypatch.setattr(bel, "correct_spectrum", correct_spectrum)
+    hns.run_online(cfg, 0, path)
+    return states, fixed
+
+
+def assert_replay_has_the_learners_bytes(path, states):
+    records = hns.read_snapshots(path)
+    replayed = list(fl.replay(records))
+    assert replayed[0][2] is None  # round 0 is a keyframe
+    for rnd, belief, _ in replayed[1:]:
+        mean, inv_factor = states[rnd - 1]
+        assert belief.mean.tobytes() == mean.tobytes(), rnd
+        assert belief.inv_factor.tobytes() == inv_factor.tobytes(), rnd
+    return records
+
+
+@pytest.mark.parametrize("m, every, non_expansive", [
+    (1, 1, False), (1, 1, True), (3, 5, False), (3, 5, True), (2, None, True)])
+def test_replayed_w_has_the_learners_bytes_at_every_snapshot_round(tmp_path, monkeypatch,
+                                                                  m, every, non_expansive):
+    cfg = full_config(snapshot_every=every, learner={"m": m, "non_expansive": non_expansive})
+    path = tmp_path / "snapshots.bin"
+    states, fixed = record_full_run(cfg, path, monkeypatch)
+    assert not any(fixed)
+    records = assert_replay_has_the_learners_bytes(path, states)
+    counts = [len(rec.flows) for _, rec in records[1:]]  # every later record is a delta
+    assert max(counts) == m * (every or 1)
+
+
+def test_a_flow_log_that_outgrows_w_makes_keyframes(tmp_path, monkeypatch):
+    # d = 40: a flow takes 2 d + 4 = 84 floats, so 19 fit in the d^2 = 1600
+    # of W and 20 do not; m = 4 and snapshot_every 5 log 20 a snapshot,
+    # except over the last 3 of the 48 rounds
+    path = tmp_path / "snapshots.bin"
+    states, _ = record_full_run(full_config(snapshot_every=5, learner={"m": 4}), path,
+                                monkeypatch)
+    assert snapshot_kinds(path) == ["keyframe"] * 10 + ["delta"]
+    assert_replay_has_the_learners_bytes(path, states)
+    # stepped outside a run, the log is dropped, not kept growing
+    spec = mdl.logistic_model(40)
+    learner = lrn.BeliefFlowLearner(spec, bel.full_belief(np.zeros(40), np.eye(40),
+                                                          np.full(40, 0.04)), 0.5)
+    rng = np.random.default_rng(0)
+    sizes = []
+    for i in range(25):
+        x = rng.normal(size=40)
+        learner.step(dat.LabeledExample(x, i % 2, i % 2), rng)
+        sizes.append(None if learner.flow_log is None else len(learner.flow_log))
+    assert sizes[:19] == list(range(1, 20)) and sizes[19:] == [None] * 6
+
+
+def test_identity_rounds_log_no_flow(tmp_path, monkeypatch):
+    # an all-zero x has a zero gradient, so w' == w and the flow is the
+    # identity: nothing to log, and the delta after such a round is empty
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(20, 5))
+    X[::3] = 0.0
+    labels = (X[:, 0] > 0).astype(np.int64)
+    ds = dat.Dataset("zeros", X, labels, labels.copy(), 5, 2, sparse=False)
+    monkeypatch.setattr(hns, "load_dataset", lambda dspec: ds)
+    path = tmp_path / "snapshots.bin"
+    cfg = full_config(snapshot_every=1, shuffle=False, train_fraction=0.9)
+    states, _ = record_full_run(cfg, path, monkeypatch)
+    records = assert_replay_has_the_learners_bytes(path, states)
+    counts = [len(rec.flows) for _, rec in records[1:]]
+    assert counts == [int(X[i].any()) for i in range(18)]
+    rows = psd.pseudo_trace(records)
+    assert [row.degenerate for row in rows] == [c == 0 for c in counts]
+
+
+def snapshot_kinds(path):
+    return ["delta" if isinstance(rec, fl.FlowLog) else "keyframe"
+            for _, rec in hns.read_snapshots(path)]
+
+
+def test_full_run_writes_keyframes_where_the_spectrum_floor_applies(tmp_path, monkeypatch):
+    # this run's precision trace starts near 1000 and falls; a floor of
+    # 1/900 makes correct_spectrum take its SVD branch on the early rounds
+    real_fix = bel.correct_spectrum
+    monkeypatch.setattr(bel, "correct_spectrum", lambda belief: real_fix(belief, 1.0 / 900.0))
+    path = tmp_path / "snapshots.bin"
+    states, fixed = record_full_run(full_config(snapshot_every=1), path, monkeypatch)
+    assert 0 < sum(fixed) < len(fixed)
+    assert snapshot_kinds(path) == ["keyframe"] + ["keyframe" if f else "delta" for f in fixed]
+    assert_replay_has_the_learners_bytes(path, states)
+
+
+def test_full_run_writes_keyframes_at_its_resyncs(tmp_path, monkeypatch):
+    monkeypatch.setattr(bel, "RESYNC_EVERY", 3)
+    path = tmp_path / "snapshots.bin"
+    cfg = full_config(snapshot_every=2, learner={"non_expansive": True})
+    states, fixed = record_full_run(cfg, path, monkeypatch)
+    assert fixed[2::3] == [True] * len(fixed[2::3]) and sum(fixed) == len(fixed[2::3])
+    # the record that closes an interval with a re-sync in it is a keyframe
+    rounds = [rnd for rnd, _ in hns.read_snapshots(path)]
+    want = ["keyframe"] + ["keyframe" if any(fixed[a:b]) else "delta"
+                           for a, b in zip(rounds, rounds[1:])]
+    assert snapshot_kinds(path) == want and "delta" in want
+    assert_replay_has_the_learners_bytes(path, states)
+
+
+def small_flow_log_file(path, d=2):
+    rng = np.random.default_rng(3)
+    keyframe = bel.snapshot(bel.full_belief(rng.normal(size=d), np.eye(d), np.full(d, 0.5)))
+    basis = np.linalg.qr(rng.normal(size=(d, 2)))[0]
+    flow = fl.FlowSolution(bel.FULL, mu_hat=basis[:, 0], nu_hat=basis[:, 1],
+                           a2=fl.solve_2x2(1.0, 0.5, 0.7))
+    hns.write_snapshots(path, [(0, keyframe), (1, fl.FlowLog(rng.normal(size=d), (flow, flow)))])
+    return path.read_bytes()
+
+
+def test_read_snapshots_rejects_malformed_v3_input(tmp_path):
+    path = tmp_path / "v3.bin"
+    raw = small_flow_log_file(path)
+    header, record = 4 + hns._HEADER_V2.size, hns._RECORD_V3.size + 8 * (2 + 4)
+    delta_at = header + record
+    records = hns.read_snapshots(path)
+    assert [type(rec) for _, rec in records] == [bel.BeliefState, fl.FlowLog]
+    assert len(records[1][1].flows) == 2
+
+    def rejects(data, message):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            hns.read_snapshots(path)
+
+    rejects(raw[:header] + raw[delta_at:], "delta at byte 24 comes before any keyframe")
+    rejects(raw[:-8], f"truncated delta at byte {delta_at}")
+    rejects(raw[:delta_at + 10], f"truncated record at byte {delta_at}")
+    rejects(raw[:header + 40], "truncated keyframe at byte 24")
+    kind = bytearray(raw)
+    struct.pack_into("<I", kind, delta_at + 8, 7)
+    rejects(bytes(kind), f"unknown record kind 7 at byte {delta_at}")
+    count = bytearray(raw)
+    struct.pack_into("<I", count, delta_at + 12, 1000)
+    rejects(bytes(count), "update count 1000 runs past the end of the file")
+    diagonal = bytearray(raw)
+    struct.pack_into("<I", diagonal, 8, 1)
+    rejects(bytes(diagonal), "version 3 holds full beliefs only")
+    with pytest.raises(ValueError, match="first snapshot must be a keyframe"):
+        hns.write_snapshots(tmp_path / "x.bin", records[1:])
+
+
+def test_trace_of_a_flow_log_file_holds_one_w_at_a_time(tmp_path):
+    # d = 300 and 200 snapshots: a file of one W per snapshot would take
+    # 144 MB, which the trace command held in memory before v3
+    d, rng = 300, np.random.default_rng(17)
+    flows = []
+    for _ in range(199):
+        basis = np.linalg.qr(rng.normal(size=(d, 2)))[0]
+        u, v_par, v_perp = rng.uniform(0.2, 2.0, size=3)
+        flows.append(fl.FlowSolution(bel.FULL, mu_hat=basis[:, 0], nu_hat=basis[:, 1],
+                                     a2=fl.solve_2x2(u, v_par, v_perp)))
+    prior = bel.snapshot(bel.full_belief(np.zeros(d), np.eye(d), np.full(d, 0.04)))
+    snap = tmp_path / "snapshots.bin"
+    hns.write_snapshots(snap, [(0, prior)] + [(r + 1, fl.FlowLog(np.zeros(d), (f,)))
+                                              for r, f in enumerate(flows)])
+    assert snap.stat().st_size < 3_000_000
+    src = str(Path(beliefflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def peak_rss_kb(argv):
+        proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, argv
+        return usage.ru_maxrss
+
+    baseline = peak_rss_kb(["-c", "import beliefflow.harness"])
+    traced = peak_rss_kb(["-m", "beliefflow", "trace", "--snapshots", str(snap),
+                          "--out", str(tmp_path / "trace.csv")])
+    assert traced <= baseline + 20 * 1024, (traced, baseline)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(lines) == 1 + 199 and all(line.split(",")[2] for line in lines[1:])
+
+
+def test_logged_trace_rows_match_the_dense_route(tmp_path):
+    # the same run's rows, from the flow log and from every W as a keyframe
+    cfg = full_config(snapshot_every=2, learner={"m": 2, "eta": 0.05},
+                      dataset={"format": "synthetic", "n": 150, "n_features": 12, "seed": 8})
+    path = tmp_path / "snapshots.bin"
+    hns.run_online(cfg, 0, path)
+    records = hns.read_snapshots(path)
+    states = [(rnd, state) for rnd, state, _ in fl.replay(records)]
+    assert sum(isinstance(rec, fl.FlowLog) for _, rec in records) == len(records) - 1
+    logged, dense = psd.pseudo_trace(records), psd.pseudo_trace(states)
+    assert [r.round for r in logged] == [r.round for r in dense]
+    for a, b, (_, prev), (_, cur) in zip(logged, dense, states, states[1:]):
+        assert a.degenerate == b.degenerate, a.round
+        if a.degenerate:
+            continue
+        prec0 = prev.inv_factor.T @ prev.inv_factor
+        prec1 = cur.inv_factor.T @ cur.inv_factor
+        floor = 12 * np.finfo(float).eps * max(np.trace(prec0), np.trace(prec1))
+        assert a.eigenvalues.shape == b.eigenvalues.shape, a.round
+        np.testing.assert_allclose(1.0 / a.eigenvalues, 1.0 / b.eigenvalues, rtol=0, atol=floor)
+
+
+def test_v2_full_snapshot_still_reads_and_traces(tmp_path):
+    # version 2 wrote every full snapshot as the mean and W
+    cfg = full_config(dataset={"format": "synthetic", "n": 40, "n_features": 5, "seed": 2},
+                      snapshot_every=1)
+    path = tmp_path / "snapshots.bin"
+    hns.run_online(cfg, 0, path)
+    states = [(rnd, state) for rnd, state, _ in fl.replay(hns.read_snapshots(path))]
+    raw = hns.SNAPSHOT_MAGIC + hns._HEADER_V2.pack(2, 0, 5, 25)
+    for rnd, state in states:
+        raw += struct.pack("<Q", rnd) + state.mean.tobytes() + state.inv_factor.tobytes()
+    v2 = tmp_path / "v2.bin"
+    v2.write_bytes(raw)
+    again = hns.read_snapshots(v2)
+    assert [r for r, _ in again] == [r for r, _ in states]
+    for (_, a), (_, b) in zip(again, states):
+        assert a.inv_factor.tobytes() == b.inv_factor.tobytes()
+    assert hns.cli_main(["trace", "--snapshots", str(v2), "--out", str(tmp_path / "t2.csv")]) == 0
+    assert hns.cli_main(["trace", "--snapshots", str(path), "--out", str(tmp_path / "t3.csv")]) == 0
+    rows2 = (tmp_path / "t2.csv").read_text().splitlines()
+    rows3 = (tmp_path / "t3.csv").read_text().splitlines()
+    assert len(rows2) == len(rows3) == 1 + 32
+    assert [r.split(",")[2].count(";") for r in rows2] == [r.split(",")[2].count(";") for r in rows3]
+
+
+# ---------------------------------------------------------------------------
+# crash safety
+
+
+def test_a_failing_later_run_leaves_no_output_directory(tmp_path, monkeypatch):
+    # run 0 finishes, run 1 meets an inf feature; run 0's snapshots used to
+    # be written (with the directory) before run 1 started
+    monkeypatch.setenv("BFLO_THREADS", "1")
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 3))
+    labels = (X[:, 0] > 0).astype(np.int64)
+    bad = X.copy()
+    bad[:, 1] = np.inf
+    loads = iter([dat.Dataset("ok", X, labels, labels.copy(), 3, 2, sparse=False),
+                  dat.Dataset("bad", bad, labels, labels.copy(), 3, 2, sparse=False)])
+    monkeypatch.setattr(hns, "load_dataset", lambda dspec: next(loads))
+    out = tmp_path / "exp"
+    with pytest.raises(lrn.NonFiniteStepError, match="run 1 round 1"), \
+            np.errstate(invalid="ignore"):
+        hns.run_experiment(tiny_config(runs=2), out)
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Exploding:
+    round, x, eigenvalues, cum_rho = 2, None, None, None
+
+    @property
+    def rho(self):
+        raise RuntimeError("interrupted")
+
+
+def test_an_interrupted_write_leaves_neither_target_nor_temp_file(tmp_path):
+    row = psd.TraceRow(1, None, np.array([0.5]), None, None, False)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        hns.write_trace(tmp_path / "trace.csv", [row, _Exploding()])
+    assert list(tmp_path.iterdir()) == []
+    # a failed rewrite keeps the file that was there
+    hns.write_trace(tmp_path / "trace.csv", [row])
+    before = (tmp_path / "trace.csv").read_bytes()
+    diag = bel.diagonal_belief(np.zeros(2), np.ones(2))
+    sph = bel.spherical_belief(np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="mix variants"):
+        hns.write_snapshots(tmp_path / "trace.csv", [(0, diag), (1, sph)])
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+    assert (tmp_path / "trace.csv").read_bytes() == before
+
+
 def test_cli_suite(tmp_path):
     suite = {
         "experiments": [
@@ -648,6 +956,32 @@ def test_cli_suite(tmp_path):
     assert len(summary["results"]) == 2
     assert "mean_rank" in summary["ranks"]
     assert (tmp_path / "s" / "syn-bflo" / "summary.json").exists()
+
+
+def write_idx_pair(directory, seed):
+    rng = np.random.default_rng(seed)
+    directory.mkdir()
+    pixels = rng.integers(0, 256, size=(20, 2, 2)).astype(np.uint8)
+    labels = rng.integers(0, 3, size=20).astype(np.uint8)
+    (directory / "images").write_bytes(struct.pack(">IIII", 2051, 20, 2, 2) + pixels.tobytes())
+    (directory / "labels").write_bytes(struct.pack(">II", 2049, 20) + labels.tobytes())
+    return {"format": "idx", "images": str(directory / "images"),
+            "labels": str(directory / "labels")}
+
+
+def test_cli_suite_labels_unnamed_datasets_by_their_first_file(tmp_path):
+    a, b = write_idx_pair(tmp_path / "a", 1), write_idx_pair(tmp_path / "b", 2)
+    sgd = {"algorithm": "sgd", "eta": 0.05, "sigma_init": 0.2}
+    experiments = [tiny_config(name=name, runs=1, dataset=ds, learner=sgd,
+                               model={"kind": "mlp", "hidden": 3}).to_dict()
+                   for name, ds in (("idx-a", a), ("idx-b", b))]
+    experiments.append(tiny_config(name="syn", runs=1, learner=sgd).to_dict())
+    p = tmp_path / "suite.json"
+    p.write_text(json.dumps({"experiments": experiments}))
+    assert hns.cli_main(["suite", "--config", str(p), "--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s" / "suite_summary.json").read_text())
+    assert [r["dataset"] for r in summary["results"]] == [a["images"], b["images"], "synthetic"]
+    assert sorted(summary["ranks"]["per_dataset"]) == sorted([a["images"], b["images"], "synthetic"])
 
 
 def test_cli_rejects_duplicate_suite_names(tmp_path, capsys):

@@ -213,6 +213,7 @@ def test_full_trace_reports_nothing_where_a_clamped_run_did_not_move(tmp_path):
     hns.run_online(cfg, 0, tmp_path / "snapshots.bin")
     snapshots = hns.read_snapshots(tmp_path / "snapshots.bin")
     rows = psd.pseudo_trace(snapshots)
+    snapshots = [(rnd, state) for rnd, state, _ in fl.replay(snapshots)]
     unmoved = 0
     for row, ((_, prev), (_, cur)) in zip(rows, zip(snapshots, snapshots[1:])):
         dprec = cur.inv_factor.T @ cur.inv_factor - prev.inv_factor.T @ prev.inv_factor

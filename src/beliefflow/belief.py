@@ -283,9 +283,9 @@ def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> Belief
     Sigma = L L^T being at least lam_min. The check costs O(d^2):
     ||W||_F^2 = tr(Sigma^{-1}) bounds the largest precision 1/lambda_min(Sigma)
     from above, so a belief with ||W||_F^2 <= 1/lam_min passes untouched.
-    Only when that bound fails is L decomposed (SVD, O(d^3)); its singular
-    values are lifted to sqrt(lam_min) and L, W and log det are rebuilt
-    from the decomposition, which also re-syncs them.
+    Only when that bound fails is L decomposed (SVD, O(d^3)), and only when
+    a singular value is below sqrt(lam_min) is it lifted there and L, W
+    and log det rebuilt from the decomposition, which also re-syncs them.
 
     Otherwise W is recomputed from L (O(d^3)) once RESYNC_EVERY flow rounds
     have passed since the last sync, or as soon as the probe residual
@@ -304,18 +304,14 @@ def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> Belief
         return BeliefState(SPHERICAL, belief.mean, variance=lam_min)
     w = belief.inv_factor
     if float(np.vdot(w, w)) > 1.0 / lam_min:
-        return _floored(belief, lam_min)
+        u, s, vt = np.linalg.svd(root(belief))
+        if s[-1] < math.sqrt(lam_min):  # s is in descending order
+            s = np.maximum(s, math.sqrt(lam_min))
+            return BeliefState(FULL, belief.mean, factor=(u * s) @ vt,
+                               inv_factor=(vt.T / s) @ u.T, logdet=2.0 * float(np.sum(np.log(s))))
     if belief.age >= RESYNC_EVERY or _probe_residual(belief) > RESYNC_TOL:
         return full_belief_from_factor(belief.mean, root(belief))
     return belief
-
-
-def _floored(belief: BeliefState, lam_min: float) -> BeliefState:
-    """Full belief with the singular values of L lifted to sqrt(lam_min)."""
-    u, s, vt = np.linalg.svd(root(belief))
-    s = np.maximum(s, math.sqrt(lam_min))
-    return BeliefState(FULL, belief.mean, factor=(u * s) @ vt, inv_factor=(vt.T / s) @ u.T,
-                       logdet=2.0 * float(np.sum(np.log(s))))
 
 
 def _probe_residual(belief: BeliefState) -> float:

@@ -202,7 +202,8 @@ def make_learner(lcfg: dict, spec: mdl.ModelSpec, rng: np.random.Generator):
         var0 = sigma * sigma
         if variant == bel.FULL:
             if d > FULL_VARIANT_MAX_DIM:
-                raise ValueError(f"full covariance with {d} parameters is not desk-scale; "
+                raise ValueError(f"full covariance with {d} parameters is not desk-scale "
+                                 f"(the limit is {FULL_VARIANT_MAX_DIM}); "
                                  "use the diagonal or spherical variant")
             prior = bel.full_belief(np.zeros(d), np.eye(d), np.full(d, var0))
         elif variant == bel.DIAGONAL:
@@ -266,8 +267,10 @@ def run_online(config: ExperimentConfig, run_index: int,
 
     A belief learner's entropy is recorded every round up to
     ENTROPY_EVERY_ROUND_MAX_DIM parameters, and at every snapshot round.
-    Given a snapshot_path, a belief learner's run keeps its snapshots (see
-    :func:`_snapshot_record`) and writes them there.
+    Given a snapshot_path, a belief learner's run keeps its snapshots and
+    writes them there. A full belief's snapshot is a delta, the steps'
+    ``last_flows`` since the previous one (see :func:`write_snapshots`),
+    unless a step rebuilt W or the flows would take more floats than W.
     """
     t0 = time.perf_counter()
     seed = config.base_seed + run_index
@@ -287,11 +290,14 @@ def run_online(config: ExperimentConfig, run_index: int,
     is_belief = isinstance(learner, lrn.BeliefFlowLearner)
     every_round = is_belief and spec.n_params <= ENTROPY_EVERY_ROUND_MAX_DIM
     keep = is_belief and snapshot_path is not None
+    deltas = keep and learner.belief.variant == bel.FULL
+    # A delta holds 2 d + 4 floats a flow; past the d^2 of W, a keyframe is smaller.
+    max_flows = spec.n_params ** 2 // (2 * spec.n_params + 4)
     mistakes = np.zeros(n_train, dtype=np.uint8)
     entropies = np.full(n_train, np.nan)
     snapshot_rounds = []
     snapshots = [(0, bel.snapshot(learner.belief))] if keep else []
-    age = learner.belief.age if is_belief else 0
+    flows = [] if deltas else None  # since the last snapshot; None makes a keyframe
     for i in range(n_train):
         ex = train.example(i)
         try:
@@ -299,19 +305,24 @@ def run_online(config: ExperimentConfig, run_index: int,
         except lrn.NonFiniteStepError as exc:
             raise lrn.NonFiniteStepError(f"run {run_index} round {i + 1}: {exc}") from exc
         mistakes[i] = predicted != ex.true_label
+        if flows is not None:
+            applied = learner.last_flows
+            if applied is None or len(flows) + len(applied) > max_flows:
+                flows = None
+            else:
+                flows += applied
         rnd = i + 1
         snapshot = is_belief and (rnd % cadence == 0 or rnd == n_train)
         if every_round or snapshot:
             entropies[i] = bel.entropy(learner.belief)
         if snapshot:
             snapshot_rounds.append(rnd)
-            flows, learner.flow_log = learner.flow_log, []
             if keep:
-                snapshots.append((rnd, _snapshot_record(learner.belief, flows, age)))
-            age = learner.belief.age
+                snapshots.append((rnd, bel.snapshot(learner.belief) if flows is None
+                                  else fl.FlowLog(learner.belief.mean, tuple(flows))))
+            flows = [] if deltas else None
     final_error = evaluate_error_pct(spec, learner.freeze(), test) if len(test) else float("nan")
     if keep:
-        Path(snapshot_path).parent.mkdir(parents=True, exist_ok=True)
         write_snapshots(snapshot_path, snapshots)
     return RunReport(
         run_index=run_index,
@@ -326,23 +337,6 @@ def run_online(config: ExperimentConfig, run_index: int,
         wall_time_s=time.perf_counter() - t0,
         key=config_key(config),
     )
-
-
-def _snapshot_record(belief: bel.BeliefState, flows: list | None, age: int):
-    """What a run keeps of its belief at a snapshot round: the belief (a
-    keyframe) or, for a full belief, the flows its learner logged since the
-    previous record (a delta, as a ``flow.FlowLog``; see
-    :func:`write_snapshots`).
-
-    A delta is kept only where it rebuilds W from the previous record's W:
-    the learner kept its log (it drops one that outgrows W), and
-    ``correct_spectrum`` floored or re-synced nothing in between, which it
-    would show by resetting the belief's ``age`` (``age`` is its value at
-    the previous record).
-    """
-    if flows is not None and belief.variant == bel.FULL and belief.age == age + len(flows):
-        return fl.FlowLog(belief.mean, tuple(flows))
-    return bel.snapshot(belief)
 
 
 def parallel_workers(runs: int) -> int:
@@ -366,13 +360,15 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     return, so a failed run leaves none. Run 0 writes its snapshots to a
     hidden file beside the directory (so they never travel through the
     pool), which becomes snapshots.bin once every run has returned and is
-    removed if one fails."""
+    removed if one fails, along with the parent directories made for it."""
     validate_config(config)
     out = Path(out_dir)
     workers = parallel_workers(config.runs)
     indices = range(config.runs)
     staged = out.parent / f".{out.name}.snapshots.{os.getpid()}.tmp"
     snap_paths = [staged if idx == 0 else None for idx in indices]
+    made = [path for path in (out.parent, *out.parent.parents) if not path.exists()]
+    out.parent.mkdir(parents=True, exist_ok=True)
     try:
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -386,8 +382,12 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         write_curve(out / "curve.csv", reports[0])
         if staged.exists():
             os.replace(staged, out / "snapshots.bin")
-    finally:
+    except BaseException:
         staged.unlink(missing_ok=True)
+        for path in made:  # deepest first; one that is not empty stays
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     return summary
 
 
@@ -543,8 +543,7 @@ def write_snapshots(path, snapshots: list) -> None:
     nu_hat and a2 (row-major) of each of the k flows applied since the
     previous record, 2 d + 4 floats each; its W is the previous one moved
     by each in turn (``flow.transport_inverse``). The first record is a
-    keyframe, and a FlowLog is written only where it rebuilds W (see
-    ``_snapshot_record``).
+    keyframe; :func:`run_online` keeps a FlowLog only where it rebuilds W.
 
     Every float64 starts on an 8-byte boundary, so a reader can use records
     in place.

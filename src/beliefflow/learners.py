@@ -46,11 +46,11 @@ class BeliefFlowLearner:
     The learner owns a copy of a diagonal prior and writes each round's
     result into it on the active coordinates.
 
-    A full learner appends each flow it applies (not the identity ones) to
-    ``flow_log``; the run loop takes the log at snapshot rounds and stores
-    it in place of W (see ``harness.write_snapshots``). A log that would
-    take more than the d^2 floats of W (2 d + 4 a flow) is dropped: it
-    becomes None until it is taken, which makes that snapshot store W.
+    After a full learner's step, ``last_flows`` holds the flows it applied
+    (not the identity ones), or None when ``correct_spectrum`` rebuilt the
+    factor pair (a floor or a re-sync) at one of its updates; the run loop
+    gathers these into snapshots (``harness.run_online``). It is None for
+    the other variants, and nothing is kept across steps.
     """
 
     def __init__(self, spec: mdl.ModelSpec, prior: bel.BeliefState, eta: float,
@@ -63,7 +63,7 @@ class BeliefFlowLearner:
         self.eta = float(eta)
         self.m = update_count(m)
         self.non_expansive = non_expansive
-        self.flow_log = []
+        self.last_flows = None
 
     def step(self, ex: LabeledExample, rng: np.random.Generator) -> int:
         """One round: predict from the first draw, then m flow updates.
@@ -79,7 +79,7 @@ class BeliefFlowLearner:
         else:
             spec, idx, x, belief = self.spec, None, ex.x, self.belief
         predicted = None
-        applied = []
+        flows = [] if belief.variant == bel.FULL else None
         for i in range(self.m):
             w = bel.sample(belief, rng)
             z, grad = mdl.forward_backward(spec, w, x, target)
@@ -93,14 +93,13 @@ class BeliefFlowLearner:
             flow = fl.solve(belief, w, w_prime)
             if self.non_expansive:
                 flow = fl.clamp_nonexpansive(flow)
-            belief = fl.apply_flow(belief, flow, w, w_prime)
-            belief = bel.correct_spectrum(belief)
-            if belief.variant == bel.FULL and not flow.identity:
-                applied.append(flow)
-        if applied and self.flow_log is not None:
-            self.flow_log += applied
-            if len(self.flow_log) * (2 * belief.dim + 4) > belief.dim ** 2:
-                self.flow_log = None
+            moved = fl.apply_flow(belief, flow, w, w_prime)
+            belief = bel.correct_spectrum(moved)
+            if belief is not moved:
+                flows = None
+            elif flows is not None and not flow.identity:
+                flows.append(flow)
+        self.last_flows = flows
         if idx is None:
             self.belief = belief
         else:

@@ -210,6 +210,21 @@ def test_spectrum_floor_full_repairs_factor_pair():
     bel.validate(fixed, bel.LAMBDA_MIN)
 
 
+def test_spectrum_floor_full_leaves_a_belief_it_lifts_nothing_of():
+    # ||W||_F^2 = 40 / 0.04 = 1000 fails the O(d^2) bound 1 / lam_min = 900,
+    # but every variance is above lam_min: the SVD lifts nothing
+    rng = np.random.default_rng(53)
+    q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+    clean = bel.full_belief(np.zeros(40), q, np.full(40, 0.04))
+    assert float(np.vdot(clean.inv_factor, clean.inv_factor)) > 900.0
+    assert bel.correct_spectrum(clean, 1.0 / 900.0) is clean
+    # a re-sync that is due still runs
+    due = dataclasses.replace(clean, age=bel.RESYNC_EVERY)
+    fixed = bel.correct_spectrum(due, 1.0 / 900.0)
+    assert fixed is not due and fixed.age == 0
+    np.testing.assert_allclose(fixed.factor @ fixed.inv_factor, np.eye(40), atol=1e-12)
+
+
 def test_full_resync_repairs_injected_drift():
     rng = np.random.default_rng(43)
     clean = random_full(rng, 5)

@@ -1,5 +1,6 @@
 """Harness: configs, seeded runs, aggregation, file formats, CLI."""
 
+import dataclasses
 import json
 import os
 import re
@@ -708,17 +709,15 @@ def test_a_flow_log_that_outgrows_w_makes_keyframes(tmp_path, monkeypatch):
                                 monkeypatch)
     assert snapshot_kinds(path) == ["keyframe"] * 10 + ["delta"]
     assert_replay_has_the_learners_bytes(path, states)
-    # stepped outside a run, the log is dropped, not kept growing
+    # stepped outside a run, the learner holds its last step's flows only
     spec = mdl.logistic_model(40)
     learner = lrn.BeliefFlowLearner(spec, bel.full_belief(np.zeros(40), np.eye(40),
-                                                          np.full(40, 0.04)), 0.5)
+                                                          np.full(40, 0.04)), 0.5, m=3)
     rng = np.random.default_rng(0)
-    sizes = []
     for i in range(25):
         x = rng.normal(size=40)
         learner.step(dat.LabeledExample(x, i % 2, i % 2), rng)
-        sizes.append(None if learner.flow_log is None else len(learner.flow_log))
-    assert sizes[:19] == list(range(1, 20)) and sizes[19:] == [None] * 6
+        assert len(learner.last_flows) == 3
 
 
 def test_identity_rounds_log_no_flow(tmp_path, monkeypatch):
@@ -746,12 +745,14 @@ def snapshot_kinds(path):
 
 
 def test_full_run_writes_keyframes_where_the_spectrum_floor_applies(tmp_path, monkeypatch):
-    # this run's precision trace starts near 1000 and falls; a floor of
-    # 1/900 makes correct_spectrum take its SVD branch on the early rounds
+    # at eta 0.05 this run's smallest variance starts at the prior's 0.04
+    # and falls; a floor of 0.039 makes correct_spectrum lift it on some
+    # rounds and pass the others (and the prior) through
     real_fix = bel.correct_spectrum
-    monkeypatch.setattr(bel, "correct_spectrum", lambda belief: real_fix(belief, 1.0 / 900.0))
+    monkeypatch.setattr(bel, "correct_spectrum", lambda belief: real_fix(belief, 0.039))
     path = tmp_path / "snapshots.bin"
-    states, fixed = record_full_run(full_config(snapshot_every=1), path, monkeypatch)
+    states, fixed = record_full_run(full_config(snapshot_every=1, learner={"eta": 0.05}), path,
+                                    monkeypatch)
     assert 0 < sum(fixed) < len(fixed)
     assert snapshot_kinds(path) == ["keyframe"] + ["keyframe" if f else "delta" for f in fixed]
     assert_replay_has_the_learners_bytes(path, states)
@@ -769,6 +770,32 @@ def test_full_run_writes_keyframes_at_its_resyncs(tmp_path, monkeypatch):
                            for a, b in zip(rounds, rounds[1:])]
     assert snapshot_kinds(path) == want and "delta" in want
     assert_replay_has_the_learners_bytes(path, states)
+
+
+@pytest.mark.parametrize("eta, lam_min", [(0.5, 1.0 / 900.0), (0.05, 0.039), (0.5, None)],
+                         ids=["floor-lifts-nothing", "floor-lifts", "resync"])
+def test_a_rebuild_in_a_round_without_flows_makes_a_keyframe(tmp_path, monkeypatch, eta, lam_min):
+    # rows 1, 3 and 5 are all zero, so rounds 2, 4 and 6 apply no flow; a
+    # rebuild in such a round leaves the belief at the age 0 that a rebuild
+    # in the round before left it at. lam_min None re-syncs at every update.
+    cfg = full_config(snapshot_every=1, shuffle=False, learner={"eta": eta})
+    ds = hns.load_dataset(cfg.dataset)
+    X = ds.X.copy()
+    X[[1, 3, 5]] = 0.0
+    monkeypatch.setattr(hns, "load_dataset", lambda dspec: dataclasses.replace(ds, X=X))
+    real_fix = bel.correct_spectrum
+
+    def fix(belief):
+        if lam_min is None:
+            return bel.full_belief_from_factor(belief.mean, bel.root(belief))
+        return real_fix(belief, lam_min)
+
+    monkeypatch.setattr(bel, "correct_spectrum", fix)
+    path = tmp_path / "snapshots.bin"
+    states, fixed = record_full_run(cfg, path, monkeypatch)
+    assert snapshot_kinds(path) == ["keyframe"] + ["keyframe" if f else "delta" for f in fixed]
+    assert_replay_has_the_learners_bytes(path, states)
+    assert all(fixed) if lam_min is None else not all(fixed)
 
 
 def small_flow_log_file(path, d=2):
@@ -897,7 +924,8 @@ def test_v2_full_snapshot_still_reads_and_traces(tmp_path):
 
 def test_a_failing_later_run_leaves_no_output_directory(tmp_path, monkeypatch):
     # run 0 finishes, run 1 meets an inf feature; run 0's snapshots used to
-    # be written (with the directory) before run 1 started
+    # be written (with the directory) before run 1 started, and the parent
+    # directories made for the staging file used to stay
     monkeypatch.setenv("BFLO_THREADS", "1")
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 3))
@@ -905,14 +933,28 @@ def test_a_failing_later_run_leaves_no_output_directory(tmp_path, monkeypatch):
     bad = X.copy()
     bad[:, 1] = np.inf
     loads = iter([dat.Dataset("ok", X, labels, labels.copy(), 3, 2, sparse=False),
-                  dat.Dataset("bad", bad, labels, labels.copy(), 3, 2, sparse=False)])
+                  dat.Dataset("bad", bad, labels, labels.copy(), 3, 2, sparse=False)] * 3)
     monkeypatch.setattr(hns, "load_dataset", lambda dspec: next(loads))
-    out = tmp_path / "exp"
-    with pytest.raises(lrn.NonFiniteStepError, match="run 1 round 1"), \
-            np.errstate(invalid="ignore"):
-        hns.run_experiment(tiny_config(runs=2), out)
-    assert not out.exists()
-    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "exp", tmp_path / "a" / "b" / "exp", tmp_path / "kept" / "b" / "exp"):
+        with pytest.raises(lrn.NonFiniteStepError, match="run 1 round 1"), \
+                np.errstate(invalid="ignore"):
+            hns.run_experiment(tiny_config(runs=2), out)
+        assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
+def test_cli_run_rejects_a_full_belief_above_the_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hns, "FULL_VARIANT_MAX_DIM", 39)
+    d = mdl.logistic_model(40).n_params
+    config = tmp_path / "full.json"
+    config.write_text(json.dumps(full_config().to_dict()))
+    out = tmp_path / "a" / "b" / "exp"
+    assert hns.cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"full covariance with {d} parameters" in err and "the limit is 39" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["full.json"]
 
 
 class _Exploding:

@@ -91,11 +91,16 @@ print(f"  same stream with 15% flipped labels: net cum_rho {last_noisy.cum_rho:.
 print("  the only change is the labels, and the trace shows the cost directly:")
 print("  noise drains a large share of the evidence the stream could carry.")
 
-# the same table the command line writes with: beliefflow trace
+# the same files the command line writes with: beliefflow trace. trace.csv
+# keeps one narrow row per interval (counts and sums over the finite R);
+# the x and R vectors themselves go to trace.bin, read back by read_trace
 with tempfile.TemporaryDirectory() as tmp:
     out_csv = Path(tmp) / "trace.csv"
     hn.write_trace(out_csv, rows)
     head = out_csv.read_text().splitlines()[:3]
+    rnd, x, r = hn.read_trace(out_csv.with_suffix(".bin"))[0]
 print("\n  trace.csv head:")
 for line in head:
     print("   ", line)
+print(f"\n  trace.bin, round {rnd}: R = {r}, x =")
+print("   ", np.array2string(x, precision=3, max_line_width=72).replace("\n", "\n    "))

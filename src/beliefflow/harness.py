@@ -10,6 +10,10 @@ Outputs per experiment directory:
   summary.json   config echo, per-run reports, aggregate statistics
   curve.csv      per-round cumulative mistakes and belief entropy (run 0)
   snapshots.bin  belief snapshots at the configured cadence (run 0)
+
+The trace command turns a snapshot file into two more:
+  trace.csv      one narrow row per snapshot interval (see write_trace)
+  trace.bin      the pseudo datapoints' x and R vectors (see read_trace)
 """
 
 from __future__ import annotations
@@ -72,6 +76,12 @@ _KEYFRAME, _DELTA = 0, 1
 _VARIANT_CODES = {bel.FULL: 0, bel.DIAGONAL: 1, bel.SPHERICAL: 2}
 _VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
 
+TRACE_MAGIC = b"BFTR"
+TRACE_VERSION = 1
+TRACE_COLUMNS = "round,informative,forgetting,precision_gained,r_min,r_max,rho,cum_rho"
+# A trace.bin record starts with its round and the lengths of x and R.
+_TRACE_RECORD = struct.Struct("<QII")
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -119,10 +129,33 @@ def _unknown(what: str, value, known) -> ValueError:
     return ValueError(f"unknown {what} {value!r}; pick one of {tuple(known)}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass but not a count or a seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(config: ExperimentConfig) -> None:
     """Surface config and file errors before any computation or output."""
-    if config.runs < 1:
-        raise ValueError("runs must be at least 1")
+    if not isinstance(config.name, str):
+        raise ValueError(f"name must be a string, got {config.name!r}")
+    for key in ("dataset", "learner", "model"):
+        value = getattr(config, key)
+        if not isinstance(value, dict):
+            raise ValueError(f"{key} must be an object, got {value!r}")
+    if not _is_int(config.runs) or config.runs < 1:
+        raise ValueError(f"runs must be an integer of at least 1, got {config.runs!r}")
+    if not _is_int(config.base_seed):
+        raise ValueError(f"base_seed must be an integer, got {config.base_seed!r}")
+    if config.snapshot_every is not None and (not _is_int(config.snapshot_every)
+                                              or config.snapshot_every < 1):
+        raise ValueError("snapshot_every must be null or an integer of at least 1, "
+                         f"got {config.snapshot_every!r}")
+    if not isinstance(config.shuffle, bool):
+        raise ValueError(f"shuffle must be true or false, got {config.shuffle!r}")
+    for key in ("train_fraction", "noise_fraction"):
+        value = getattr(config, key)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{key} must be a number, got {value!r}")
     if not 0.0 < config.train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     if not 0.0 <= config.noise_fraction <= 1.0:
@@ -671,23 +704,73 @@ def _read_flow_log(path, buf: np.ndarray, offset: int, d: int) -> list:
 
 
 def write_trace(path, rows: list) -> None:
-    """Pseudo-datapoint trace CSV: round,x,r_eigenvalues,rho,cum_rho.
+    """Pseudo-datapoint trace (``pseudo.TraceRow``s) as two files.
 
-    Vector fields are semicolon-joined; degenerate (identity) intervals keep
-    their round number and leave the value fields empty.
+    path gets a CSV with one row per interval, TRACE_COLUMNS: the round; the
+    count of finite R values (informative) and of those below 0
+    (forgetting); over the finite R, the precision gained sum(1/R), min R
+    and max R; then rho and cum_rho (spherical only). An idle interval,
+    with no finite R, counts 0,0 and leaves the other fields empty, except
+    a spherical row's cum_rho.
+
+    path.with_suffix('.bin') gets the vectors as a little-endian record
+    stream: magic 'BFTR', u32 version, then per row u64 round, u32 n_x,
+    u32 n_r, and n_x float64 values of x and n_r of R (both 0 on an idle
+    interval). Every float64 starts on an 8-byte boundary. Both files are
+    moved onto their names only once both are complete.
     """
-
-    def join(arr):
-        if arr is None:
-            return ""
-        return ";".join(_fmt(float(v)) for v in np.atleast_1d(arr))
-
-    with _replacing(path, "w", encoding="ascii") as fh:
-        fh.write("round,x,r_eigenvalues,rho,cum_rho\n")
+    path = Path(path)
+    vectors = path.with_suffix(".bin")
+    if vectors == path:
+        raise ValueError(f"{path}: the trace CSV must not end in .bin; its vectors go there")
+    with _replacing(path, "w", encoding="ascii") as fh, _replacing(vectors, "wb") as fb:
+        fh.write(TRACE_COLUMNS + "\n")
+        fb.write(TRACE_MAGIC + struct.pack("<I", TRACE_VERSION))
         for row in rows:
-            rho = "" if row.rho is None else _fmt(row.rho)
-            cum = "" if row.cum_rho is None else _fmt(row.cum_rho)
-            fh.write(f"{row.round},{join(row.x)},{join(row.eigenvalues)},{rho},{cum}\n")
+            x, r = (np.zeros(0) if v is None else np.ascontiguousarray(v, dtype="<f8").ravel()
+                    for v in (row.x, row.eigenvalues))
+            fb.write(_TRACE_RECORD.pack(row.round, x.size, r.size))
+            fb.write(x)
+            fb.write(r)
+            finite = r[np.isfinite(r)]
+            fields = [row.round, finite.size, int(np.count_nonzero(finite < 0.0))]
+            if finite.size:
+                fields += [_fmt(np.sum(1.0 / finite)),
+                           _fmt(finite.min()), _fmt(finite.max())]
+            else:
+                fields += ["", "", ""]
+            fields += ["" if v is None else _fmt(v) for v in (row.rho, row.cum_rho)]
+            fh.write(",".join(map(str, fields)) + "\n")
+
+
+def read_trace(path) -> list:
+    """The vectors write_trace put in path (a trace.bin): [(round, x, R), ...].
+
+    x and R are read-only views into one buffer holding the file; both are
+    empty on an idle interval, and x is empty on a full-covariance one.
+    """
+    buf = np.fromfile(path, dtype=np.uint8)
+    if buf.size < 8 or buf[:4].tobytes() != TRACE_MAGIC:
+        raise ValueError(f"{path}: not a trace file")
+    buf.flags.writeable = False
+    version = struct.unpack_from("<I", buf, 4)[0]
+    if version != TRACE_VERSION:
+        raise ValueError(f"{path}: unsupported trace version {version}")
+    records = []
+    start = 8
+    while start < buf.size:
+        body = start + _TRACE_RECORD.size
+        if body > buf.size:
+            raise ValueError(f"{path}: truncated record at byte {start}")
+        rnd, n_x, n_r = _TRACE_RECORD.unpack_from(buf, start)
+        end = body + 8 * (n_x + n_r)
+        if end > buf.size:
+            raise ValueError(f"{path}: truncated record at byte {start}: its {n_x} + {n_r} "
+                             "values run past the end of the file")
+        vals = buf[body:end].view("<f8")
+        records.append((int(rnd), vals[:n_x], vals[n_x:]))
+        start = end
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -831,11 +914,11 @@ def _cmd_suite(args) -> int:
     with Path(args.config).open("r", encoding="utf-8") as fh:
         raw = json.load(fh)
     experiments = [ExperimentConfig.from_dict(e) for e in raw["experiments"]]
+    for config in experiments:
+        validate_config(config)
     names = [e.name for e in experiments]
     if len(set(names)) != len(names):
         raise ValueError("experiment names in a suite must be unique")
-    for config in experiments:
-        validate_config(config)
     out = Path(args.out)
     rows = []
     for config in experiments:
@@ -870,5 +953,5 @@ def _cmd_trace(args) -> int:
     snapshots = read_snapshots(args.snapshots)
     rows = psd.pseudo_trace(snapshots)
     write_trace(args.out, rows)
-    print(f"{len(rows)} trace rows -> {args.out}")
+    print(f"{len(rows)} trace rows -> {args.out}, {Path(args.out).with_suffix('.bin')}")
     return 0

@@ -160,7 +160,14 @@ def bayes_update_gaussian(prior: BeliefState, x, cov) -> BeliefState:
 
 @dataclasses.dataclass(frozen=True)
 class TraceRow:
-    """One snapshot-to-snapshot pseudo extraction, ready for CSV."""
+    """One snapshot-to-snapshot pseudo extraction (``harness.write_trace``).
+
+    eigenvalues holds R: its informative eigenvalues for full beliefs (x is
+    None), the single lambda for spherical ones, and the whole diagonal for
+    diagonal ones, so a value's position is its coordinate; a coordinate
+    the interval did not touch has R = +inf, and its x is the mean there.
+    Both are None on a degenerate (identity) interval.
+    """
 
     round: int
     x: np.ndarray | None
@@ -215,8 +222,7 @@ def pseudo_trace(snapshots) -> list[TraceRow]:
             cum_rho += rho
             rows.append(TraceRow(rnd, pd.x, np.array([lam]), rho, cum_rho, False))
         else:
-            finite = np.isfinite(pd.cov)
-            rows.append(TraceRow(rnd, pd.x[finite], pd.cov[finite], None, None, False))
+            rows.append(TraceRow(rnd, pd.x, pd.cov, None, None, False))
     return rows
 
 

@@ -339,8 +339,9 @@ def test_criterion_10_determinism_mushroom():
                     "modulo wall-time fields")
 
 
-def test_criterion_10_determinism_synthetic_proxy(tmp_path):
-    # always-run stand-in exercising the same code path on generated data
+def test_criterion_10_determinism_synthetic_proxy(tmp_path, monkeypatch):
+    # always-run stand-in exercising the same code path on generated data:
+    # two repeats on 2 workers and one on 1, each traced
     cfg = hns.ExperimentConfig(
         name="det-proxy",
         dataset={"format": "synthetic", "n": 500, "n_features": 12, "seed": 9},
@@ -349,10 +350,15 @@ def test_criterion_10_determinism_synthetic_proxy(tmp_path):
         runs=3,
         base_seed=77,
     )
-    a = hns.run_experiment(cfg, tmp_path / "a")
-    b = hns.run_experiment(cfg, tmp_path / "b")
-    ok = scrubbed(a) == scrubbed(b) \
-        and (tmp_path / "a" / "curve.csv").read_bytes() == (tmp_path / "b" / "curve.csv").read_bytes() \
-        and (tmp_path / "a" / "snapshots.bin").read_bytes() == (tmp_path / "b" / "snapshots.bin").read_bytes()
-    verdict("10*", ok, "determinism (synthetic proxy): summary, curve, and snapshots "
-                       "byte-identical across repeats")
+    files = ("curve.csv", "snapshots.bin", "trace.csv", "trace.bin")
+    outputs = []
+    for label, workers in (("a", "2"), ("b", "2"), ("c", "1")):
+        monkeypatch.setenv("BFLO_THREADS", workers)
+        out = tmp_path / label
+        summary = hns.run_experiment(cfg, out)
+        assert hns.cli_main(["trace", "--snapshots", str(out / "snapshots.bin"),
+                             "--out", str(out / "trace.csv")]) == 0
+        outputs.append([scrubbed(summary)] + [(out / name).read_bytes() for name in files])
+    ok = outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    verdict("10*", ok, "determinism (synthetic proxy): summary, curve, snapshots and trace "
+                       "byte-identical across repeats and across 1 and 2 workers")

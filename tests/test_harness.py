@@ -545,6 +545,31 @@ def test_cli_run_rejects_a_malformed_config_without_outputs(tmp_path, capsys, ov
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key, value", [
+    ("snapshot_every", 0), ("snapshot_every", -3), ("snapshot_every", 2.5),
+    ("runs", 1.5), ("runs", "2"), ("runs", True),
+    ("train_fraction", "0.5"), ("noise_fraction", None),
+    ("base_seed", 1.5), ("shuffle", "no"),
+    ("name", 3), ("learner", "bflo"), ("model", None), ("dataset", []),
+])
+def test_cli_run_rejects_a_malformed_top_level_value_without_outputs(tmp_path, capsys,
+                                                                     key, value):
+    # a bad snapshot_every used to run at some other cadence, "shuffle": "no"
+    # shuffled, a string or fractional count ended in a TypeError traceback,
+    # and so did a section that is not an object
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "synthetic_quick.json").read_text())
+    raw[key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(p), "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert f"error: {key} must be" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_run_rejects_an_unknown_learner_key_without_outputs(tmp_path, capsys):
     cfg = tiny_config(learner={"algorithm": "bflo", "sigma": 5.0})
     out_dir = tmp_path / "never"
@@ -574,15 +599,19 @@ def test_cli_verify_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_cli_trace_round_trip(tmp_path):
+def test_cli_trace_round_trip(tmp_path, capsys):
     p = write_config(tmp_path, tiny_config(runs=1))
     assert hns.cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
     code = hns.cli_main(["trace", "--snapshots", str(tmp_path / "o" / "snapshots.bin"),
                          "--out", str(tmp_path / "o" / "trace.csv")])
     assert code == 0
     lines = (tmp_path / "o" / "trace.csv").read_text().splitlines()
-    assert lines[0] == "round,x,r_eigenvalues,rho,cum_rho"
+    assert lines[0] == "round,informative,forgetting,precision_gained,r_min,r_max,rho,cum_rho"
     assert len(lines) > 1
+    vectors = hns.read_trace(tmp_path / "o" / "trace.bin")
+    assert len(vectors) == len(lines) - 1
+    assert str(tmp_path / "o" / "trace.bin") in capsys.readouterr().out
 
 
 def test_cli_full_variant_run_trace_round_trip(tmp_path):
@@ -608,7 +637,7 @@ def test_cli_full_variant_run_trace_round_trip(tmp_path):
     assert hns.cli_main(["trace", "--snapshots", str(snap), "--out", str(out / "trace.csv")]) == 0
     lines = (out / "trace.csv").read_text().splitlines()
     assert len(lines) == 1 + 48
-    assert all(line.split(",")[2] for line in lines[1:])  # informative eigenvalues
+    assert all(int(line.split(",")[1]) > 0 for line in lines[1:])  # informative eigenvalues
 
 
 def test_v1_full_snapshot_still_reads_and_traces(tmp_path):
@@ -869,7 +898,7 @@ def test_trace_of_a_flow_log_file_holds_one_w_at_a_time(tmp_path):
                           "--out", str(tmp_path / "trace.csv")])
     assert traced <= baseline + 20 * 1024, (traced, baseline)
     lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert len(lines) == 1 + 199 and all(line.split(",")[2] for line in lines[1:])
+    assert len(lines) == 1 + 199 and all(int(line.split(",")[1]) > 0 for line in lines[1:])
 
 
 def test_logged_trace_rows_match_the_dense_route(tmp_path):
@@ -915,7 +944,112 @@ def test_v2_full_snapshot_still_reads_and_traces(tmp_path):
     rows2 = (tmp_path / "t2.csv").read_text().splitlines()
     rows3 = (tmp_path / "t3.csv").read_text().splitlines()
     assert len(rows2) == len(rows3) == 1 + 32
-    assert [r.split(",")[2].count(";") for r in rows2] == [r.split(",")[2].count(";") for r in rows3]
+    assert [r.split(",")[:2] for r in rows2] == [r.split(",")[:2] for r in rows3]
+
+
+# ---------------------------------------------------------------------------
+# trace.csv and trace.bin
+
+
+def trace_records(tmp_path, route):
+    """Snapshot records of a small run of each variant; "full-dense" gives
+    the full run's replayed beliefs, which take the dense trace route."""
+    path = tmp_path / "snapshots.bin"
+    if route.startswith("full"):
+        cfg = full_config(snapshot_every=2, learner={"m": 2, "eta": 0.05},
+                          dataset={"format": "synthetic", "n": 150, "n_features": 12, "seed": 8})
+    else:
+        cfg = tiny_config(runs=1, snapshot_every=3,
+                          learner={"algorithm": "bflo", "variant": route, "eta": 0.05,
+                                   "sigma_init": 0.2})
+    hns.run_online(cfg, 0, path)
+    records = hns.read_snapshots(path)
+    if route == "full-dense":
+        return [(rnd, state) for rnd, state, _ in fl.replay(records)]
+    return records
+
+
+def vector(values):
+    return np.zeros(0) if values is None else np.asarray(values, dtype="<f8").ravel()
+
+
+@pytest.mark.parametrize("route", ["diagonal", "spherical", "full-logged", "full-dense"])
+def test_trace_files_hold_each_rows_vectors_and_their_summary(tmp_path, route):
+    records = trace_records(tmp_path, route)
+    rows = psd.pseudo_trace(records)
+    assert rows and not all(row.degenerate for row in rows)
+    hns.write_trace(tmp_path / "trace.csv", rows)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[0] == hns.TRACE_COLUMNS
+    vectors = hns.read_trace(tmp_path / "trace.bin")
+    assert len(vectors) == len(lines) - 1 == len(rows)
+    d = records[0][1].dim
+    for row, line, (rnd, x, r) in zip(rows, lines[1:], vectors):
+        assert rnd == row.round and not x.flags.writeable and not r.flags.writeable
+        assert x.tobytes() == vector(row.x).tobytes(), rnd
+        assert r.tobytes() == vector(row.eigenvalues).tobytes(), rnd
+        if route == "diagonal" and not row.degenerate:
+            assert x.size == r.size == d  # a value's position is its coordinate
+        finite = r[np.isfinite(r)]
+        fields = line.split(",")
+        assert int(fields[0]) == rnd
+        assert int(fields[1]) == finite.size and int(fields[2]) == np.sum(finite < 0)
+        if finite.size:
+            assert float(fields[3]) == np.sum(1.0 / finite)
+            assert (float(fields[4]), float(fields[5])) == (finite.min(), finite.max())
+        else:
+            assert fields[3:6] == ["", "", ""]
+        assert [float(f) if f else None for f in fields[6:]] == [row.rho, row.cum_rho]
+
+
+def test_trace_csv_rows_for_each_kind_of_interval(tmp_path):
+    rows = [psd.TraceRow(1, np.array([1.0, 2.0]), np.array([0.5]), 2.0, 2.0, False),
+            psd.TraceRow(2, None, None, None, 2.0, True),  # spherical, idle
+            psd.TraceRow(3, None, None, None, None, True),
+            psd.TraceRow(4, np.array([3.0, 7.0, 5.0]), np.array([4.0, np.inf, -0.25]),
+                         None, None, False),
+            psd.TraceRow(5, None, np.array([-1.0, 0.5]), None, None, False)]
+    hns.write_trace(tmp_path / "trace.csv", rows)
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1:] == [
+        "1,1,0,2,0.5,0.5,2,2",
+        "2,0,0,,,,,2",
+        "3,0,0,,,,,",
+        "4,2,1,-3.75,-0.25,4,,",
+        "5,2,1,1,-1,0.5,,",
+    ]
+    raw = (tmp_path / "trace.bin").read_bytes()
+    assert raw[:8] == b"BFTR" + struct.pack("<I", 1)
+    assert raw[8:24] == struct.pack("<QII", 1, 2, 1)
+    assert len(raw) == 8 + 5 * 16 + 8 * (3 + 0 + 0 + 6 + 2)
+    got = hns.read_trace(tmp_path / "trace.bin")
+    assert [(rnd, x.tolist(), r.tolist()) for rnd, x, r in got] == [
+        (1, [1.0, 2.0], [0.5]), (2, [], []), (3, [], []),
+        (4, [3.0, 7.0, 5.0], [4.0, np.inf, -0.25]), (5, [], [-1.0, 0.5])]
+
+
+def test_read_trace_rejects_a_truncated_or_foreign_file(tmp_path):
+    rows = [psd.TraceRow(1, np.ones(3), np.full(3, 2.0), None, None, False)]
+    hns.write_trace(tmp_path / "trace.csv", rows)
+    raw = (tmp_path / "trace.bin").read_bytes()
+    bad = tmp_path / "bad.bin"
+
+    def rejects(data, message):
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+            hns.read_trace(bad)
+
+    rejects(raw[:3], "not a trace file")
+    rejects(b"BFSN" + raw[4:], "not a trace file")
+    rejects(raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported trace version 2")
+    rejects(raw[:20], "truncated record at byte 8")
+    rejects(raw[:-8], "truncated record at byte 8: its 3 + 3 values run past the end")
+    hns.write_snapshots(bad, [(0, bel.spherical_belief(np.zeros(2), 1.0))])
+    with pytest.raises(ValueError, match="not a trace file"):
+        hns.read_trace(bad)
+    # a CSV named *.bin would share its name with the vectors
+    with pytest.raises(ValueError, match="must not end in .bin"):
+        hns.write_trace(tmp_path / "t.bin", rows)
+    assert not (tmp_path / "t.bin").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -970,15 +1104,18 @@ def test_an_interrupted_write_leaves_neither_target_nor_temp_file(tmp_path):
     with pytest.raises(RuntimeError, match="interrupted"):
         hns.write_trace(tmp_path / "trace.csv", [row, _Exploding()])
     assert list(tmp_path.iterdir()) == []
-    # a failed rewrite keeps the file that was there
+    # a failed rewrite keeps the files that were there, both of the trace pair
     hns.write_trace(tmp_path / "trace.csv", [row])
-    before = (tmp_path / "trace.csv").read_bytes()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["trace.bin", "trace.csv"]
+    other = psd.TraceRow(2, np.ones(3), np.full(3, 2.0), None, None, False)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        hns.write_trace(tmp_path / "trace.csv", [other, _Exploding()])
     diag = bel.diagonal_belief(np.zeros(2), np.ones(2))
     sph = bel.spherical_belief(np.zeros(2), 1.0)
     with pytest.raises(ValueError, match="mix variants"):
         hns.write_snapshots(tmp_path / "trace.csv", [(0, diag), (1, sph)])
-    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
-    assert (tmp_path / "trace.csv").read_bytes() == before
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_cli_suite(tmp_path):
@@ -1034,3 +1171,15 @@ def test_cli_rejects_duplicate_suite_names(tmp_path, capsys):
     code = hns.cli_main(["suite", "--config", str(p), "--out", str(tmp_path / "s")])
     assert code == 2
     assert "unique" in capsys.readouterr().err
+
+
+def test_cli_suite_rejects_a_name_that_is_not_a_string(tmp_path, capsys):
+    # names are compared for uniqueness, which used to raise a TypeError
+    # traceback for a list before any config was checked
+    suite = {"experiments": [dict(tiny_config(runs=1).to_dict(), name=["a"])]}
+    p = tmp_path / "suite.json"
+    p.write_text(json.dumps(suite))
+    code = hns.cli_main(["suite", "--config", str(p), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "name must be a string" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()

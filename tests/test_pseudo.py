@@ -150,6 +150,22 @@ def test_trace_rows_for_a_spherical_run():
     np.testing.assert_allclose(cums, np.cumsum([r.rho for r in live]), rtol=1e-12)
 
 
+def test_diagonal_trace_rows_keep_every_coordinate():
+    # a row used to list only the finite R values, and nothing said which
+    # coordinates they belonged to
+    prior = bel.diagonal_belief(np.zeros(4), np.ones(4))
+    post = bel.diagonal_belief(np.array([0.3, 0.0, -0.2, 0.0]), np.array([0.5, 1.0, 0.8, 1.0]))
+    row, = psd.pseudo_trace([(0, prior), (1, post)])
+    pd = psd.extract_pseudo(prior, post)
+    assert row.x.shape == row.eigenvalues.shape == (4,)
+    np.testing.assert_array_equal(row.x, pd.x)
+    np.testing.assert_array_equal(row.eigenvalues, pd.cov)
+    assert np.isinf(row.eigenvalues[[1, 3]]).all() and np.isfinite(row.eigenvalues[[0, 2]]).all()
+    back = psd.bayes_update_gaussian(prior, row.x, row.eigenvalues)
+    np.testing.assert_allclose(back.variances, post.variances, rtol=1e-12)
+    np.testing.assert_allclose(back.mean, post.mean, atol=1e-12)
+
+
 def test_trace_marks_identity_intervals_degenerate():
     b = bel.spherical_belief(np.zeros(2), 1.0)
     rows = psd.pseudo_trace([(0, b), (1, b), (2, b)])

@@ -67,6 +67,67 @@ class BeliefState:
         return self.mean.shape[0]
 
 
+class ActiveDiagonal:
+    """A diagonal belief on one round's active coordinates, carried as
+    standard deviations sigma in work arrays that its owner reuses.
+
+    :meth:`load` gathers the mean and variances of a stored diagonal belief
+    on idx and takes the square roots once. The round's updates run on
+    these arrays through the usual calls: :func:`sample` draws xi and
+    writes w = mu + sigma xi, ``flow.solve`` uses xi as the whitened draw
+    u, ``flow.apply_flow`` moves mean and sigma (sigma' = a sigma) in place
+    and :func:`correct_spectrum` floors sigma at sqrt(lam_min).
+    :meth:`store` squares sigma back once and writes the round into the
+    stored belief.
+
+    The arrays grow to the largest active set loaded, never to d, and
+    every step writes into them with out=, so an update allocates no float
+    array the size of the active set. ``grad`` and ``w_prime`` are for the
+    caller's gradient step; ``v``, ``uv``, ``scales``, ``neg`` and ``pin``
+    are the flow's work space.
+    """
+
+    variant = DIAGONAL
+    _FLOATS = ("mean", "variances", "sigma", "xi", "w", "w_prime", "grad", "v", "uv", "scales")
+    _FLAGS = ("neg", "pin")
+
+    def __init__(self):
+        self._floats = np.empty((len(self._FLOATS), 0))
+        self._flags = np.empty((len(self._FLAGS), 0), dtype=bool)
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
+
+    def load(self, belief: BeliefState, idx: np.ndarray) -> "ActiveDiagonal":
+        """Gather a stored diagonal belief on the coordinates idx."""
+        k = idx.shape[0]
+        if k > self._floats.shape[1]:
+            self._floats = np.empty((len(self._FLOATS), k))
+            self._flags = np.empty((len(self._FLAGS), k), dtype=bool)
+        for names, rows in ((self._FLOATS, self._floats), (self._FLAGS, self._flags)):
+            for name, row in zip(names, rows):
+                setattr(self, name, row[:k])
+        # idx is valid; mode "raise" would buffer the gather
+        np.take(belief.mean, idx, out=self.mean, mode="clip")
+        np.take(belief.variances, idx, out=self.variances, mode="clip")
+        np.sqrt(self.variances, out=self.sigma)
+        return self
+
+    def store(self, belief: BeliefState, idx: np.ndarray, lam_min: float = LAMBDA_MIN) -> None:
+        """Write the round into the stored belief on idx: the mean, and
+        sigma^2 (at least lam_min) where sigma moved. A coordinate whose
+        sigma is still the square root that :meth:`load` took keeps its
+        variance bit for bit."""
+        np.sqrt(self.variances, out=self.v)
+        np.equal(self.sigma, self.v, out=self.pin)
+        np.square(self.sigma, out=self.v)
+        np.maximum(self.v, lam_min, out=self.v)
+        np.copyto(self.v, self.variances, where=self.pin)
+        belief.mean[idx] = self.mean
+        belief.variances[idx] = self.v
+
+
 def full_belief(mean, eigenvectors, eigenvalues) -> BeliefState:
     """Belief with covariance U diag(D) U^T given by its eigenfactors.
 
@@ -206,7 +267,13 @@ def covariance(belief: BeliefState) -> np.ndarray:
 
 
 def sample(belief: BeliefState, rng: np.random.Generator) -> np.ndarray:
-    """Draw one weight vector from the belief."""
+    """Draw one weight vector from the belief. An :class:`ActiveDiagonal`
+    keeps the whitened draw in ``xi`` and returns its ``w`` array."""
+    if isinstance(belief, ActiveDiagonal):
+        rng.standard_normal(out=belief.xi)
+        np.multiply(belief.sigma, belief.xi, out=belief.w)
+        belief.w += belief.mean
+        return belief.w
     return belief.mean + unwhiten(belief, rng.standard_normal(belief.dim))
 
 
@@ -292,8 +359,12 @@ def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> Belief
     ||L (W z) - z|| for a fixed unit z exceeds RESYNC_TOL.
 
     Returns the input object unchanged when no correction is needed, so a
-    clean belief passes through bit for bit.
+    clean belief passes through bit for bit. An :class:`ActiveDiagonal` is
+    floored in place, at sigma >= sqrt(lam_min).
     """
+    if isinstance(belief, ActiveDiagonal):
+        np.maximum(belief.sigma, math.sqrt(lam_min), out=belief.sigma)
+        return belief
     if belief.variant == DIAGONAL:
         if np.all(belief.variances >= lam_min):
             return belief

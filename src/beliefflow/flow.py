@@ -13,7 +13,8 @@ positive-root scale
     a = (u v + sqrt(4 + u^2 (4 + v^2))) / (2 (1 + u^2)),
 
 the unique solution of a^2 (1 + u^2) - a u v - 1 = 0 connected to the
-identity (a > 0).
+identity (a > 0). For u v < 0 it is computed as 2 / (sqrt(...) - u v),
+which does not cancel (see :func:`scale_into`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .belief import (
     DIAGONAL,
     FULL,
     SPHERICAL,
+    ActiveDiagonal,
     BeliefState,
     log_det,
     root,
@@ -92,12 +94,51 @@ def scalar_scale(u, v):
     """Positive-root scale of the 1-D flow problem; broadcasts over arrays.
 
     v == u means the step landed exactly where it started, so the scale is
-    pinned to 1.0 rather than trusting sqrt to cancel.
+    pinned to 1.0 rather than trusting sqrt to cancel. See
+    :func:`scale_into` for the cancellation-free form.
     """
     u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    raw = (u * v + np.sqrt(4.0 + u * u * (4.0 + v * v))) / (2.0 * (1.0 + u * u))
-    return np.where(u == v, 1.0, raw)
+    v = np.array(v, dtype=float)  # a copy, which scale_into overwrites
+    if u.shape != v.shape:
+        u, v = np.broadcast_arrays(u, v)
+        v = v.copy()
+    out = np.empty(u.shape)
+    scale_into(u, v, out, np.empty(u.shape), np.empty(u.shape, dtype=bool),
+               np.empty(u.shape, dtype=bool))
+    return out
+
+
+def scale_into(u, v, out, uv, neg, pin) -> np.ndarray:
+    """Write the scale of :func:`scalar_scale` into out, in place.
+
+    With D = 4 + u^2 (4 + v^2) and r = sqrt(D) + |u v|, the positive root is
+    r / (2 (1 + u^2)) when u v >= 0 and 2 / r otherwise: the same root with
+    its numerator rationalized, so a step that overshoots the mean (u v << 0)
+    gets a positive scale to full precision instead of the difference of two
+    nearly equal numbers. For u v >= 0 it is the textbook formula, operation
+    for operation.
+
+    All arguments are float arrays of one shape, except the bool work
+    arrays neg and pin; v is overwritten and uv is work space. Nothing is
+    allocated, so a round can run it in arrays it owns.
+    """
+    np.equal(u, v, out=pin)
+    np.multiply(u, v, out=uv)
+    np.less(uv, 0.0, out=neg)
+    np.abs(uv, out=uv)
+    np.multiply(u, u, out=out)
+    np.multiply(v, v, out=v)
+    v += 4.0
+    v *= out
+    v += 4.0
+    np.sqrt(v, out=v)
+    v += uv  # r
+    out += 1.0
+    out *= 2.0
+    np.divide(v, out, out=out)
+    np.divide(2.0, v, out=out, where=neg)
+    np.copyto(out, 1.0, where=pin)
+    return out
 
 
 def solve_2x2(u: float, v_par: float, v_perp: float,
@@ -175,7 +216,8 @@ def solve_diagonal(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> F
 
     Coordinates the step never touched (w'_i == w_i) have u_i == v_i, so
     scalar_scale gives them the exact scale 1.0, which keeps sparse online
-    updates bit-stable.
+    updates bit-stable. An :class:`ActiveDiagonal` is solved in its own
+    work arrays, from the draw that :func:`belief.sample` left in it.
     """
     if belief.variant != DIAGONAL:
         raise ValueError("solve_diagonal needs a diagonal belief")
@@ -183,6 +225,14 @@ def solve_diagonal(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> F
     w_prime = np.asarray(w_prime, dtype=float)
     if np.array_equal(w, w_prime):
         return FlowSolution(DIAGONAL, identity=True, scales=np.ones(belief.dim))
+    if isinstance(belief, ActiveDiagonal):
+        # u is the draw xi that gave w. v = xi + (w' - w) / sigma follows
+        # the step as taken, so an untouched coordinate has v == u exactly.
+        v = np.subtract(w_prime, w, out=belief.v)
+        v /= belief.sigma
+        v += belief.xi
+        scales = scale_into(belief.xi, v, belief.scales, belief.uv, belief.neg, belief.pin)
+        return FlowSolution(DIAGONAL, scales=scales)
     sig = np.sqrt(belief.variances)
     u = (w - belief.mean) / sig
     v = (w_prime - belief.mean) / sig
@@ -271,6 +321,14 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
         return belief
     w = np.asarray(w, dtype=float)
     w_prime = np.asarray(w_prime, dtype=float)
+    if isinstance(belief, ActiveDiagonal):
+        # sigma' = a sigma and mu' = w' - sigma' u, in place; an untouched
+        # coordinate has scale 1.0 and keeps its mean as well.
+        belief.sigma *= flow.scales
+        moved = np.multiply(belief.sigma, belief.xi, out=belief.v)
+        np.not_equal(w, w_prime, out=belief.pin)
+        np.subtract(w_prime, moved, out=belief.mean, where=belief.pin)
+        return belief
     if belief.variant == DIAGONAL:
         # An untouched coordinate has scale 1.0, so its variance stays as it
         # is; its mean needs the mask, since (mu - w) + w' may round off mu.

@@ -120,6 +120,27 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
+def load_suite(path) -> list[ExperimentConfig]:
+    """The experiments of a suite file: a JSON object whose one key,
+    "experiments", holds a non-empty list of experiment objects."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a suite file must hold an object with an 'experiments' list, "
+                         f"got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {"experiments"})
+    if unknown:
+        raise ValueError(f"{path}: unknown suite keys {unknown}; the one key is 'experiments'")
+    experiments = raw.get("experiments")
+    if not isinstance(experiments, list) or not experiments:
+        raise ValueError(f"{path}: 'experiments' must be a non-empty list of experiment "
+                         f"objects, got {experiments!r}")
+    for i, entry in enumerate(experiments):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: experiments[{i}] must be an object, got {entry!r}")
+    return [ExperimentConfig.from_dict(entry) for entry in experiments]
+
+
 def config_key(config: ExperimentConfig) -> str:
     canon = json.dumps(config.to_dict(), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -911,9 +932,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    with Path(args.config).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    experiments = [ExperimentConfig.from_dict(e) for e in raw["experiments"]]
+    experiments = load_suite(args.config)
     for config in experiments:
         validate_config(config)
     names = [e.name for e in experiments]

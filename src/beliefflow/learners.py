@@ -43,8 +43,9 @@ class BeliefFlowLearner:
     and variance; its draw would never be read. The round is the same in
     distribution, but draws only the active coordinates from the rng. Full
     and spherical flows mix coordinates, so they run on the whole belief.
-    The learner owns a copy of a diagonal prior and writes each round's
-    result into it on the active coordinates.
+    The learner owns a copy of a diagonal prior and a
+    :class:`belief.ActiveDiagonal` whose arrays carry each round in sigma
+    form; the round is written into the copy on the active coordinates.
 
     After a full learner's step, ``last_flows`` holds the flows it applied
     (not the identity ones), or None when ``correct_spectrum`` rebuilt the
@@ -60,6 +61,7 @@ class BeliefFlowLearner:
         self.spec = spec
         belief = bel.correct_spectrum(prior)
         self.belief = bel.snapshot(belief) if belief.variant == bel.DIAGONAL else belief
+        self.active = bel.ActiveDiagonal() if belief.variant == bel.DIAGONAL else None
         self.eta = float(eta)
         self.m = update_count(m)
         self.non_expansive = non_expansive
@@ -72,20 +74,22 @@ class BeliefFlowLearner:
         stepped point w' has a non-finite coordinate.
         """
         target = mdl.target_vector(self.spec, ex.label)
-        if self.belief.variant == bel.DIAGONAL:
+        if self.active is not None:
             spec, idx, x = mdl.active_subproblem(self.spec, ex.x)
-            belief = bel.BeliefState(bel.DIAGONAL, self.belief.mean[idx],
-                                     variances=self.belief.variances[idx])
+            belief = self.active.load(self.belief, idx)
+            grad_out, w_prime_out = belief.grad, belief.w_prime
         else:
             spec, idx, x, belief = self.spec, None, ex.x, self.belief
+            grad_out = w_prime_out = None
         predicted = None
         flows = [] if belief.variant == bel.FULL else None
         for i in range(self.m):
             w = bel.sample(belief, rng)
-            z, grad = mdl.forward_backward(spec, w, x, target)
+            z, grad = mdl.forward_backward(spec, w, x, target, out=grad_out)
             if i == 0:
                 predicted = mdl.predict_label(z)
-            w_prime = w - self.eta * grad
+            grad *= self.eta
+            w_prime = np.subtract(w, grad, out=w_prime_out)
             if not np.isfinite(w_prime).all():
                 raise NonFiniteStepError(
                     f"bflo-{belief.variant} update {i + 1} of {self.m}: the gradient step "
@@ -103,8 +107,7 @@ class BeliefFlowLearner:
         if idx is None:
             self.belief = belief
         else:
-            self.belief.mean[idx] = belief.mean
-            self.belief.variances[idx] = belief.variances
+            belief.store(self.belief, idx)
         return predicted
 
     def freeze(self) -> np.ndarray:
@@ -112,11 +115,34 @@ class BeliefFlowLearner:
         return self.belief.mean.copy()
 
 
+class ActiveWeights:
+    """A point estimate's active coordinates and their gradient, in two
+    arrays a learner owns. They grow to the largest active set loaded,
+    never to d."""
+
+    def __init__(self):
+        self._rows = np.empty((2, 0))
+
+    def load(self, w: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """w on idx, gathered, and an array of its size for the gradient."""
+        k = idx.shape[0]
+        if k > self._rows.shape[1]:
+            self._rows = np.empty((2, k))
+        sub, grad = self._rows[0, :k], self._rows[1, :k]
+        np.take(w, idx, out=sub, mode="clip")  # idx is valid; "raise" would buffer
+        return sub, grad
+
+
 class SGDLearner:
     """Online gradient descent on a point estimate, w <- w - eta grad.
 
     A positive noise_scale s adds Gaussian exploration noise to every step,
-    w <- w - eta grad + s xi; at 0 no noise is drawn from the rng.
+    w <- w - eta grad + s xi; at 0 no noise is drawn from the rng, and the
+    round runs on the coordinates the forward pass reads (see
+    ``models.active_subproblem``): it gathers them once, takes its m steps
+    on the sub-model and writes them back once. Every other coordinate has
+    a gradient of exactly 0 and keeps its value. Noise reaches every
+    coordinate, so a noisy round runs on the whole vector.
     """
 
     noise_scale = 0.0
@@ -126,20 +152,28 @@ class SGDLearner:
         self.w = np.asarray(w0, dtype=float).copy()
         self.eta = float(eta)
         self.m = update_count(m)
+        self.active = ActiveWeights()
 
     def step(self, ex: LabeledExample, rng: np.random.Generator) -> int:
         target = mdl.target_vector(self.spec, ex.label)
+        if self.noise_scale:
+            spec, idx, x, w, grad_out = self.spec, None, ex.x, self.w, None
+        else:
+            spec, idx, x = mdl.active_subproblem(self.spec, ex.x)
+            w, grad_out = self.active.load(self.w, idx)
         predicted = None
         for i in range(self.m):
-            z, grad = mdl.forward_backward(self.spec, self.w, ex.x, target)
+            z, grad = mdl.forward_backward(spec, w, x, target, out=grad_out)
             if i == 0:
                 predicted = mdl.predict_label(z)
-            # w += -eta grad [+ s xi], built in place in the fresh grad array:
-            # at MLP scale a second d-sized array costs more than the arithmetic.
+            # w += -eta grad [+ s xi], built in place in the grad array: at
+            # MLP scale a second d-sized array costs more than the arithmetic.
             grad *= -self.eta
             if self.noise_scale:
-                grad += self.noise_scale * rng.standard_normal(self.w.shape[0])
-            self.w += grad
+                grad += self.noise_scale * rng.standard_normal(w.shape[0])
+            w += grad
+        if idx is not None:
+            self.w[idx] = w
         return predicted
 
     def freeze(self) -> np.ndarray:
@@ -201,7 +235,8 @@ class DropoutSGDLearner:
     Each update iteration masks every hidden unit independently with
     probability p_drop and backpropagates through the surviving ones.
     Evaluation-time forward passes scale the hidden activations by
-    (1 - p_drop) instead; freeze() bakes that scaling into W2.
+    (1 - p_drop) instead; freeze() bakes that scaling into W2. A round runs
+    on the coordinates the forward pass reads, as the SGD round does.
     """
 
     def __init__(self, spec: mdl.ModelSpec, w0: np.ndarray, eta: float,
@@ -216,16 +251,19 @@ class DropoutSGDLearner:
         self.p_drop = float(p_drop)
         self.m = update_count(m)
         self.eval_scale = np.full(spec.n_hidden, 1.0 - self.p_drop)
+        self.active = ActiveWeights()
 
     def step(self, ex: LabeledExample, rng: np.random.Generator) -> int:
         target = mdl.target_vector(self.spec, ex.label)
-        predicted = mdl.predict_label(
-            mdl.forward(self.spec, self.w, ex.x, hidden_mask=self.eval_scale))
+        spec, idx, x = mdl.active_subproblem(self.spec, ex.x)
+        w, grad_out = self.active.load(self.w, idx)
+        predicted = mdl.predict_label(mdl.forward(spec, w, x, hidden_mask=self.eval_scale))
         for _ in range(self.m):
             keep = rng.random(self.spec.n_hidden) >= self.p_drop
-            _, grad = mdl.forward_backward(self.spec, self.w, ex.x, target, hidden_mask=keep)
+            _, grad = mdl.forward_backward(spec, w, x, target, hidden_mask=keep, out=grad_out)
             grad *= self.eta  # in place, as in the SGD round
-            self.w -= grad
+            w -= grad
+        self.w[idx] = w
         return predicted
 
     def freeze(self) -> np.ndarray:

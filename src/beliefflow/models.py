@@ -119,9 +119,10 @@ def loss(z: np.ndarray, target: np.ndarray) -> float:
 
 
 def forward_backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
-                     target: np.ndarray, hidden_mask: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs and the loss gradient w.r.t. the flat parameters.
+                     target: np.ndarray, hidden_mask: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs and the loss gradient w.r.t. the flat parameters; the
+    gradient is written into out when given, else into a fresh array.
 
     The 1/K averaging of the loss is part of the gradient: the output-layer
     error signal is (z - y) / K. hidden_mask (MLP only, one multiplier per
@@ -136,7 +137,7 @@ def forward_backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
         if hidden_mask is not None:
             raise ValueError("the logistic model has no hidden units to mask")
         z = sigmoid(np.array([params @ x]))
-        return z, (z[0] - target[0]) * x
+        return z, np.multiply(x, z[0] - target[0], out=out)
     w1, b1, w2, b2 = unpack_mlp(spec, params)
     act = sigmoid(w1 @ x + b1)
     hidden = act if hidden_mask is None else act * hidden_mask
@@ -149,7 +150,7 @@ def forward_backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     # second d-sized temporary per call, malloc can hand the heap top back to
     # the OS and fault it in again on every update, which at MLP scale costs
     # more than the arithmetic.
-    grad = np.empty(spec.n_params)
+    grad = np.empty(spec.n_params) if out is None else out
     g_w1, g_b1, g_w2, g_b2 = unpack_mlp(spec, grad)
     np.outer(delta1, x, out=g_w1)
     g_b1[:] = delta1
@@ -176,8 +177,12 @@ def active_subproblem(spec: ModelSpec, x: np.ndarray) -> tuple[ModelSpec, np.nda
     if spec.kind == LOGISTIC:
         return logistic_model(nz.size), nz, x[nz]
     h, p = spec.n_hidden, spec.n_features
-    w1_cols = (np.arange(h)[:, None] * p + nz).ravel()
-    idx = np.concatenate([w1_cols, np.arange(h * p, spec.n_params)])
+    # One index array, W1 columns first: the round holds it, so it is built
+    # in place rather than concatenated from a second one of its size.
+    n_w1 = h * nz.size
+    idx = np.empty(n_w1 + spec.n_params - h * p, dtype=np.intp)
+    np.add(np.arange(h)[:, None] * p, nz, out=idx[:n_w1].reshape(h, nz.size))
+    idx[n_w1:] = np.arange(h * p, spec.n_params)
     sub = ModelSpec(MLP, n_features=nz.size, n_outputs=spec.n_outputs, n_hidden=h)
     return sub, idx, x[nz]
 

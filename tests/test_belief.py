@@ -85,6 +85,22 @@ def test_sample_replays_its_reference(variant):
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+def test_active_diagonal_draws_what_the_gathered_belief_draws():
+    # the round's first draw has the bytes of a draw from the belief
+    # restricted to idx, and takes as much from the rng
+    rng = np.random.default_rng(23)
+    active = bel.ActiveDiagonal()
+    for k in (7, 3, 0, 9):
+        stored = bel.diagonal_belief(rng.normal(size=12), rng.uniform(1e-8, 9.0, size=12))
+        idx = np.sort(rng.choice(12, k, replace=False))
+        gathered = bel.diagonal_belief(stored.mean[idx], stored.variances[idx])
+        rng_new, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+        w = bel.sample(active.load(stored, idx), rng_new)
+        assert active.dim == k
+        assert w.tobytes() == bel.sample(gathered, rng_ref).tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_whiten_unwhiten_inverse():
     rng = np.random.default_rng(17)
     for d in (1, 2, 5):

@@ -1,6 +1,7 @@
 """Flow solver: closed forms vs oracles, frozen examples, degenerate branches."""
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -86,6 +87,48 @@ def test_scalar_scale_objective_is_optimal():
         base = orc.scalar_flow_objective(a, u, v)
         for bump in (0.9, 0.99, 1.01, 1.1):
             assert base <= orc.scalar_flow_objective(a * bump, u, v) + 1e-12
+
+
+def decimal_scale(u: float, v: float) -> decimal.Decimal:
+    """The positive root of a^2 (1 + u^2) - a u v - 1 = 0, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        u, v = decimal.Decimal(u), decimal.Decimal(v)
+        return (u * v + (4 + u * u * (4 + v * v)).sqrt()) / (2 * (1 + u * u))
+
+
+def ulps_from(a: float, ref: decimal.Decimal) -> float:
+    return float(abs(decimal.Decimal(a) - ref) / decimal.Decimal(math.ulp(float(ref))))
+
+
+@pytest.mark.parametrize("u, v", [(1.0, -1e4), (1.0, -1e6), (1.0, -1e8), (2.0, -1e9),
+                                  (1e-8, -1e10), (1e8, -1e10), (3.0, -2.0), (0.5, 1e9),
+                                  (1.0, 2.0), (1e8, 1e-8)])
+def test_scalar_scale_is_accurate_when_the_step_overshoots(u, v):
+    # (u v + sqrt(D)) / (2 (1 + u^2)) cancels for u v << 0: at the parent it
+    # was 12 % off at (1, -1e8) and 0 at (2, -1e9)
+    for sign in (1.0, -1.0):  # the root depends on u and v through u^2 and u v
+        a = float(fl.scalar_scale(sign * u, sign * v))
+        assert ulps_from(a, decimal_scale(u, v)) <= 4.0
+
+
+def test_overshooting_step_on_a_one_dimensional_full_belief():
+    # w = 0.1 -> w' = -2e7 at sigma = 0.1: the scale used to be 0, so
+    # apply_flow divided by det a2 = 0 and raised a math domain error
+    prior = bel.full_belief(np.zeros(1), np.eye(1), np.array([0.01]))
+    w, w_prime = np.array([0.1]), np.array([-2e7])
+    flow = fl.solve(prior, w, w_prime)
+    a = flow.a2[0, 0]
+    assert ulps_from(a, decimal_scale(1.0, -2e8)) <= 4.0
+    post = fl.apply_flow(prior, flow, w, w_prime)
+    # L' = L + L B (a2 - I) B^T carries a - 1, so L' keeps ~1e-16 / a of its
+    # relative precision; the scale itself is exact to a few ulp
+    np.testing.assert_allclose(bel.covariance(post), [[0.01 * a * a]], rtol=1e-6)
+    np.testing.assert_allclose(post.mean, w_prime - a * w, rtol=1e-15)
+    assert math.isfinite(bel.log_det(post))
+    # a diagonal belief gets the same scale, not 0
+    diag = bel.diagonal_belief(np.zeros(1), np.array([0.01]))
+    assert fl.solve(diag, w, w_prime).scales[0] == a
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +428,48 @@ def test_diagonal_untouched_coordinates_stay_bit_identical():
             assert f.scales[untouched].tobytes() == np.ones(int(untouched.sum())).tobytes()
             assert post.mean[untouched].tobytes() == prior.mean[untouched].tobytes()
             assert post.variances[untouched].tobytes() == prior.variances[untouched].tobytes()
+
+
+def test_active_diagonal_untouched_coordinates_stay_bit_identical():
+    # the sigma-carry round: a coordinate the step did not move has scale
+    # 1.0 and keeps its mean, and store writes its variance back as it was
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        d = 12
+        mean = rng.normal(size=d) * 10.0 ** rng.integers(-3, 6, size=d)
+        stored = bel.diagonal_belief(mean, 10.0 ** rng.uniform(-8, 4, size=d))
+        before = bel.snapshot(stored)
+        idx = np.flatnonzero(rng.random(d) < 0.7)
+        active = bel.ActiveDiagonal().load(stored, idx)
+        w = bel.sample(active, rng)
+        w_prime = w.copy()
+        moved = rng.random(idx.size) < 0.5
+        w_prime[moved] += rng.normal(size=int(moved.sum())) * np.sqrt(active.variances[moved])
+        untouched = w == w_prime
+        if untouched.all():
+            continue
+        flow = fl.clamp_nonexpansive(fl.solve(active, w, w_prime))
+        assert fl.apply_flow(active, flow, w, w_prime) is active
+        assert bel.correct_spectrum(active) is active
+        assert flow.scales[untouched].tobytes() == np.ones(int(untouched.sum())).tobytes()
+        active.store(stored, idx)
+        rest = np.setdiff1d(np.arange(d), idx)
+        for name in ("mean", "variances"):
+            after, old = getattr(stored, name), getattr(before, name)
+            assert after[idx[untouched]].tobytes() == old[idx[untouched]].tobytes()
+            assert after[rest].tobytes() == old[rest].tobytes()
+        assert not np.array_equal(stored.mean[idx[~untouched]], before.mean[idx[~untouched]])
+        assert stored.variances.min() >= bel.LAMBDA_MIN
+
+
+def test_active_diagonal_floors_sigma_and_writes_the_floor_exactly():
+    stored = bel.diagonal_belief(np.zeros(3), np.array([0.04, 0.04, 0.04]))
+    active = bel.ActiveDiagonal().load(stored, np.array([0, 2]))
+    active.sigma[:] = [1e-9, 0.3]
+    assert bel.correct_spectrum(active) is active
+    assert active.sigma[0] == math.sqrt(bel.LAMBDA_MIN)
+    active.store(stored, np.array([0, 2]))
+    np.testing.assert_array_equal(stored.variances, [bel.LAMBDA_MIN, 0.04, 0.3 * 0.3])
 
 
 def test_spherical_frozen_example():

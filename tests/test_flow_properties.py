@@ -1,0 +1,76 @@
+"""Property tests of the scalar flow scale and the sigma-carry update."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from beliefflow import belief as bel
+from beliefflow import flow as fl
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# Derandomized and without an example database, so a run is repeatable and
+# writes nothing.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def signed_magnitudes(lo: float, hi: float):
+    """Floats of either sign with magnitude in [lo, hi], log-uniformly spread."""
+    exponents = st.floats(math.log10(lo), math.log10(hi))
+    return st.tuples(st.sampled_from((-1.0, 1.0)), exponents).map(
+        lambda t: t[0] * min(max(10.0 ** t[1], lo), hi))
+
+
+U = signed_magnitudes(1e-8, 1e8)
+V = signed_magnitudes(1e-8, 1e10)
+
+
+@PROPERTY
+@given(U, V)
+def test_scale_is_positive_and_finite(u, v):
+    a = float(fl.scalar_scale(u, v))
+    assert a > 0.0 and math.isfinite(a)
+
+
+@PROPERTY
+@given(U, V)
+def test_scale_solves_its_quadratic_to_a_few_ulp(u, v):
+    # the residual a^2 (1 + u^2) - a u v - 1, in exact rational arithmetic on
+    # the float a, is a few ulp of the largest of its terms
+    a, u, v = Fraction(float(fl.scalar_scale(u, v))), Fraction(u), Fraction(v)
+    terms = (a * a * (1 + u * u), a * u * v, Fraction(1))
+    resid = terms[0] - terms[1] - terms[2]
+    assert abs(resid) <= 4 * Fraction(math.ulp(float(max(abs(t) for t in terms))))
+
+
+@PROPERTY
+@given(U)
+def test_scale_is_exactly_one_when_the_step_lands_on_the_draw(u):
+    assert float(fl.scalar_scale(u, u)) == 1.0
+
+
+@PROPERTY
+@given(U, V, st.floats(-10.0, 10.0), st.floats(-4.0, 2.0))
+def test_sigma_carry_update_maps_the_draw_onto_the_stepped_point(u, v, mu, log_sigma):
+    # one coordinate drawn at xi = u and stepped to mu + sigma v: after
+    # apply_flow, mu' + sigma' u is w' to within a few ulp of its terms
+    prior = bel.diagonal_belief(np.array([mu]), np.array([10.0 ** (2.0 * log_sigma)]))
+    active = bel.ActiveDiagonal().load(prior, np.array([0]))
+    sigma = active.sigma[0]
+    active.xi[0] = u
+    active.w[0] = mu + sigma * u
+    w_prime = np.array([mu + sigma * v])
+    if w_prime[0] == active.w[0]:
+        return
+    flow = fl.solve(active, active.w, w_prime)
+    moved = fl.apply_flow(active, flow, active.w, w_prime)
+    assert moved is active
+    assert active.sigma[0] == flow.scales[0] * sigma
+    carried = active.sigma[0] * u
+    reached = active.mean[0] + carried
+    scale = max(abs(w_prime[0]), abs(active.mean[0]), abs(carried))
+    assert abs(reached - w_prime[0]) <= 2 * math.ulp(scale)

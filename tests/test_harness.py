@@ -1183,3 +1183,24 @@ def test_cli_suite_rejects_a_name_that_is_not_a_string(tmp_path, capsys):
     assert code == 2
     assert "name must be a string" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("raw, named", [
+    ({"experiment": []}, "'experiment'"),
+    ([], "'experiments'"),
+    ({"experiments": []}, "'experiments'"),
+    ({"experiments": [3]}, "experiments[0]"),
+])
+def test_cli_suite_rejects_a_malformed_suite_file(tmp_path, capsys, raw, named):
+    # a misspelt key ended in a KeyError traceback, a list in a TypeError
+    # traceback, and an empty list in a missing temp file of suite_summary
+    p = tmp_path / "suite.json"
+    p.write_text(json.dumps(raw))
+    out_dir = tmp_path / "s"
+    code = hns.cli_main(["suite", "--config", str(p), "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {p}: ")
+    assert named in captured.err
+    assert captured.out == ""

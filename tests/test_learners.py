@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,23 +111,37 @@ def test_bflo_variance_floor_holds_under_aggressive_steps():
 
 
 def reference_step(learner, ex, rng):
-    """The whole-belief round: every iteration samples, solves and applies
-    over all d coordinates. Returns (predicted, belief)."""
-    target = mdl.target_vector(learner.spec, ex.label)
-    belief = learner.belief
+    """The round written out on the gathered sub-problem, in sigma form:
+    sigma = sqrt(variances) once; each update draws xi, steps from
+    w = mu + sigma xi to w', takes the scale of u = xi and
+    v = xi + (w' - w) / sigma, sets sigma' = a sigma and mu' = w' - sigma' xi
+    (mu stays where w' == w) and floors sigma; sigma is squared back once,
+    where it moved. Returns (predicted, belief)."""
+    spec, idx, x = mdl.active_subproblem(learner.spec, ex.x)
+    target = mdl.target_vector(spec, ex.label)
+    mean, variances = learner.belief.mean.copy(), learner.belief.variances.copy()
+    mu, var0 = mean[idx], variances[idx]
+    sigma = np.sqrt(var0)
     predicted = None
     for i in range(learner.m):
-        w = bel.sample(belief, rng)
-        z, grad = mdl.forward_backward(learner.spec, w, ex.x, target)
+        xi = rng.standard_normal(idx.size)
+        w = sigma * xi + mu
+        z, grad = mdl.forward_backward(spec, w, x, target)
         if i == 0:
             predicted = mdl.predict_label(z)
         w_prime = w - learner.eta * grad
-        flow = fl.solve(belief, w, w_prime)
+        if np.array_equal(w, w_prime):
+            continue
+        scales = fl.scalar_scale(xi, (w_prime - w) / sigma + xi)
         if learner.non_expansive:
-            flow = fl.clamp_nonexpansive(flow)
-        belief = fl.apply_flow(belief, flow, w, w_prime)
-        belief = bel.correct_spectrum(belief)
-    return predicted, belief
+            scales = np.minimum(scales, 1.0)
+        sigma = scales * sigma
+        mu = np.where(w == w_prime, mu, w_prime - sigma * xi)
+        sigma = np.maximum(sigma, math.sqrt(bel.LAMBDA_MIN))
+    mean[idx] = mu
+    variances[idx] = np.where(sigma == np.sqrt(var0), var0,
+                              np.maximum(sigma * sigma, bel.LAMBDA_MIN))
+    return predicted, bel.BeliefState(bel.DIAGONAL, mean, variances=variances)
 
 
 def diagonal_learner(spec, rng, **kwargs):
@@ -139,7 +154,7 @@ def diagonal_learner(spec, rng, **kwargs):
 @pytest.mark.parametrize("non_expansive", [False, True])
 def test_bflo_diagonal_dense_input_matches_whole_belief_loop(spec, non_expansive, monkeypatch):
     # every feature is nonzero, so the active set is every coordinate and
-    # the round must reproduce the whole-belief loop bit for bit
+    # the round must reproduce the loop over the whole belief bit for bit
     rng = np.random.default_rng(31)
     learner = diagonal_learner(spec, rng, eta=0.3, m=3, non_expansive=non_expansive)
     rng_new, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
@@ -175,9 +190,14 @@ def test_bflo_diagonal_sparse_round_is_the_whole_belief_flow(spec, monkeypatch):
 
     monkeypatch.setattr(fl, "apply_flow", recording_apply)
     before = bel.snapshot(learner.belief)
+    rng_ref = np.random.default_rng()
+    rng_ref.bit_generator.state = rng.bit_generator.state
+    _, want = reference_step(learner, ex, rng_ref)
     learner.step(ex, rng)
     monkeypatch.undo()
     after = learner.belief
+    np.testing.assert_array_equal(after.mean, want.mean)
+    np.testing.assert_array_equal(after.variances, want.variances)
     inactive = np.setdiff1d(np.arange(spec.n_params), idx)
     assert inactive.size > 0
     np.testing.assert_array_equal(after.mean[inactive], before.mean[inactive])
@@ -189,9 +209,12 @@ def test_bflo_diagonal_sparse_round_is_the_whole_belief_flow(spec, monkeypatch):
     w[idx] = w_sub
     w_prime = w.copy()
     w_prime[idx] = w_prime_sub
+    # the textbook flow on the whole belief whitens w - mu and w' - mu and
+    # scales the variances; the round carries sigma and uses its draw as u,
+    # so the two agree to rounding, and bit for bit where nothing moved
     whole = bel.correct_spectrum(fl.apply_flow(before, fl.solve(before, w, w_prime), w, w_prime))
-    np.testing.assert_array_equal(after.mean, whole.mean)
-    np.testing.assert_array_equal(after.variances, whole.variances)
+    np.testing.assert_allclose(after.mean, whole.mean, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(after.variances, whole.variances, rtol=1e-15, atol=0.0)
     # the sub-model gradient is the full gradient on idx, zero elsewhere
     z_full, g_full = mdl.forward_backward(spec, w, x, target)
     z_sub, g_sub = mdl.forward_backward(sub_spec, w[idx], x_nz, target)
@@ -444,6 +467,20 @@ def reference_dropout_round(spec, w, eta, m, ex, rng, p_drop):
     return predicted
 
 
+def gathered(reference):
+    """The reference round on the example's active sub-problem, as the
+    learners run it: the coordinates the forward pass reads are gathered
+    once, take all m steps and are written back once. On an MLP this
+    changes the rounding of W1 x, which no longer sums the zero inputs."""
+    def round_on_active(spec, w, eta, m, ex, rng, **kwargs):
+        sub, idx, x = mdl.active_subproblem(spec, ex.x)
+        w_sub = w[idx]
+        predicted = reference(sub, w_sub, eta, m, example(x, ex.label), rng, **kwargs)
+        w[idx] = w_sub
+        return predicted
+    return round_on_active
+
+
 def assert_replays_reference(learner, reference, spec, seed, **kwargs):
     rng_data = np.random.default_rng(seed)
     w_ref = learner.w.copy()
@@ -462,6 +499,11 @@ def assert_replays_reference(learner, reference, spec, seed, **kwargs):
 @pytest.mark.parametrize("cls, reference", [(lrn.SGDLearner, reference_sgd_round),
                                             (lrn.LangevinSGDLearner, reference_blang_round)])
 def test_sgd_and_langevin_replay_their_reference_rounds(spec, cls, reference):
+    # sgd runs on the gathered sub-problem; a logistic model's dot product
+    # over the nonzero features still has the dense bytes here, an MLP's
+    # W1 x does not. blang's noise reaches every coordinate, so it is dense.
+    if cls is lrn.SGDLearner and spec.kind == mdl.MLP:
+        reference = gathered(reference)
     w0 = np.random.default_rng(51).normal(scale=0.5, size=spec.n_params)
     assert_replays_reference(cls(spec, w0, eta=0.3, m=3), reference, spec, seed=52)
 
@@ -470,7 +512,96 @@ def test_sgd_and_langevin_replay_their_reference_rounds(spec, cls, reference):
 def test_dropout_replays_its_reference_round(spec):
     w0 = np.random.default_rng(53).normal(scale=0.5, size=spec.n_params)
     learner = lrn.DropoutSGDLearner(spec, w0, eta=0.3, p_drop=0.4, m=3)
-    assert_replays_reference(learner, reference_dropout_round, spec, seed=54, p_drop=0.4)
+    assert_replays_reference(learner, gathered(reference_dropout_round), spec, seed=54,
+                             p_drop=0.4)
+
+
+ACTIVE_SPEC = mdl.mlp_model(12, 5, 3)
+
+
+def sparse_examples(seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        x = np.zeros(ACTIVE_SPEC.n_features)
+        x[rng.choice(ACTIVE_SPEC.n_features, 4, replace=False)] = rng.normal(size=4)
+        yield example(x, int(rng.integers(0, ACTIVE_SPEC.n_outputs)))
+
+
+@pytest.mark.parametrize("tag", ["sgd", "dropout"])
+def test_sgd_and_dropout_rounds_run_on_the_active_coordinates(tag):
+    spec = ACTIVE_SPEC
+    w0 = np.random.default_rng(55).normal(scale=0.5, size=spec.n_params)
+    if tag == "sgd":
+        learner, dense, kwargs = lrn.SGDLearner(spec, w0, eta=0.3, m=3), reference_sgd_round, {}
+    else:
+        learner = lrn.DropoutSGDLearner(spec, w0, eta=0.3, p_drop=0.4, m=3)
+        dense, kwargs = reference_dropout_round, {"p_drop": 0.4}
+    w_dense = w0.copy()
+    rng_new, rng_dense = np.random.default_rng(56), np.random.default_rng(56)
+    for ex in sparse_examples(57, 8):
+        sub, idx, x_nz = mdl.active_subproblem(spec, ex.x)
+        inactive = np.setdiff1d(np.arange(spec.n_params), idx)
+        before = learner.w.copy()
+        # the sub-model gradient is the dense one on idx, with or without
+        # dropped hidden units
+        target = mdl.target_vector(spec, ex.label)
+        mask = np.random.default_rng(58).random(spec.n_hidden) >= 0.4
+        for hidden_mask in (None, mask):
+            _, g_full = mdl.forward_backward(spec, before, ex.x, target, hidden_mask=hidden_mask)
+            _, g_sub = mdl.forward_backward(sub, before[idx], x_nz, target,
+                                            hidden_mask=hidden_mask)
+            assert np.all(g_full[inactive] == 0.0)
+            assert np.max(np.abs(g_sub - g_full[idx])) <= 1e-15 * np.max(np.abs(g_full))
+        learner.step(ex, rng_new)
+        assert learner.w[inactive].tobytes() == before[inactive].tobytes()
+        # the draws are the dense round's, so the rng moves as it did
+        dense(spec, w_dense, learner.eta, learner.m, ex, rng_dense, **kwargs)
+        assert rng_new.bit_generator.state == rng_dense.bit_generator.state
+    np.testing.assert_allclose(learner.w, w_dense, rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# work arrays
+
+
+ROUND_LEARNERS = {
+    "bflo-diagonal": lambda spec, rng: lrn.BeliefFlowLearner(
+        spec, bel.diagonal_belief(np.zeros(spec.n_params), np.full(spec.n_params, 0.01)),
+        eta=0.2, m=5),
+    "sgd": lambda spec, rng: lrn.SGDLearner(
+        spec, rng.normal(scale=0.1, size=spec.n_params), eta=0.2, m=5),
+    "dropout": lambda spec, rng: lrn.DropoutSGDLearner(
+        spec, rng.normal(scale=0.1, size=spec.n_params), eta=0.2, p_drop=0.5, m=5),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(ROUND_LEARNERS))
+def test_a_round_allocates_nothing_the_size_of_the_model(tag):
+    # MLP 784-200-10 with 157 of 784 inputs nonzero, as in MNIST: once a
+    # first round has grown the learner's work arrays to the active set,
+    # a round's peak of traced allocations stays far below one d-sized
+    # float array; the d-sized temporaries it used to make each cost page
+    # faults on every round
+    spec = mdl.mlp_model(784, 200, 10)
+    rng = np.random.default_rng(71)
+    learner = ROUND_LEARNERS[tag](spec, rng)
+    examples = []
+    for _ in range(3):
+        x = np.zeros(spec.n_features)
+        x[rng.choice(spec.n_features, 157, replace=False)] = rng.uniform(0.1, 1.0, size=157)
+        examples.append(example(x, int(rng.integers(0, spec.n_outputs))))
+    learner.step(examples[0], rng)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for ex in examples[1:]:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            learner.step(ex, rng)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < spec.n_params * 8 // 2, peaks
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,35 @@ class BeliefState:
         return self.mean.shape[0]
 
 
-class ActiveDiagonal:
+class ActiveArrays:
+    """Named work arrays on a round's active coordinates, which their owner
+    reuses from round to round. A subclass names its float rows in _FLOATS
+    and its bool rows in _FLAGS; :meth:`resize` grows them to the largest
+    active set seen, never to d, and points each name at its first k
+    entries."""
+
+    _FLOATS: tuple[str, ...] = ()
+    _FLAGS: tuple[str, ...] = ()
+
+    def __init__(self):
+        self._floats = np.empty((len(self._FLOATS), 0))
+        self._flags = np.empty((len(self._FLAGS), 0), dtype=bool)
+
+    def resize(self, k: int) -> None:
+        if k > self._floats.shape[1]:
+            self._floats = np.empty((len(self._FLOATS), k))
+            self._flags = np.empty((len(self._FLAGS), k), dtype=bool)
+        for names, rows in ((self._FLOATS, self._floats), (self._FLAGS, self._flags)):
+            for name, row in zip(names, rows):
+                setattr(self, name, row[:k])
+
+    @staticmethod
+    def gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """src[idx] into out; idx must be valid (mode "raise" would buffer)."""
+        return np.take(src, idx, out=out, mode="clip")
+
+
+class ActiveDiagonal(ActiveArrays):
     """A diagonal belief on one round's active coordinates, carried as
     standard deviations sigma in work arrays that its owner reuses.
 
@@ -80,20 +108,15 @@ class ActiveDiagonal:
     :meth:`store` squares sigma back once and writes the round into the
     stored belief.
 
-    The arrays grow to the largest active set loaded, never to d, and
-    every step writes into them with out=, so an update allocates no float
-    array the size of the active set. ``grad`` and ``w_prime`` are for the
-    caller's gradient step; ``v``, ``uv``, ``scales``, ``neg`` and ``pin``
-    are the flow's work space.
+    Every step writes into the arrays with out=, so an update allocates no
+    float array the size of the active set. ``grad`` and ``w_prime`` are
+    for the caller's gradient step; ``v``, ``uv``, ``scales``, ``neg`` and
+    ``pin`` are the flow's work space.
     """
 
     variant = DIAGONAL
     _FLOATS = ("mean", "variances", "sigma", "xi", "w", "w_prime", "grad", "v", "uv", "scales")
     _FLAGS = ("neg", "pin")
-
-    def __init__(self):
-        self._floats = np.empty((len(self._FLOATS), 0))
-        self._flags = np.empty((len(self._FLAGS), 0), dtype=bool)
 
     @property
     def dim(self) -> int:
@@ -101,28 +124,21 @@ class ActiveDiagonal:
 
     def load(self, belief: BeliefState, idx: np.ndarray) -> "ActiveDiagonal":
         """Gather a stored diagonal belief on the coordinates idx."""
-        k = idx.shape[0]
-        if k > self._floats.shape[1]:
-            self._floats = np.empty((len(self._FLOATS), k))
-            self._flags = np.empty((len(self._FLAGS), k), dtype=bool)
-        for names, rows in ((self._FLOATS, self._floats), (self._FLAGS, self._flags)):
-            for name, row in zip(names, rows):
-                setattr(self, name, row[:k])
-        # idx is valid; mode "raise" would buffer the gather
-        np.take(belief.mean, idx, out=self.mean, mode="clip")
-        np.take(belief.variances, idx, out=self.variances, mode="clip")
+        self.resize(idx.shape[0])
+        self.gather(belief.mean, idx, self.mean)
+        self.gather(belief.variances, idx, self.variances)
         np.sqrt(self.variances, out=self.sigma)
         return self
 
-    def store(self, belief: BeliefState, idx: np.ndarray, lam_min: float = LAMBDA_MIN) -> None:
+    def store(self, belief: BeliefState, idx: np.ndarray) -> None:
         """Write the round into the stored belief on idx: the mean, and
-        sigma^2 (at least lam_min) where sigma moved. A coordinate whose
+        sigma^2 (at least LAMBDA_MIN) where sigma moved. A coordinate whose
         sigma is still the square root that :meth:`load` took keeps its
         variance bit for bit."""
         np.sqrt(self.variances, out=self.v)
         np.equal(self.sigma, self.v, out=self.pin)
         np.square(self.sigma, out=self.v)
-        np.maximum(self.v, lam_min, out=self.v)
+        np.maximum(self.v, LAMBDA_MIN, out=self.v)
         np.copyto(self.v, self.variances, where=self.pin)
         belief.mean[idx] = self.mean
         belief.variances[idx] = self.v

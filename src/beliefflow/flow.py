@@ -14,7 +14,7 @@ positive-root scale
 
 the unique solution of a^2 (1 + u^2) - a u v - 1 = 0 connected to the
 identity (a > 0). For u v < 0 it is computed as 2 / (sqrt(...) - u v),
-which does not cancel (see :func:`scale_into`).
+which does not cancel (see :func:`scalar_scale`).
 """
 
 from __future__ import annotations
@@ -93,30 +93,27 @@ class FlowLog:
 def scalar_scale(u, v):
     """Positive-root scale of the 1-D flow problem; broadcasts over arrays.
 
-    v == u means the step landed exactly where it started, so the scale is
-    pinned to 1.0 rather than trusting sqrt to cancel. See
-    :func:`scale_into` for the cancellation-free form.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.array(v, dtype=float)  # a copy, which scale_into overwrites
-    if u.shape != v.shape:
-        u, v = np.broadcast_arrays(u, v)
-        v = v.copy()
-    out = np.empty(u.shape)
-    scale_into(u, v, out, np.empty(u.shape), np.empty(u.shape, dtype=bool),
-               np.empty(u.shape, dtype=bool))
-    return out
-
-
-def scale_into(u, v, out, uv, neg, pin) -> np.ndarray:
-    """Write the scale of :func:`scalar_scale` into out, in place.
-
     With D = 4 + u^2 (4 + v^2) and r = sqrt(D) + |u v|, the positive root is
     r / (2 (1 + u^2)) when u v >= 0 and 2 / r otherwise: the same root with
     its numerator rationalized, so a step that overshoots the mean (u v << 0)
     gets a positive scale to full precision instead of the difference of two
     nearly equal numbers. For u v >= 0 it is the textbook formula, operation
     for operation.
+
+    v == u means the step landed exactly where it started, so the scale is
+    pinned to 1.0 rather than trusting sqrt to cancel.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    uv = u * v
+    r = np.sqrt(4.0 + u * u * (4.0 + v * v)) + np.abs(uv)
+    a = np.where(uv < 0.0, 2.0 / r, r / (2.0 * (1.0 + u * u)))
+    return np.where(u == v, 1.0, a)
+
+
+def scale_into(u, v, out, uv, neg, pin) -> np.ndarray:
+    """Write the scale of :func:`scalar_scale` into out, in place, with the
+    same operations in the same order, for an :class:`ActiveDiagonal` round.
 
     All arguments are float arrays of one shape, except the bool work
     arrays neg and pin; v is overwritten and uv is work space. Nothing is

@@ -115,22 +115,16 @@ class BeliefFlowLearner:
         return self.belief.mean.copy()
 
 
-class ActiveWeights:
-    """A point estimate's active coordinates and their gradient, in two
-    arrays a learner owns. They grow to the largest active set loaded,
-    never to d."""
+class ActiveWeights(bel.ActiveArrays):
+    """A point estimate's active coordinates and their gradient, in work
+    arrays a learner owns (see :class:`belief.ActiveArrays`)."""
 
-    def __init__(self):
-        self._rows = np.empty((2, 0))
+    _FLOATS = ("w", "grad")
 
     def load(self, w: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """w on idx, gathered, and an array of its size for the gradient."""
-        k = idx.shape[0]
-        if k > self._rows.shape[1]:
-            self._rows = np.empty((2, k))
-        sub, grad = self._rows[0, :k], self._rows[1, :k]
-        np.take(w, idx, out=sub, mode="clip")  # idx is valid; "raise" would buffer
-        return sub, grad
+        self.resize(idx.shape[0])
+        return self.gather(w, idx, self.w), self.grad
 
 
 class SGDLearner:
@@ -152,11 +146,11 @@ class SGDLearner:
         self.w = np.asarray(w0, dtype=float).copy()
         self.eta = float(eta)
         self.m = update_count(m)
-        self.active = ActiveWeights()
+        self.active = None if self.noise_scale else ActiveWeights()
 
     def step(self, ex: LabeledExample, rng: np.random.Generator) -> int:
         target = mdl.target_vector(self.spec, ex.label)
-        if self.noise_scale:
+        if self.active is None:
             spec, idx, x, w, grad_out = self.spec, None, ex.x, self.w, None
         else:
             spec, idx, x = mdl.active_subproblem(self.spec, ex.x)
@@ -184,8 +178,8 @@ class LangevinSGDLearner(SGDLearner):
     """SGD plus Gaussian exploration noise, w <- w - eta grad + sqrt(2 eta) xi."""
 
     def __init__(self, spec: mdl.ModelSpec, w0: np.ndarray, eta: float, m: int = 1):
+        self.noise_scale = np.sqrt(2.0 * float(eta))
         super().__init__(spec, w0, eta, m=m)
-        self.noise_scale = np.sqrt(2.0 * self.eta)
 
     # The SGD round, bound in this class too, so that wrapping one class's
     # step (as a tracer does) leaves the other class's step alone.

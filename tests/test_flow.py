@@ -112,6 +112,23 @@ def test_scalar_scale_is_accurate_when_the_step_overshoots(u, v):
         assert ulps_from(a, decimal_scale(u, v)) <= 4.0
 
 
+def test_scale_into_has_the_bytes_of_scalar_scale():
+    # the in-place kernel of an ActiveDiagonal round runs the same
+    # operations in the same order as scalar_scale
+    rng = np.random.default_rng(29)
+    u = np.concatenate([[1.0, 1.0, 2.0, 1e-8, 1e8, 0.0, -0.0, 3.0],
+                        rng.normal(size=200) * 10.0 ** rng.uniform(-8, 8, size=200)])
+    v = np.concatenate([[-1e8, 1.0, -1e9, -1e10, 1e-8, 0.0, 2.0, -3.0],
+                        rng.normal(size=200) * 10.0 ** rng.uniform(-8, 10, size=200)])
+    v[-20:] = u[-20:]
+    want = fl.scalar_scale(u, v)
+    out, uv = np.empty(u.size), np.empty(u.size)
+    neg, pin = np.empty(u.size, dtype=bool), np.empty(u.size, dtype=bool)
+    got = fl.scale_into(u, v.copy(), out, uv, neg, pin)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+
+
 def test_overshooting_step_on_a_one_dimensional_full_belief():
     # w = 0.1 -> w' = -2e7 at sigma = 0.1: the scale used to be 0, so
     # apply_flow divided by det a2 = 0 and raised a math domain error

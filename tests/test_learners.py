@@ -144,6 +144,27 @@ def reference_step(learner, ex, rng):
     return predicted, bel.BeliefState(bel.DIAGONAL, mean, variances=variances)
 
 
+def textbook_step(learner, ex, rng):
+    """The textbook round on the whole belief: every update samples,
+    solves and applies over all d coordinates, whitening w - mu and
+    w' - mu and scaling the variances. Returns (predicted, belief)."""
+    target = mdl.target_vector(learner.spec, ex.label)
+    belief = bel.snapshot(learner.belief)
+    predicted = None
+    for i in range(learner.m):
+        w = bel.sample(belief, rng)
+        z, grad = mdl.forward_backward(learner.spec, w, ex.x, target)
+        if i == 0:
+            predicted = mdl.predict_label(z)
+        w_prime = w - learner.eta * grad
+        flow = fl.solve(belief, w, w_prime)
+        if learner.non_expansive:
+            flow = fl.clamp_nonexpansive(flow)
+        belief = fl.apply_flow(belief, flow, w, w_prime)
+        belief = bel.correct_spectrum(belief)
+    return predicted, belief
+
+
 def diagonal_learner(spec, rng, **kwargs):
     d = spec.n_params
     prior = bel.diagonal_belief(rng.normal(scale=0.3, size=d), rng.uniform(0.01, 0.09, size=d))
@@ -153,22 +174,31 @@ def diagonal_learner(spec, rng, **kwargs):
 @pytest.mark.parametrize("spec", [mdl.logistic_model(6), mdl.mlp_model(5, 4, 3)])
 @pytest.mark.parametrize("non_expansive", [False, True])
 def test_bflo_diagonal_dense_input_matches_whole_belief_loop(spec, non_expansive, monkeypatch):
-    # every feature is nonzero, so the active set is every coordinate and
-    # the round must reproduce the loop over the whole belief bit for bit
+    # every feature is nonzero, so the active set is every coordinate: the
+    # round must reproduce its sigma-carry reference bit for bit, and the
+    # textbook loop over the whole belief to rounding, at every round
     rng = np.random.default_rng(31)
     learner = diagonal_learner(spec, rng, eta=0.3, m=3, non_expansive=non_expansive)
     rng_new, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+    rng_text = np.random.default_rng()
     solves = count_solves(monkeypatch)
     for _ in range(20):
         x = rng.uniform(0.1, 2.0, size=spec.n_features) * rng.choice([-1.0, 1.0], spec.n_features)
         ex = example(x, int(rng.integers(0, max(2, spec.n_outputs))))
+        rng_text.bit_generator.state = rng_new.bit_generator.state
+        predicted_text, text = textbook_step(learner, ex, rng_text)
         predicted, want = reference_step(learner, ex, rng_ref)
         del solves[:]
-        assert learner.step(ex, rng_new) == predicted
+        assert learner.step(ex, rng_new) == predicted == predicted_text
         assert len(solves) == 3
         assert bel.entropy(learner.belief) == bel.entropy(want)
         np.testing.assert_array_equal(learner.belief.mean, want.mean)
         np.testing.assert_array_equal(learner.belief.variances, want.variances)
+        # one round of m = 3 updates from the same belief and draws: the
+        # two forms differ by rounding alone (at most 1.2e-13 relative here)
+        np.testing.assert_allclose(learner.belief.mean, text.mean, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(learner.belief.variances, text.variances, rtol=1e-12,
+                                   atol=0.0)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 

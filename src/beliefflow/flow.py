@@ -415,13 +415,15 @@ def _rotation_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def replay(snapshots):
-    """Yield (round, belief, logged) for a sequence of snapshot records.
+    """Yield (round, belief, logged) for an iterable of snapshot records,
+    one record at a time, as ``harness.iter_snapshots`` yields them.
 
     A :class:`FlowLog` becomes a full belief whose W is the previous one's
     moved by each logged flow through :func:`transport_inverse`, as the
     learner moved it, so the bytes are the learner's. Its logged are the
     (G, a2) pair of each flow, G = B^T W before that flow; a BeliefState
-    comes through as it is, with logged None. Only the latest W is held.
+    comes through as it is, with logged None. Only the latest W is held,
+    and a record is drawn only when the one before it has been yielded.
     """
     inv_factor = None
     for rnd, record in snapshots:

@@ -68,8 +68,9 @@ SNAPSHOT_MAGIC = b"BFSN"
 # Full beliefs are written as v3 (keyframes plus logged flows), the others as v2.
 SNAPSHOT_VERSIONS = {bel.FULL: 3, bel.DIAGONAL: 2, bel.SPHERICAL: 2}
 # After the magic: version, variant code, dimension, payload length.
-_HEADER_V1 = struct.Struct("<IBII")
 _HEADER_V2 = struct.Struct("<IIII4x")
+# A v2 record starts with its round.
+_ROUND = struct.Struct("<Q")
 # A v3 record starts with its round, its kind and its update count.
 _RECORD_V3 = struct.Struct("<QII")
 _KEYFRAME, _DELTA = 0, 1
@@ -321,10 +322,12 @@ def run_online(config: ExperimentConfig, run_index: int,
 
     A belief learner's entropy is recorded every round up to
     ENTROPY_EVERY_ROUND_MAX_DIM parameters, and at every snapshot round.
-    Given a snapshot_path, a belief learner's run keeps its snapshots and
-    writes them there. A full belief's snapshot is a delta, the steps'
-    ``last_flows`` since the previous one (see :func:`write_snapshots`),
-    unless a step rebuilt W or the flows would take more floats than W.
+    Given a snapshot_path, a belief learner's run streams its snapshots
+    there, each written from the learner's own arrays when it is taken; a
+    run that fails leaves no file. A full belief's snapshot is a delta, the
+    steps' ``last_flows`` since the previous one (see
+    :func:`write_snapshots`), unless a step rebuilt W or the flows would
+    take more floats than W.
     """
     t0 = time.perf_counter()
     seed = config.base_seed + run_index
@@ -350,34 +353,36 @@ def run_online(config: ExperimentConfig, run_index: int,
     mistakes = np.zeros(n_train, dtype=np.uint8)
     entropies = np.full(n_train, np.nan)
     snapshot_rounds = []
-    snapshots = [(0, bel.snapshot(learner.belief))] if keep else []
     flows = [] if deltas else None  # since the last snapshot; None makes a keyframe
-    for i in range(n_train):
-        ex = train.example(i)
-        try:
-            predicted = learner.step(ex, rng)
-        except lrn.NonFiniteStepError as exc:
-            raise lrn.NonFiniteStepError(f"run {run_index} round {i + 1}: {exc}") from exc
-        mistakes[i] = predicted != ex.true_label
-        if flows is not None:
-            applied = learner.last_flows
-            if applied is None or len(flows) + len(applied) > max_flows:
-                flows = None
-            else:
-                flows += applied
-        rnd = i + 1
-        snapshot = is_belief and (rnd % cadence == 0 or rnd == n_train)
-        if every_round or snapshot:
-            entropies[i] = bel.entropy(learner.belief)
-        if snapshot:
-            snapshot_rounds.append(rnd)
-            if keep:
-                snapshots.append((rnd, bel.snapshot(learner.belief) if flows is None
-                                  else fl.FlowLog(learner.belief.mean, tuple(flows))))
-            flows = [] if deltas else None
-    final_error = evaluate_error_pct(spec, learner.freeze(), test) if len(test) else float("nan")
-    if keep:
-        write_snapshots(snapshot_path, snapshots)
+    with _replacing(snapshot_path, "wb") if keep else contextlib.nullcontext() as snap:
+        if keep:
+            snap.write(_snapshot_header(learner.belief))
+            _write_snapshot(snap, 0, learner.belief)
+        for i in range(n_train):
+            ex = train.example(i)
+            try:
+                predicted = learner.step(ex, rng)
+            except lrn.NonFiniteStepError as exc:
+                raise lrn.NonFiniteStepError(f"run {run_index} round {i + 1}: {exc}") from exc
+            mistakes[i] = predicted != ex.true_label
+            if flows is not None:
+                applied = learner.last_flows
+                if applied is None or len(flows) + len(applied) > max_flows:
+                    flows = None
+                else:
+                    flows += applied
+            rnd = i + 1
+            snapshot = is_belief and (rnd % cadence == 0 or rnd == n_train)
+            if every_round or snapshot:
+                entropies[i] = bel.entropy(learner.belief)
+            if snapshot:
+                snapshot_rounds.append(rnd)
+                if keep:
+                    _write_snapshot(snap, rnd, learner.belief if flows is None
+                                    else fl.FlowLog(learner.belief.mean, tuple(flows)))
+                flows = [] if deltas else None
+        final_error = (evaluate_error_pct(spec, learner.freeze(), test) if len(test)
+                       else float("nan"))
     return RunReport(
         run_index=run_index,
         seed=seed,
@@ -574,10 +579,64 @@ def write_curve(path, report: RunReport) -> None:
             fh.write(f"{i + 1},{int(cum[i])},{ent_s}\n")
 
 
-def _payload_len(variant: str, d: int, version: int) -> int:
+def _payload_len(variant: str, d: int) -> int:
     if variant == bel.FULL:
-        return d * d + d if version == 1 else d * d
+        return d * d
     return d if variant == bel.DIAGONAL else 1
+
+
+def _records(fh, path, record: struct.Struct, body):
+    """Walk the records of an open little-endian file from its position on.
+
+    A record is ``record``'s fields, then n float64 values, where
+    ``body(offset, *fields)`` gives (n, what): what names the record in the
+    error raised when its values run past the end of the file. Yields
+    (offset, fields, values) one record at a time; values is a read-only
+    view of a buffer of the record's own, so a caller holds what it keeps.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    offset = fh.tell()
+    while offset < size:
+        if offset + record.size > size:
+            raise ValueError(f"{path}: truncated record at byte {offset}")
+        fields = record.unpack(fh.read(record.size))
+        n, what = body(offset, *fields)
+        end = offset + record.size + 8 * n
+        if end > size:
+            raise ValueError(f"{path}: truncated {what}")
+        yield offset, fields, np.frombuffer(fh.read(8 * n), dtype="<f8")
+        offset = end
+
+
+def _values_past_the_end(offset: int, *counts) -> str:
+    return (f"record at byte {offset}: its {' + '.join(map(str, counts))} values run past the "
+            "end of the file")
+
+
+def _snapshot_header(first) -> bytes:
+    """The file header of a snapshot stream whose first record is first."""
+    if isinstance(first, fl.FlowLog):
+        raise ValueError("the first snapshot must be a keyframe, not a flow log")
+    variant, d = first.variant, first.dim
+    return SNAPSHOT_MAGIC + _HEADER_V2.pack(SNAPSHOT_VERSIONS[variant], _VARIANT_CODES[variant], d,
+                                            _payload_len(variant, d))
+
+
+def _write_snapshot(fh, rnd: int, state) -> None:
+    """One record of a snapshot stream (see write_snapshots), written from
+    the arrays of state as they are; nothing is copied."""
+    if state.variant != bel.FULL:
+        fh.write(_ROUND.pack(rnd))
+        arrays = [state.mean,
+                  state.variances if state.variant == bel.DIAGONAL else [state.variance]]
+    elif isinstance(state, fl.FlowLog):
+        fh.write(_RECORD_V3.pack(rnd, _DELTA, len(state.flows)))
+        arrays = [state.mean] + [a for f in state.flows for a in (f.mu_hat, f.nu_hat, f.a2)]
+    else:
+        fh.write(_RECORD_V3.pack(rnd, _KEYFRAME, 0))
+        arrays = [state.mean, state.inv_factor]
+    for arr in arrays:
+        fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def write_snapshots(path, snapshots: list) -> None:
@@ -599,133 +658,98 @@ def write_snapshots(path, snapshots: list) -> None:
     by each in turn (``flow.transport_inverse``). The first record is a
     keyframe; :func:`run_online` keeps a FlowLog only where it rebuilds W.
 
-    Every float64 starts on an 8-byte boundary, so a reader can use records
-    in place.
+    Every float64 starts on an 8-byte boundary. The list is checked before
+    anything is written; :func:`run_online` streams its records instead.
     """
     if not snapshots:
         raise ValueError("no snapshots to write")
     first = snapshots[0][1]
-    if isinstance(first, fl.FlowLog):
-        raise ValueError("the first snapshot must be a keyframe, not a flow log")
-    variant, d = first.variant, first.dim
-    version = SNAPSHOT_VERSIONS[variant]
-    payload_len = _payload_len(variant, d, version)
-
+    header = _snapshot_header(first)
+    if any(state.variant != first.variant or state.dim != first.dim for _, state in snapshots):
+        raise ValueError("snapshots mix variants or dimensions")
     with _replacing(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(_HEADER_V2.pack(version, _VARIANT_CODES[variant], d, payload_len))
+        fh.write(header)
         for rnd, state in snapshots:
-            if state.variant != variant or state.dim != d:
-                raise ValueError("snapshots mix variants or dimensions")
-            if variant != bel.FULL:
-                fh.write(struct.pack("<Q", rnd))
-                arrays = [state.mean,
-                          state.variances if variant == bel.DIAGONAL else [state.variance]]
-            elif isinstance(state, fl.FlowLog):
-                fh.write(_RECORD_V3.pack(rnd, _DELTA, len(state.flows)))
-                arrays = [state.mean] + [a for f in state.flows for a in (f.mu_hat, f.nu_hat, f.a2)]
-            else:
-                fh.write(_RECORD_V3.pack(rnd, _KEYFRAME, 0))
-                arrays = [state.mean, state.inv_factor]
-            for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+            _write_snapshot(fh, rnd, state)
 
 
-def read_snapshots(path) -> list:
-    """Inverse of write_snapshots; returns [(round, record), ...].
+def iter_snapshots(path):
+    """The (round, record) pairs of a snapshot file (see write_snapshots).
 
-    A record is a BeliefState, except for the deltas of a v3 file, which are
-    ``flow.FlowLog``s; ``flow.replay`` turns these into beliefs one at a
-    time. Records are read-only views into one buffer holding the file, so
-    the file is in memory once. A full belief read back carries the mean and
-    W only (see ``belief.root``). Version 2 files hold full beliefs as
-    keyframes only, in v2 records. Version 1 files are still read: a 17-byte
-    header (u8 variant code) and u32 rounds, with the full payload as U
-    row-major plus the eigenvalues of Sigma = U diag(D) U^T.
+    The header is checked on the call; each record is read, into a buffer
+    of its own, only when iterated, so memory is O(d) per record held. A
+    record is a BeliefState of read-only arrays, except for the deltas of a
+    v3 file, which are ``flow.FlowLog``s that ``flow.replay`` turns into
+    beliefs. A full belief read back carries the mean and W only (see
+    ``belief.root``). Version 2 files hold full beliefs as keyframes only.
     """
-    buf = np.fromfile(path, dtype=np.uint8)
-    if buf[:4].tobytes() != SNAPSHOT_MAGIC or buf.size < 8:
+    with open(path, "rb") as fh:
+        head = fh.read(4 + _HEADER_V2.size)
+    if len(head) < 8 or head[:4] != SNAPSHOT_MAGIC:
         raise ValueError(f"{path}: not a snapshot file")
-    buf.flags.writeable = False
-    version = struct.unpack_from("<I", buf, 4)[0]
-    if version not in (1, 2, 3):
+    version = struct.unpack_from("<I", head, 4)[0]
+    if version not in (2, 3):
         raise ValueError(f"{path}: unsupported snapshot version {version}")
-    header, round_fmt = (_HEADER_V1, "<I") if version == 1 else (_HEADER_V2, "<Q")
-    offset = 4 + header.size
-    if buf.size < offset:
+    if len(head) < 4 + _HEADER_V2.size:
         raise ValueError(f"{path}: truncated header")
-    _, code, d, payload_len = header.unpack_from(buf, 4)
+    _, code, d, payload_len = _HEADER_V2.unpack_from(head, 4)
     variant = _VARIANT_NAMES.get(code)
     if variant is None:
         raise ValueError(f"{path}: unknown variant code {code}")
     if version == 3 and variant != bel.FULL:
         raise ValueError(f"{path}: version 3 holds full beliefs only, not {variant}")
-    if payload_len != _payload_len(variant, d, version):
+    if payload_len != _payload_len(variant, d):
         raise ValueError(f"{path}: payload length {payload_len} does not fit a {variant} "
                          f"belief of dimension {d}")
-    if version == 3:
-        return _read_flow_log(path, buf, offset, d)
-    round_size = struct.calcsize(round_fmt)
-    record = round_size + 8 * (d + payload_len)
-    if (buf.size - offset) % record:
-        raise ValueError(f"{path}: truncated record stream")
-    snapshots = []
-    for start in range(offset, buf.size, record):
-        rnd = struct.unpack_from(round_fmt, buf, start)[0]
-        vals = buf[start + round_size:start + record].view("<f8")
-        if version == 1:
-            vals = vals.copy()  # v1 records are not 8-byte aligned
-        mean, payload = vals[:d], vals[d:]
-        if variant == bel.FULL and version == 1:
-            state = bel.full_belief(mean, payload[:d * d].reshape(d, d), payload[d * d:])
-        elif variant == bel.FULL:
-            state = bel.BeliefState(bel.FULL, mean, inv_factor=payload.reshape(d, d))
-        elif variant == bel.DIAGONAL:
-            state = bel.BeliefState(bel.DIAGONAL, mean, variances=payload)
-        else:
-            state = bel.BeliefState(bel.SPHERICAL, mean, variance=float(payload[0]))
-        snapshots.append((int(rnd), state))
-    return snapshots
+    return _snapshot_records(path, variant, d, version)
 
 
-def _read_flow_log(path, buf: np.ndarray, offset: int, d: int) -> list:
-    """The keyframe and delta records of a v3 file (see write_snapshots)."""
-    step = 2 * d + 4
-    snapshots = []
-    start = offset
-    while start < buf.size:
-        body = start + _RECORD_V3.size + 8 * d
-        if body > buf.size:
-            raise ValueError(f"{path}: truncated record at byte {start}")
-        rnd, kind, count = _RECORD_V3.unpack_from(buf, start)
+def read_snapshots(path) -> list:
+    """[(round, record), ...]: :func:`iter_snapshots` as a list, which holds
+    every record at once; the CLI streams instead."""
+    return list(iter_snapshots(path))
+
+
+def _snapshot_records(path, variant: str, d: int, version: int):
+    """The records after a snapshot file's header, which iter_snapshots checked."""
+    step, v2_len = 2 * d + 4, d + _payload_len(variant, d)
+
+    def body(at, rnd, kind=_KEYFRAME, count=0):
+        if version == 2:
+            return v2_len, _values_past_the_end(at, v2_len)
         if kind == _KEYFRAME:
-            end = body + 8 * d * d
-            if end > buf.size:
-                raise ValueError(f"{path}: truncated keyframe at byte {start}")
-        elif kind == _DELTA:
-            if not snapshots:
-                raise ValueError(f"{path}: delta at byte {start} comes before any keyframe")
-            end = body + 8 * count * step
-            if end > buf.size:
-                raise ValueError(f"{path}: truncated delta at byte {start}: its update count "
-                                 f"{count} runs past the end of the file")
-        else:
-            raise ValueError(f"{path}: unknown record kind {kind} at byte {start}")
-        mean = buf[start + _RECORD_V3.size:body].view("<f8")
-        vals = buf[body:end].view("<f8")
-        if kind == _KEYFRAME:
-            state = bel.BeliefState(bel.FULL, mean, inv_factor=vals.reshape(d, d))
-        else:
-            state = fl.FlowLog(mean, tuple(
-                fl.FlowSolution(bel.FULL, mu_hat=v[:d], nu_hat=v[d:2 * d], a2=v[2 * d:].reshape(2, 2))
-                for v in vals.reshape(count, step)))
-        snapshots.append((int(rnd), state))
-        start = end
-    return snapshots
+            return d + d * d, f"keyframe at byte {at}"
+        if kind == _DELTA:
+            return d + count * step, (f"delta at byte {at}: its update count {count} runs past "
+                                      "the end of the file")
+        raise ValueError(f"{path}: unknown record kind {kind} at byte {at}")
+
+    keyframe_seen = False
+    with open(path, "rb") as fh:
+        fh.seek(4 + _HEADER_V2.size)
+        for at, (rnd, *kind), vals in _records(fh, path, _ROUND if version == 2 else _RECORD_V3,
+                                               body):
+            mean, rest = vals[:d], vals[d:]
+            if kind and kind[0] == _DELTA:
+                if not keyframe_seen:
+                    raise ValueError(f"{path}: delta at byte {at} comes before any keyframe")
+                state = fl.FlowLog(mean, tuple(
+                    fl.FlowSolution(bel.FULL, mu_hat=v[:d], nu_hat=v[d:2 * d],
+                                    a2=v[2 * d:].reshape(2, 2))
+                    for v in rest.reshape(-1, step)))
+            elif variant == bel.FULL:
+                keyframe_seen = True
+                state = bel.BeliefState(bel.FULL, mean, inv_factor=rest.reshape(d, d))
+            elif variant == bel.DIAGONAL:
+                state = bel.BeliefState(bel.DIAGONAL, mean, variances=rest)
+            else:
+                state = bel.BeliefState(bel.SPHERICAL, mean, variance=float(rest[0]))
+            yield int(rnd), state
 
 
-def write_trace(path, rows: list) -> None:
-    """Pseudo-datapoint trace (``pseudo.TraceRow``s) as two files.
+def write_trace(path, rows) -> int:
+    """Pseudo-datapoint trace (``pseudo.TraceRow``s) as two files; returns
+    the number of rows.
 
     path gets a CSV with one row per interval, TRACE_COLUMNS: the round; the
     count of finite R values (informative) and of those below 0
@@ -737,61 +761,59 @@ def write_trace(path, rows: list) -> None:
     path.with_suffix('.bin') gets the vectors as a little-endian record
     stream: magic 'BFTR', u32 version, then per row u64 round, u32 n_x,
     u32 n_r, and n_x float64 values of x and n_r of R (both 0 on an idle
-    interval). Every float64 starts on an 8-byte boundary. Both files are
-    moved onto their names only once both are complete.
+    interval). Every float64 starts on an 8-byte boundary.
+
+    rows may be any iterable, such as the generator ``pseudo.trace_rows``;
+    each row is written and dropped before the next is drawn. Both files
+    are moved onto their names only once both are complete.
     """
     path = Path(path)
     vectors = path.with_suffix(".bin")
     if vectors == path:
         raise ValueError(f"{path}: the trace CSV must not end in .bin; its vectors go there")
+    count = 0
     with _replacing(path, "w", encoding="ascii") as fh, _replacing(vectors, "wb") as fb:
         fh.write(TRACE_COLUMNS + "\n")
         fb.write(TRACE_MAGIC + struct.pack("<I", TRACE_VERSION))
         for row in rows:
-            x, r = (np.zeros(0) if v is None else np.ascontiguousarray(v, dtype="<f8").ravel()
-                    for v in (row.x, row.eigenvalues))
-            fb.write(_TRACE_RECORD.pack(row.round, x.size, r.size))
-            fb.write(x)
-            fb.write(r)
-            finite = r[np.isfinite(r)]
-            fields = [row.round, finite.size, int(np.count_nonzero(finite < 0.0))]
-            if finite.size:
-                fields += [_fmt(np.sum(1.0 / finite)),
-                           _fmt(finite.min()), _fmt(finite.max())]
-            else:
-                fields += ["", "", ""]
-            fields += ["" if v is None else _fmt(v) for v in (row.rho, row.cum_rho)]
-            fh.write(",".join(map(str, fields)) + "\n")
+            _write_trace_row(fh, fb, row)
+            count += 1
+            del row  # so the next row is computed with this one's vectors freed
+    return count
+
+
+def _write_trace_row(fh, fb, row) -> None:
+    x, r = (np.zeros(0) if v is None else np.ascontiguousarray(v, dtype="<f8").ravel()
+            for v in (row.x, row.eigenvalues))
+    fb.write(_TRACE_RECORD.pack(row.round, x.size, r.size))
+    fb.write(x)
+    fb.write(r)
+    finite = r[np.isfinite(r)]
+    fields = [row.round, finite.size, int(np.count_nonzero(finite < 0.0))]
+    if finite.size:
+        fields += [_fmt(np.sum(1.0 / finite)), _fmt(finite.min()), _fmt(finite.max())]
+    else:
+        fields += ["", "", ""]
+    fields += ["" if v is None else _fmt(v) for v in (row.rho, row.cum_rho)]
+    fh.write(",".join(map(str, fields)) + "\n")
 
 
 def read_trace(path) -> list:
     """The vectors write_trace put in path (a trace.bin): [(round, x, R), ...].
 
-    x and R are read-only views into one buffer holding the file; both are
-    empty on an idle interval, and x is empty on a full-covariance one.
+    x and R are read-only views into a buffer of their record's own; both
+    are empty on an idle interval, and x is empty on a full-covariance one.
     """
-    buf = np.fromfile(path, dtype=np.uint8)
-    if buf.size < 8 or buf[:4].tobytes() != TRACE_MAGIC:
-        raise ValueError(f"{path}: not a trace file")
-    buf.flags.writeable = False
-    version = struct.unpack_from("<I", buf, 4)[0]
-    if version != TRACE_VERSION:
-        raise ValueError(f"{path}: unsupported trace version {version}")
-    records = []
-    start = 8
-    while start < buf.size:
-        body = start + _TRACE_RECORD.size
-        if body > buf.size:
-            raise ValueError(f"{path}: truncated record at byte {start}")
-        rnd, n_x, n_r = _TRACE_RECORD.unpack_from(buf, start)
-        end = body + 8 * (n_x + n_r)
-        if end > buf.size:
-            raise ValueError(f"{path}: truncated record at byte {start}: its {n_x} + {n_r} "
-                             "values run past the end of the file")
-        vals = buf[body:end].view("<f8")
-        records.append((int(rnd), vals[:n_x], vals[n_x:]))
-        start = end
-    return records
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != TRACE_MAGIC:
+            raise ValueError(f"{path}: not a trace file")
+        version = struct.unpack_from("<I", head, 4)[0]
+        if version != TRACE_VERSION:
+            raise ValueError(f"{path}: unsupported trace version {version}")
+        return [(int(rnd), vals[:n_x], vals[n_x:]) for _, (rnd, n_x, n_r), vals in _records(
+            fh, path, _TRACE_RECORD,
+            lambda at, _, n_x, n_r: (n_x + n_r, _values_past_the_end(at, n_x, n_r)))]
 
 
 # ---------------------------------------------------------------------------
@@ -969,8 +991,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    snapshots = read_snapshots(args.snapshots)
-    rows = psd.pseudo_trace(snapshots)
-    write_trace(args.out, rows)
-    print(f"{len(rows)} trace rows -> {args.out}, {Path(args.out).with_suffix('.bin')}")
+    rows = write_trace(args.out, psd.trace_rows(iter_snapshots(args.snapshots)))
+    print(f"{rows} trace rows -> {args.out}, {Path(args.out).with_suffix('.bin')}")
     return 0

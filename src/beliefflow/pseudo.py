@@ -65,14 +65,22 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
         return PseudoDatapoint(SPHERICAL, x, r)
     if prior.variant == DIAGONAL:
         v0, v1 = prior.variances, posterior.variances
-        if np.linalg.norm(v1 - v0) <= NO_DATAPOINT_TOL * np.linalg.norm(v0):
+        dprec = v1 - v0
+        if np.linalg.norm(dprec) <= NO_DATAPOINT_TOL * np.linalg.norm(v0):
             return None
-        dprec = 1.0 / v1 - 1.0 / v0
+        # Three d-vectors at a time, written in place, so a trace of a large
+        # diagonal run holds little beside its two beliefs.
+        np.divide(1.0, v1, out=dprec)
+        part = 1.0 / v0
+        dprec -= part
         untouched = dprec == 0.0
-        safe_dprec = np.where(untouched, 1.0, dprec)
-        r = np.where(untouched, np.inf, 1.0 / safe_dprec)
-        x = np.where(untouched, posterior.mean,
-                     (posterior.mean / v1 - prior.mean / v0) / safe_dprec)
+        dprec[untouched] = 1.0  # a safe divisor; those coordinates are set below
+        x = posterior.mean / v1
+        x -= np.divide(prior.mean, v0, out=part)
+        x /= dprec
+        np.copyto(x, posterior.mean, where=untouched)
+        r = np.divide(1.0, dprec, out=dprec)
+        r[untouched] = np.inf
         return PseudoDatapoint(DIAGONAL, x, r)
     prec0 = _full_precision(prior)
     prec1 = _full_precision(posterior)
@@ -178,18 +186,27 @@ class TraceRow:
 
 
 def pseudo_trace(snapshots) -> list[TraceRow]:
-    """Pseudo datapoints between consecutive belief snapshots of one run.
+    """Every row of :func:`trace_rows` as a list. The list holds each row's
+    vectors (for a diagonal run, 2 d floats a row); the CLI streams
+    ``trace_rows`` into ``harness.write_trace`` instead."""
+    return list(trace_rows(snapshots))
 
-    snapshots is a sequence of (round, record) pairs in round order, as
-    ``harness.read_snapshots`` returns them; a ``flow.FlowLog`` record is
-    replayed (``flow.replay``), so only the latest W is held. Spherical
-    runs also report rho = 1/lambda per row and its running sum; identity
+
+def trace_rows(snapshots):
+    """Pseudo datapoints between consecutive belief snapshots of one run,
+    yielded one :class:`TraceRow` at a time.
+
+    snapshots is an iterable of (round, record) pairs in round order, as
+    ``harness.iter_snapshots`` yields them; a ``flow.FlowLog`` record is
+    replayed (``flow.replay``). Two beliefs are held at a time, so with a
+    consumer that drops each row before drawing the next, memory is O(d)
+    (O(d^2) for full beliefs) whatever the snapshot count. Spherical runs
+    also report rho = 1/lambda per row and its running sum; identity
     intervals become degenerate marker rows and do not contribute to the
     sum. Full-covariance rows report the informative-subspace eigenvalues of
     R only (the location has no stable basis to live in): from the logged
     flows where the interval has them, else from the dense precisions.
     """
-    rows: list[TraceRow] = []
     cum_rho = 0.0
     prev = prev_prec = None  # full runs: a dense route builds each precision once
     for rnd, cur, logged in fl.replay(snapshots):
@@ -198,32 +215,31 @@ def pseudo_trace(snapshots) -> list[TraceRow]:
             continue
         if prev.variant != cur.variant:
             raise ValueError("snapshots mix belief variants")
-        spherical = cur.variant == SPHERICAL
         if logged is not None:
-            rows.append(_logged_trace_row(rnd, prev.inv_factor, cur.inv_factor, logged))
-            prev, prev_prec = cur, None
-            continue
-        if cur.variant == FULL:
+            row = _logged_trace_row(rnd, prev.inv_factor, cur.inv_factor, logged)
+            prev_prec = None
+        elif cur.variant == FULL:
             if prev_prec is None:
                 prev_prec = _full_precision(prev)
             cur_prec = _full_precision(cur)
-            rows.append(_full_trace_row(rnd, prev_prec, cur_prec))
-            prev, prev_prec = cur, cur_prec
-            continue
-        pd = extract_pseudo(prev, cur)
-        prev = cur
-        if pd is None:
-            rows.append(TraceRow(rnd, None, None, None,
-                                 cum_rho if spherical else None, True))
-            continue
-        if spherical:
-            lam = float(pd.cov)
-            rho = 1.0 / lam
-            cum_rho += rho
-            rows.append(TraceRow(rnd, pd.x, np.array([lam]), rho, cum_rho, False))
+            row = _full_trace_row(rnd, prev_prec, cur_prec)
+            prev_prec = cur_prec
         else:
-            rows.append(TraceRow(rnd, pd.x, pd.cov, None, None, False))
-    return rows
+            spherical = cur.variant == SPHERICAL
+            pd = extract_pseudo(prev, cur)
+            if pd is None:
+                row = TraceRow(rnd, None, None, None, cum_rho if spherical else None, True)
+            elif spherical:
+                lam = float(pd.cov)
+                rho = 1.0 / lam
+                cum_rho += rho
+                row = TraceRow(rnd, pd.x, np.array([lam]), rho, cum_rho, False)
+            else:
+                row = TraceRow(rnd, pd.x, pd.cov, None, None, False)
+            pd = None
+        prev = cur
+        yield row
+        row = None  # the consumer's row is the only one held while the next is computed
 
 
 def _full_trace_row(rnd: int, prev_prec: np.ndarray, cur_prec: np.ndarray) -> TraceRow:

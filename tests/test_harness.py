@@ -415,9 +415,9 @@ def test_read_snapshots_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="not a snapshot file"):
         hns.read_snapshots(p)
     good = tmp_path / "trunc.bin"
-    header = hns.SNAPSHOT_MAGIC + struct.pack("<IBII", 1, 1, 2, 2)
+    header = hns.SNAPSHOT_MAGIC + hns._HEADER_V2.pack(2, 1, 2, 2)
     good.write_bytes(header + b"\x01\x02")  # partial record
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ValueError, match=re.escape(f"{good}: truncated record at byte 24")):
         hns.read_snapshots(good)
     good.write_bytes(hns.SNAPSHOT_MAGIC + struct.pack("<II", 2, 1))  # v2 header cut short
     with pytest.raises(ValueError, match="truncated header"):
@@ -640,28 +640,22 @@ def test_cli_full_variant_run_trace_round_trip(tmp_path):
     assert all(int(line.split(",")[1]) > 0 for line in lines[1:])  # informative eigenvalues
 
 
-def test_v1_full_snapshot_still_reads_and_traces(tmp_path):
-    # version 1 stored full beliefs as eigenvectors (row-major) plus eigenvalues
-    rng = np.random.default_rng(8)
+def test_a_v1_snapshot_file_is_rejected_by_name(tmp_path, capsys):
+    # version 1 (17-byte header, u32 rounds, full beliefs as eigenvectors
+    # plus eigenvalues) is retired; its files fail by version, naming the file
     d = 3
-    records = []
-    for rnd in range(3):
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        records.append((rnd, rng.normal(size=d), q, rng.uniform(0.5, 2.0, size=d)))
     raw = hns.SNAPSHOT_MAGIC + struct.pack("<IBII", 1, 0, d, d * d + d)
-    for rnd, mean, q, evals in records:
-        raw += struct.pack("<I", rnd) + np.concatenate([mean, q.ravel(), evals]).astype("<f8").tobytes()
+    raw += struct.pack("<I", 0) + np.arange(d + d * d + d, dtype="<f8").tobytes()
     p = tmp_path / "v1.bin"
     p.write_bytes(raw)
-    snaps = hns.read_snapshots(p)
-    assert [r for r, _ in snaps] == [0, 1, 2]
-    for (_, state), (_, mean, q, evals) in zip(snaps, records):
-        np.testing.assert_array_equal(state.mean, mean)
-        np.testing.assert_allclose(bel.covariance(state), (q * evals) @ q.T, atol=1e-12)
-        np.testing.assert_allclose(bel.entropy(state),
-                                   0.5 * (d * np.log(2 * np.pi * np.e) + np.sum(np.log(evals))))
-    assert hns.cli_main(["trace", "--snapshots", str(p), "--out", str(tmp_path / "t.csv")]) == 0
-    assert len((tmp_path / "t.csv").read_text().splitlines()) == 3
+    with pytest.raises(ValueError, match=re.escape(f"{p}: unsupported snapshot version 1")):
+        hns.iter_snapshots(p)  # the header is checked on the call, before any record
+    with pytest.raises(ValueError, match=re.escape(f"{p}: unsupported snapshot version 1")):
+        hns.read_snapshots(p)
+    out = tmp_path / "t.csv"
+    assert hns.cli_main(["trace", "--snapshots", str(p), "--out", str(out)]) == 2
+    assert f"{p}: unsupported snapshot version 1" in capsys.readouterr().err
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["v1.bin"]
 
 
 # ---------------------------------------------------------------------------
@@ -1116,6 +1110,180 @@ def test_an_interrupted_write_leaves_neither_target_nor_temp_file(tmp_path):
     with pytest.raises(ValueError, match="mix variants"):
         hns.write_snapshots(tmp_path / "trace.csv", [(0, diag), (1, sph)])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# ---------------------------------------------------------------------------
+# streaming: snapshots and the trace one record at a time
+
+
+WIDE = 50_000  # features of a logistic model, so d = 50,000 parameters
+
+
+def wide_sparse_dataset(rows=30, nnz=20, seed=7):
+    """A binary dataset of 50,000 features, nnz of them set per row."""
+    import scipy.sparse as sparse
+
+    rng = np.random.default_rng(seed)
+    X = sparse.csr_matrix((rng.normal(size=rows * nnz),
+                           (np.repeat(np.arange(rows), nnz), rng.integers(0, WIDE, rows * nnz))),
+                          shape=(rows, WIDE))
+    labels = (rng.random(rows) < 0.5).astype(np.int64)
+    return dat.Dataset("wide", X, labels, labels.copy(), WIDE, 2, sparse=True)
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory it allocated, by tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# One record of a diagonal snapshot file: its round, the mean and the variances.
+WIDE_RECORD = 8 + 16 * WIDE
+
+
+def wide_snapshot_file(tmp_path, monkeypatch):
+    """A diagonal run of 24 rounds at snapshot_every 1, streamed to a file."""
+    ds = wide_sparse_dataset()  # built outside the traced run
+    monkeypatch.setattr(hns, "load_dataset", lambda dspec: ds)
+    path = tmp_path / "snapshots.bin"
+    _, peak = traced_peak(lambda: hns.run_online(tiny_config(runs=1, snapshot_every=1), 0, path))
+    assert path.stat().st_size == 24 + 25 * WIDE_RECORD
+    return path, peak
+
+
+def test_run_online_streams_its_snapshots_in_o_d_memory(tmp_path, monkeypatch):
+    # 25 records of 800 KB: a run that held a copy per snapshot peaked at
+    # 27 records, one that streams them holds its learner's belief (and its
+    # prior while the learner copies it)
+    path, peak = wide_snapshot_file(tmp_path, monkeypatch)
+    assert peak < 4 * WIDE_RECORD, peak / WIDE_RECORD
+    rounds = [rnd for rnd, _ in hns.iter_snapshots(path)]
+    assert rounds == list(range(25))
+
+
+def test_cli_trace_streams_in_o_d_memory(tmp_path, monkeypatch):
+    # the trace reads, traces and writes one record at a time: two beliefs
+    # and one row's x and R at most, against 50 records when the file, every
+    # belief and every row were held at once
+    path, _ = wide_snapshot_file(tmp_path, monkeypatch)
+    out = tmp_path / "trace.csv"
+    code, peak = traced_peak(lambda: hns.cli_main(["trace", "--snapshots", str(path),
+                                                  "--out", str(out)]))
+    assert code == 0
+    assert peak < 4 * WIDE_RECORD, peak / WIDE_RECORD
+    # the same bytes as the list forms give
+    hns.write_trace(tmp_path / "listed.csv", psd.pseudo_trace(hns.read_snapshots(path)))
+    for suffix in (".csv", ".bin"):
+        assert (out.with_suffix(suffix).read_bytes()
+                == (tmp_path / "listed").with_suffix(suffix).read_bytes())
+    assert len(hns.read_trace(out.with_suffix(".bin"))) == 24
+
+
+def test_iter_snapshots_checks_the_header_on_the_call_and_reads_lazily(tmp_path):
+    path = tmp_path / "snapshots.bin"
+    hns.run_online(tiny_config(runs=1, snapshot_every=1), 0, path)
+    records = hns.iter_snapshots(path)
+    first = next(records)
+    assert first[0] == 0 and not first[1].mean.flags.writeable
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 9) + raw[8:])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported snapshot version 9")):
+        hns.iter_snapshots(path)
+    # a cut mid-file surfaces only once the walk reaches it
+    record = 8 + 16 * 8
+    path.write_bytes(raw[:24 + 3 * record + 20])
+    records = hns.iter_snapshots(path)
+    assert [next(records)[0] for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: truncated record at byte {24 + 3 * record}: its 16 values run past the end")):
+        next(records)
+
+
+def test_a_run_that_fails_mid_stream_leaves_no_output(tmp_path, monkeypatch):
+    # run 0 meets an inf feature in round 5, after it has streamed the
+    # records of rounds 0 to 4 into its staged file
+    monkeypatch.setenv("BFLO_THREADS", "1")
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 3))
+    X[4, 1] = np.inf
+    labels = (X[:, 0] > 0).astype(np.int64)
+    monkeypatch.setattr(hns, "load_dataset",
+                        lambda dspec: dat.Dataset("bad", X, labels, labels.copy(), 3, 2,
+                                                  sparse=False))
+    written = []
+    real_write = hns._write_snapshot
+
+    def write(fh, rnd, state):
+        written.append(rnd)
+        real_write(fh, rnd, state)
+
+    monkeypatch.setattr(hns, "_write_snapshot", write)
+    out = tmp_path / "a" / "exp"
+    with pytest.raises(lrn.NonFiniteStepError, match="run 0 round 5"), \
+            np.errstate(invalid="ignore"):
+        hns.run_experiment(tiny_config(runs=2, shuffle=False, snapshot_every=1), out)
+    assert written == [0, 1, 2, 3, 4]
+    assert list(tmp_path.iterdir()) == []
+
+
+def truncated_snapshot_files(tmp_path):
+    """(name, bytes, message) of snapshot files that fail mid-stream, each
+    after at least one trace row."""
+    diagonal = tmp_path / "diagonal.bin"
+    hns.run_online(tiny_config(runs=1, snapshot_every=40), 0, diagonal)
+    raw = diagonal.read_bytes()
+    last = len(raw) - (8 + 16 * 8)
+    full = tmp_path / "full.bin"
+    hns.run_online(full_config(snapshot_every=4), 0, full)
+    full_raw = full.read_bytes()
+    _, delta = hns.read_snapshots(full)[-1]
+    delta_at = len(full_raw) - (16 + 8 * (40 + 84 * len(delta.flows)))
+    flow_log = small_flow_log_file(tmp_path / "flows.bin")
+    header, keyframe = 24, 16 + 8 * (2 + 4)
+    return [
+        ("v2-mid-record", raw[:-8],
+         f"truncated record at byte {last}: its 16 values run past the end of the file"),
+        ("v3-delta", full_raw[:-8], f"truncated delta at byte {delta_at}: its update count "
+                                    f"{len(delta.flows)} runs past the end of the file"),
+        ("v3-delta-first", flow_log[:header] + flow_log[header + keyframe:] + flow_log[header:],
+         f"delta at byte {header} comes before any keyframe"),
+    ]
+
+
+def test_cli_trace_of_a_file_that_fails_mid_stream_leaves_nothing(tmp_path, capsys):
+    for name, raw, message in truncated_snapshot_files(tmp_path):
+        work = tmp_path / name
+        work.mkdir()
+        snap = work / "snapshots.bin"
+        snap.write_bytes(raw)
+        assert hns.cli_main(["trace", "--snapshots", str(snap),
+                             "--out", str(work / "trace.csv")]) == 2, name
+        assert f"error: {snap}: {message}" in capsys.readouterr().err, name
+        assert [p.name for p in work.iterdir()] == ["snapshots.bin"], name
+
+
+def test_write_snapshots_checks_its_list_before_it_opens_a_file(tmp_path, monkeypatch):
+    def opened(*args, **kwargs):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr(hns, "_replacing", opened)
+    diag = bel.diagonal_belief(np.zeros(2), np.ones(2))
+    sph = bel.spherical_belief(np.zeros(2), 1.0)
+    keyframe = bel.full_belief(np.zeros(2), np.eye(2), np.ones(2))
+    cases = [([], "no snapshots to write"),
+             ([(0, fl.FlowLog(np.zeros(2), ()))], "first snapshot must be a keyframe"),
+             ([(0, diag), (1, sph)], "mix variants"),
+             ([(0, keyframe), (1, fl.FlowLog(np.zeros(3), ()))], "mix variants or dimensions")]
+    for snapshots, message in cases:
+        with pytest.raises(ValueError, match=message):
+            hns.write_snapshots(tmp_path / "snapshots.bin", snapshots)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_suite(tmp_path):

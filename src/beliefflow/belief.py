@@ -18,6 +18,7 @@ matrix-vector products.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -43,7 +44,8 @@ _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 class BeliefState:
     """Gaussian belief. Use the factory functions to build one. Fields are
     never reassigned; a belief-flow learner updates its own diagonal arrays
-    in place, so hold a :func:`snapshot` of its belief across rounds.
+    and its own full factor pair (an :class:`OwnedFull`) in place, so hold a
+    :func:`snapshot` of its belief across rounds.
 
     Exactly one covariance payload is populated, matching ``variant``:
     (``factor``, ``inv_factor``, ``logdet``) for full, ``variances`` for
@@ -65,6 +67,20 @@ class BeliefState:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+@dataclasses.dataclass(frozen=True)
+class OwnedFull(BeliefState):
+    """A full belief whose L and W belong to a learner, which
+    ``flow.apply_flow`` updates in place instead of building a fresh pair.
+
+    L, W and ``work``, the update's d x d scratch array, are C-ordered and
+    are the owner's alone; build one with :func:`own`. Each round returns
+    a new OwnedFull over the same three arrays, so hold a :func:`snapshot`
+    of it across rounds, not the object.
+    """
+
+    work: np.ndarray | None = None
 
 
 class ActiveArrays:
@@ -190,6 +206,25 @@ def full_belief_from_cov(mean, cov) -> BeliefState:
     return full_belief_from_factor(mean, factor)
 
 
+def own(belief: BeliefState, into: OwnedFull | None = None) -> OwnedFull:
+    """A full belief with its L and W copied into C-ordered arrays of its
+    own: into's arrays when given (a learner taking back the pair that a
+    floor or a re-sync rebuilt), else fresh ones and a fresh work array.
+
+    The mean and log det are shared, since no round writes into them. It
+    must copy: :func:`correct_spectrum` can hand back the caller's belief,
+    and ``full_belief`` gives a Fortran-ordered W.
+    """
+    if into is None:
+        d = belief.dim
+        into = OwnedFull(FULL, belief.mean, factor=np.empty((d, d)), inv_factor=np.empty((d, d)),
+                         work=np.empty((d, d)))
+    np.copyto(into.factor, root(belief))
+    np.copyto(into.inv_factor, belief.inv_factor)
+    return OwnedFull(FULL, belief.mean, factor=into.factor, inv_factor=into.inv_factor,
+                     logdet=belief.logdet, age=belief.age, work=into.work)
+
+
 def diagonal_belief(mean, variances) -> BeliefState:
     mean = np.asarray(mean, dtype=float)
     v = np.asarray(variances, dtype=float)
@@ -262,11 +297,15 @@ def log_det(belief: BeliefState) -> float:
 
 def snapshot(belief: BeliefState) -> BeliefState:
     """What a held copy of a belief keeps: a full belief without L (the mean
-    and W are what gets written, and no round writes into them), copies of
-    a diagonal belief's arrays, which its learner updates in place, and a
+    and W are what gets written), with a copy of W when its learner owns it
+    (an :class:`OwnedFull`, whose W each round writes into), copies of a
+    diagonal belief's arrays, which its learner updates in place, and a
     spherical belief as it is."""
     if belief.variant == DIAGONAL:
         return BeliefState(DIAGONAL, belief.mean.copy(), variances=belief.variances.copy())
+    if isinstance(belief, OwnedFull):
+        return BeliefState(FULL, belief.mean, inv_factor=belief.inv_factor.copy(),
+                           logdet=belief.logdet, age=belief.age)
     if belief.variant != FULL or belief.factor is None:
         return belief
     return dataclasses.replace(belief, factor=None)
@@ -403,6 +442,15 @@ def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> Belief
 
 def _probe_residual(belief: BeliefState) -> float:
     """||L (W z) - z|| for a fixed dense unit vector z."""
-    z = np.cos(np.arange(belief.dim))
-    z /= np.linalg.norm(z)
+    z = _probe(belief.dim)
     return float(np.linalg.norm(root(belief) @ (belief.inv_factor @ z) - z))
+
+
+@functools.lru_cache(maxsize=None)
+def _probe(d: int) -> np.ndarray:
+    """The probe's unit vector, cos(0..d-1) normalized; built once per d
+    and read-only."""
+    z = np.cos(np.arange(d))
+    z /= np.linalg.norm(z)
+    z.flags.writeable = False
+    return z

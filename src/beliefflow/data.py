@@ -62,6 +62,16 @@ class Dataset:
                        self.n_classes, self.sparse)
 
 
+def read_only(dataset: Dataset) -> Dataset:
+    """Mark the dataset's arrays read-only and return it, so that runs
+    which share one parse cannot write into it."""
+    X = dataset.X
+    arrays = (X.data, X.indices, X.indptr) if dataset.sparse else (X,)
+    for arr in (*arrays, dataset.labels, dataset.true_labels):
+        arr.flags.writeable = False
+    return dataset
+
+
 def _make(name, X, labels, n_classes, sparse_flag) -> Dataset:
     labels = np.asarray(labels, dtype=np.int64)
     return Dataset(name, X, labels, labels.copy(),
@@ -204,7 +214,8 @@ def parse_csv(path, label_column: int = -1, scale_minmax: bool = False,
 
 
 def _normalize_labels(raw: np.ndarray, where: str) -> tuple[np.ndarray, int]:
-    vals = set(np.unique(raw).tolist())
+    # A plain set: np.unique imports numpy.ma (numpy 2.4), which no run needs.
+    vals = set(raw.tolist())
     if vals <= {-1.0, 1.0}:
         return (raw > 0).astype(np.int64), 2
     if np.any(raw != np.round(raw)) or raw.min() < 0:

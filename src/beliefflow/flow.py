@@ -30,6 +30,7 @@ from .belief import (
     SPHERICAL,
     ActiveDiagonal,
     BeliefState,
+    OwnedFull,
     log_det,
     root,
     whiten,
@@ -310,7 +311,10 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
     For full beliefs A = L M W with the whitened flow M = I + B (a2 - I) B^T
     and B = [mu_hat, nu_hat], so the posterior root is L M and its inverse
     M^{-1} W = W + B (a2^{-1} - I) B^T W: two rank-2 updates, O(d^2), and
-    log det Sigma grows by 2 log|det a2|.
+    log det Sigma grows by 2 log|det a2|. Both go through
+    :func:`add_product`: into fresh arrays for a plain BeliefState, which
+    stays as it was, and in place, in its work array, for an
+    :class:`belief.OwnedFull`, whose L and W the returned belief shares.
     """
     if flow.variant != belief.variant:
         raise ValueError(f"flow variant {flow.variant} does not match belief {belief.variant}")
@@ -344,17 +348,37 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
     lb = factor @ basis
     # W (mu - w) = -u mu_hat, so A (mu - w) = (mu - w) - u L B (a2 - I) e1.
     mean = w_prime + (belief.mean - w) - flow.u * (lb @ inner[:, 0])
-    factor = lb @ (inner @ basis.T) + factor
-    inv_factor, _ = transport_inverse(belief.inv_factor, flow)
     logdet = log_det(belief) + 2.0 * math.log(abs(det))
-    return BeliefState(FULL, mean, factor=factor, inv_factor=inv_factor, logdet=logdet,
-                       age=belief.age + 1)
+    work = belief.work if isinstance(belief, OwnedFull) else None
+    factor = add_product(factor, lb, inner @ basis.T, work)
+    inv_factor, _ = transport_inverse(belief.inv_factor, flow, work)
+    return dataclasses.replace(belief, mean=mean, factor=factor, inv_factor=inv_factor,
+                               logdet=logdet, age=belief.age + 1)
 
 
-def transport_inverse(inv_factor: np.ndarray,
-                      flow: FlowSolution) -> tuple[np.ndarray, np.ndarray]:
+def add_product(src: np.ndarray, left: np.ndarray, right: np.ndarray,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """src + left @ right, the one rank-k update of a factor.
+
+    The product goes into work, then src is added to it. Given work, a
+    scratch array of src's shape, the sum goes into src itself, so src is
+    updated in place and nothing is allocated; without it both go into a
+    fresh array, which is returned. Keep src and work C-ordered: a mixed
+    layout makes both steps slower.
+    """
+    if work is None:
+        out = work = np.empty((left.shape[0], right.shape[1]))
+    else:
+        out = src
+    np.matmul(left, right, out=work)
+    return np.add(work, src, out=out)
+
+
+def transport_inverse(inv_factor: np.ndarray, flow: FlowSolution,
+                      work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """W' = W + B (a2^{-1} - I) G for a full flow, with B = [mu_hat, nu_hat]
-    and G = B^T W; returns (W', G).
+    and G = B^T W; returns (W', G). Given work, W is moved in place (see
+    :func:`add_product`).
 
     This is the whole of a full flow's effect on W, and both
     :func:`apply_flow` and :func:`replay` call it, so a W replayed from
@@ -366,10 +390,7 @@ def transport_inverse(inv_factor: np.ndarray,
     det = a2[0, 0] * a2[1, 1] - a2[0, 1] * a2[1, 0]
     inv_inner = np.array([[a2[1, 1], -a2[0, 1]], [-a2[1, 0], a2[0, 0]]]) / det - np.eye(2)
     g = basis.T @ inv_factor
-    # The rank-2 product is a fresh array, so W adds to it in place.
-    moved = basis @ (inv_inner @ g)
-    moved += inv_factor
-    return moved, g
+    return add_product(inv_factor, basis, inv_inner @ g, work), g
 
 
 def flow_matrix(belief: BeliefState, flow: FlowSolution) -> np.ndarray:
@@ -422,17 +443,22 @@ def replay(snapshots):
     moved by each logged flow through :func:`transport_inverse`, as the
     learner moved it, so the bytes are the learner's. Its logged are the
     (G, a2) pair of each flow, G = B^T W before that flow; a BeliefState
-    comes through as it is, with logged None. Only the latest W is held,
-    and a record is drawn only when the one before it has been yielded.
+    comes through as it is, with logged None. Each replayed W is an array
+    of its own, which the record's first flow writes and any later flow
+    moves in place; a record is drawn only when the one before it has been
+    yielded.
     """
-    inv_factor = None
+    inv_factor = work = None
     for rnd, record in snapshots:
         if not isinstance(record, FlowLog):
             inv_factor = record.inv_factor
             yield rnd, record, None
             continue
         logged = []
-        for flow in record.flows:
-            inv_factor, g = transport_inverse(inv_factor, flow)
+        for j, flow in enumerate(record.flows):
+            if j and work is None:
+                work = np.empty_like(inv_factor)
+            # The first flow writes a fresh W, so the one yielded before stays as it was.
+            inv_factor, g = transport_inverse(inv_factor, flow, work if j else None)
             logged.append((g, flow.a2))
         yield rnd, BeliefState(FULL, record.mean, inv_factor=inv_factor), logged

@@ -19,7 +19,6 @@ The trace command turns a snapshot file into two more:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
@@ -38,7 +37,6 @@ from . import data as dat
 from . import flow as fl
 from . import learners as lrn
 from . import models as mdl
-from . import pseudo as psd
 
 SCHEMA_VERSION = 1
 LEARNER_TAGS = ("bflo", "sgd", "arow", "blang", "dropout")
@@ -313,8 +311,11 @@ def evaluate_error_pct(spec: mdl.ModelSpec, params: np.ndarray, dataset: dat.Dat
 
 
 def run_online(config: ExperimentConfig, run_index: int,
-               snapshot_path=None) -> RunReport:
+               snapshot_path=None, dataset: dat.Dataset | None = None) -> RunReport:
     """One seeded pass over the training stream, then offline evaluation.
+
+    dataset is config.dataset already parsed, which runs in one process
+    share (see :func:`run_experiment`); without it the run parses its own.
 
     The rng chain is: seed = base_seed + run_index; sub-seeds for the split
     and the label noise are drawn first, then learner initialization, then
@@ -334,7 +335,8 @@ def run_online(config: ExperimentConfig, run_index: int,
     rng = np.random.default_rng(seed)
     split_seed = int(rng.integers(2 ** 63))
     flip_seed = int(rng.integers(2 ** 63))
-    dataset = load_dataset(config.dataset)
+    if dataset is None:
+        dataset = load_dataset(config.dataset)
     train, test = dat.split_shuffle(dataset, config.train_fraction, split_seed,
                                     shuffle=config.shuffle)
     if config.noise_fraction > 0.0:
@@ -412,14 +414,17 @@ def parallel_workers(runs: int) -> int:
     return max(1, min(runs, cap))
 
 
-def run_experiment(config: ExperimentConfig, out_dir) -> dict:
+def run_experiment(config: ExperimentConfig, out_dir, dataset: dat.Dataset | None = None) -> dict:
     """Validate, run all runs (in parallel when allowed), write outputs.
 
-    The output directory and its outputs appear only after all runs
-    return, so a failed run leaves none. Run 0 writes its snapshots to a
-    hidden file beside the directory (so they never travel through the
-    pool), which becomes snapshots.bin once every run has returned and is
-    removed if one fails, along with the parent directories made for it."""
+    dataset, the parsed config.dataset (the run and suite commands pass
+    one, set read-only), is handed to serial runs, which parse their own
+    without it; pool workers always parse their own. The output directory and its outputs appear
+    only after all runs return, so a failed run leaves none. Run 0 writes
+    its snapshots to a hidden file beside the directory (so they never
+    travel through the pool), which becomes snapshots.bin once every run
+    has returned and is removed if one fails, along with the parent
+    directories made for it."""
     validate_config(config)
     out = Path(out_dir)
     workers = parallel_workers(config.runs)
@@ -430,10 +435,13 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     out.parent.mkdir(parents=True, exist_ok=True)
     try:
         if workers > 1:
+            import concurrent.futures  # only a pool needs it
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(run_online, [config] * config.runs, indices, snap_paths))
         else:
-            reports = [run_online(config, idx, path) for idx, path in zip(indices, snap_paths)]
+            reports = [run_online(config, idx, path, dataset)
+                       for idx, path in zip(indices, snap_paths)]
         reports.sort(key=lambda r: r.run_index)
         out.mkdir(parents=True, exist_ok=True)
         summary = summarize(config, reports)
@@ -946,7 +954,10 @@ def _cmd_run(args) -> int:
         config.learner = dict(config.learner, algorithm=args.learner)
     if args.noise is not None:
         config.noise_fraction = args.noise
-    summary = run_experiment(config, args.out)
+    validate_config(config)
+    serial = parallel_workers(config.runs) == 1
+    dataset = dat.read_only(load_dataset(config.dataset)) if serial else None
+    summary = run_experiment(config, args.out, dataset)
     agg = summary["aggregate"]
     print(f"{config.name}: online {agg['online_error_pct']['mean']:.2f}% "
           f"final {agg['final_error_pct']['mean']:.2f}% over {agg['runs']} run(s) -> {args.out}")
@@ -962,8 +973,15 @@ def _cmd_suite(args) -> int:
         raise ValueError("experiment names in a suite must be unique")
     out = Path(args.out)
     rows = []
+    shared = None  # (spec, dataset): one parse for a run of serial experiments on one dataset
     for config in experiments:
-        summary = run_experiment(config, out / config.name)
+        dataset = None
+        if parallel_workers(config.runs) == 1:
+            if shared is None or shared[0] != config.dataset:
+                shared = None  # drop the previous parse before making the next
+                shared = (config.dataset, dat.read_only(load_dataset(config.dataset)))
+            dataset = shared[1]
+        summary = run_experiment(config, out / config.name, dataset)
         agg = summary["aggregate"]
         files = dataset_files(config.dataset)
         rows.append({
@@ -991,6 +1009,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from . import pseudo as psd  # only the trace command extracts pseudo datapoints
+
     rows = write_trace(args.out, psd.trace_rows(iter_snapshots(args.snapshots)))
     print(f"{rows} trace rows -> {args.out}, {Path(args.out).with_suffix('.bin')}")
     return 0

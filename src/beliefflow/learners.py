@@ -46,6 +46,9 @@ class BeliefFlowLearner:
     The learner owns a copy of a diagonal prior and a
     :class:`belief.ActiveDiagonal` whose arrays carry each round in sigma
     form; the round is written into the copy on the active coordinates.
+    It owns a full prior's L and W as a :class:`belief.OwnedFull`, which
+    every flow updates in place; a pair that ``correct_spectrum`` rebuilt
+    is copied back into the same arrays.
 
     After a full learner's step, ``last_flows`` holds the flows it applied
     (not the identity ones), or None when ``correct_spectrum`` rebuilt the
@@ -60,7 +63,11 @@ class BeliefFlowLearner:
             raise ValueError(f"prior dimension {prior.dim} != parameter count {spec.n_params}")
         self.spec = spec
         belief = bel.correct_spectrum(prior)
-        self.belief = bel.snapshot(belief) if belief.variant == bel.DIAGONAL else belief
+        if belief.variant == bel.DIAGONAL:
+            belief = bel.snapshot(belief)
+        elif belief.variant == bel.FULL:
+            belief = bel.own(belief)
+        self.belief = belief
         self.active = bel.ActiveDiagonal() if belief.variant == bel.DIAGONAL else None
         self.eta = float(eta)
         self.m = update_count(m)
@@ -101,6 +108,8 @@ class BeliefFlowLearner:
             belief = bel.correct_spectrum(moved)
             if belief is not moved:
                 flows = None
+                if isinstance(moved, bel.OwnedFull):
+                    belief = bel.own(belief, into=moved)
             elif flows is not None and not flow.identity:
                 flows.append(flow)
         self.last_flows = flows

@@ -264,6 +264,94 @@ def test_average_ranks_match_scipy_on_ties():
                                       stats.rankdata(values, method="average"))
 
 
+# A child's command line: beliefflow's CLI on the arguments after -c.
+CLI = "import sys\nfrom beliefflow.harness import cli_main\nassert cli_main(sys.argv[1:]) == 0"
+
+
+def run_child(code, *args):
+    """Run code in a fresh interpreter with the package on its path; its stdout."""
+    src = str(Path(beliefflow.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def child_peak_rss_kb(code, *args):
+    """The peak resident set, in kB, of a child that runs code: its own
+    VmHWM, which it reads from /proc/self/status (Linux) at exit. The
+    ru_maxrss that wait4 reports would carry this process's high-water
+    mark into the child's."""
+    out = run_child(code + "\nprint(next(line.split()[1] for line in open('/proc/self/status')"
+                           " if line.startswith('VmHWM:')))", *args)
+    return int(out.split()[-1])
+
+
+def write_csv_suite(directory, *experiments):
+    """A small CSV stream and a suite of the given (name, learner, runs)
+    experiments on it; returns the suite's path and its configs."""
+    rng = np.random.default_rng(61)
+    X = rng.normal(size=(40, 6))
+    rows = np.column_stack([X, (X[:, 0] + X[:, 1] > 0).astype(int)])
+    csv = directory / "stream.csv"
+    csv.write_text("".join(",".join(f"{v:.6f}" for v in row[:-1]) + f",{int(row[-1])}\n"
+                           for row in rows))
+    configs = [tiny_config(name=name, runs=runs, learner=learner,
+                           dataset={"format": "csv", "path": str(csv), "name": "stream"})
+               for name, learner, runs in experiments]
+    suite = directory / "suite.json"
+    suite.write_text(json.dumps({"experiments": [c.to_dict() for c in configs]}))
+    return suite, configs
+
+
+def test_suite_and_trace_import_only_what_they_use(tmp_path):
+    # a serial suite needs no pool, no pseudo datapoints and no scipy, and
+    # a trace no scipy; numpy.ma is what np.unique used to pull in
+    suite, _ = write_csv_suite(tmp_path, ("full", {"algorithm": "bflo", "variant": "full",
+                                                   "eta": 0.05, "sigma_init": 0.2}, 1))
+    loaded = ("\nprint('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+              "or m in ('numpy.ma', 'concurrent.futures', 'beliefflow.pseudo')))")
+    out = tmp_path / "out"
+    ran = run_child(CLI + loaded, "suite", "--config", str(suite), "--out", str(out))
+    assert ran.splitlines()[-1].split()[1:] == []
+    ran = run_child(CLI + loaded, "trace", "--snapshots", str(out / "full" / "snapshots.bin"),
+                    "--out", str(out / "full" / "trace.csv"))
+    assert "beliefflow.pseudo" in ran.splitlines()[-1].split()
+    assert not [m for m in ran.splitlines()[-1].split()[1:] if m.startswith("scipy")]
+
+
+def test_a_suite_parses_its_dataset_once_for_its_serial_runs(tmp_path, monkeypatch):
+    monkeypatch.setenv("BFLO_THREADS", "1")
+    suite, configs = write_csv_suite(
+        tmp_path, ("bflo", {"algorithm": "bflo", "variant": "diagonal", "eta": 0.05,
+                            "sigma_init": 0.2}, 2),
+        ("sgd", {"algorithm": "sgd", "eta": 0.05, "sigma_init": 0.2}, 2))
+    parsed = []
+    real_parse = dat.parse_csv
+
+    def counting(*args, **kwargs):
+        parsed.append(real_parse(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(dat, "parse_csv", counting)
+    assert hns.cli_main(["suite", "--config", str(suite), "--out", str(tmp_path / "s")]) == 0
+    assert len(parsed) == 1
+    shared = parsed[0]
+    for arr in (shared.X, shared.labels, shared.true_labels):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    # each experiment alone, every run parsing its own copy, writes the same bytes
+    for config in configs:
+        hns.run_experiment(config, tmp_path / "alone" / config.name)
+        for name in ("curve.csv", "snapshots.bin", "summary.json"):
+            a, b = tmp_path / "s" / config.name / name, tmp_path / "alone" / config.name / name
+            assert a.exists() == b.exists(), (config.name, name)
+            if name == "summary.json":
+                assert (scrub_wall_times(json.loads(a.read_text()))
+                        == scrub_wall_times(json.loads(b.read_text())))
+            elif a.exists():
+                assert a.read_bytes() == b.read_bytes(), (config.name, name)
+    assert len(parsed) == 1 + 2 + 2
+
+
 def test_importing_the_harness_loads_no_scipy_sparse_stats_or_optimize():
     code = ("import sys, beliefflow.harness; "
             "print(sorted(m for m in ('scipy.sparse', 'scipy.stats', 'scipy.optimize', "
@@ -683,7 +771,7 @@ def record_full_run(cfg, path, monkeypatch):
     def step(self, ex, rng):
         fixes.clear()
         out = real_step(self, ex, rng)
-        states.append((self.belief.mean, self.belief.inv_factor))
+        states.append((self.belief.mean, self.belief.inv_factor.copy()))
         fixed.append(bool(fixes))
         return out
 
@@ -877,19 +965,9 @@ def test_trace_of_a_flow_log_file_holds_one_w_at_a_time(tmp_path):
     hns.write_snapshots(snap, [(0, prior)] + [(r + 1, fl.FlowLog(np.zeros(d), (f,)))
                                               for r, f in enumerate(flows)])
     assert snap.stat().st_size < 3_000_000
-    src = str(Path(beliefflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-
-    def peak_rss_kb(argv):
-        proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0, argv
-        return usage.ru_maxrss
-
-    baseline = peak_rss_kb(["-c", "import beliefflow.harness"])
-    traced = peak_rss_kb(["-m", "beliefflow", "trace", "--snapshots", str(snap),
-                          "--out", str(tmp_path / "trace.csv")])
+    baseline = child_peak_rss_kb("import beliefflow.harness")
+    traced = child_peak_rss_kb(CLI, "trace", "--snapshots", str(snap),
+                               "--out", str(tmp_path / "trace.csv"))
     assert traced <= baseline + 20 * 1024, (traced, baseline)
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(lines) == 1 + 199 and all(int(line.split(",")[1]) > 0 for line in lines[1:])

@@ -405,6 +405,59 @@ def test_bflo_full_round_runs_no_dense_decomposition(monkeypatch):
     assert "inv" in calls
 
 
+def test_a_full_round_updates_its_owned_pair_in_place():
+    # d = 300, as in the dense benchmark: once a first round has run, a
+    # round allocates nothing the size of L or W, whose fresh copies used
+    # to cost page faults every round; the learner's L, W and work array
+    # stay C-ordered, and the caller's prior keeps its bytes
+    d = 300
+    spec = mdl.logistic_model(d)
+    rng = np.random.default_rng(83)
+    prior = bel.full_belief(np.zeros(d), np.eye(d), np.full(d, 0.04))
+    before = [prior.mean.tobytes(), prior.factor.tobytes(), prior.inv_factor.tobytes()]
+    learner = lrn.BeliefFlowLearner(spec, prior, eta=0.05)
+    examples = [example(rng.normal(size=d), int(rng.integers(0, 2))) for _ in range(10)]
+    learner.step(examples[0], rng)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for ex in examples[1:]:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            learner.step(ex, rng)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < d * d * 8 // 2, peaks
+    owned = learner.belief
+    assert learner.belief.age == 10
+    for arr in (owned.factor, owned.inv_factor, owned.work):
+        assert arr.flags.c_contiguous and arr.shape == (d, d)
+    assert [prior.mean.tobytes(), prior.factor.tobytes(), prior.inv_factor.tobytes()] == before
+
+
+def test_apply_flow_leaves_a_plain_full_belief_as_it_was():
+    rng = np.random.default_rng(89)
+    d = 6
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    belief = bel.full_belief(rng.normal(size=d), q, rng.uniform(0.1, 2.0, size=d))
+    arrays = (belief.mean, belief.factor, belief.inv_factor)
+    before = [a.tobytes() for a in arrays]
+    w = bel.sample(belief, rng)
+    w_prime = w + rng.normal(scale=0.3, size=d)
+    post = fl.apply_flow(belief, fl.solve(belief, w, w_prime), w, w_prime)
+    assert [a.tobytes() for a in arrays] == before
+    assert not any(np.shares_memory(a, b) for a in arrays
+                   for b in (post.mean, post.factor, post.inv_factor))
+    # an owned copy of the same belief moves in place to the same bytes
+    owned = bel.own(belief)
+    moved = fl.apply_flow(owned, fl.solve(owned, w, w_prime), w, w_prime)
+    assert moved.factor is owned.factor and moved.inv_factor is owned.inv_factor
+    assert moved.factor.tobytes() == np.ascontiguousarray(post.factor).tobytes()
+    assert moved.inv_factor.tobytes() == np.ascontiguousarray(post.inv_factor).tobytes()
+    assert moved.mean.tobytes() == post.mean.tobytes() and moved.logdet == post.logdet
+
+
 # ---------------------------------------------------------------------------
 # SGD and Langevin
 

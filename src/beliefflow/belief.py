@@ -435,15 +435,10 @@ def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> Belief
             s = np.maximum(s, math.sqrt(lam_min))
             return BeliefState(FULL, belief.mean, factor=(u * s) @ vt,
                                inv_factor=(vt.T / s) @ u.T, logdet=2.0 * float(np.sum(np.log(s))))
-    if belief.age >= RESYNC_EVERY or _probe_residual(belief) > RESYNC_TOL:
+    z = _probe(belief.dim)
+    if belief.age >= RESYNC_EVERY or np.linalg.norm(root(belief) @ (w @ z) - z) > RESYNC_TOL:
         return full_belief_from_factor(belief.mean, root(belief))
     return belief
-
-
-def _probe_residual(belief: BeliefState) -> float:
-    """||L (W z) - z|| for a fixed dense unit vector z."""
-    z = _probe(belief.dim)
-    return float(np.linalg.norm(root(belief) @ (belief.inv_factor @ z) - z))
 
 
 @functools.lru_cache(maxsize=None)

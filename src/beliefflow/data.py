@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv as _csv
 import dataclasses
+import math
 import struct
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    # Loaded at run time only where LIBSVM files are read or written.
+    # Loaded at run time only where LIBSVM files are read.
     from scipy import sparse as sp
 
 
@@ -151,21 +152,6 @@ def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -
     return _make(name or path.stem, X, labels, 2, True)
 
 
-def write_libsvm(dataset: Dataset, path) -> None:
-    """Serialize in the same 1-based sparse text format parse_libsvm reads."""
-    from scipy import sparse as sp
-
-    path = Path(path)
-    X = dataset.X.tocsr() if dataset.sparse else sp.csr_matrix(dataset.X)
-    with path.open("w", encoding="ascii") as fh:
-        for i in range(len(dataset)):
-            row = X.getrow(i)
-            parts = [str(int(dataset.labels[i]))]
-            for j, v in zip(row.indices, row.data):
-                parts.append(f"{j + 1}:{v:.17g}")
-            fh.write(" ".join(parts) + "\n")
-
-
 def parse_csv(path, label_column: int = -1, scale_minmax: bool = False,
               name: str | None = None) -> Dataset:
     """Read a numeric CSV; one column holds integer labels, the rest features.
@@ -236,24 +222,29 @@ def parse_idx(images_path, labels_path, name: str | None = None) -> Dataset:
     the counts must agree.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
-    with images_path.open("rb") as fh:
-        magic, count, n_rows, n_cols = struct.unpack(">IIII", fh.read(16))
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(f"{images_path.name}: bad magic {magic}, expected {IDX_IMAGE_MAGIC}")
-        pixels = np.frombuffer(fh.read(), dtype=np.uint8)
-    if pixels.size != count * n_rows * n_cols:
-        raise ValueError(f"{images_path.name}: truncated image payload")
-    with labels_path.open("rb") as fh:
-        magic, label_count = struct.unpack(">II", fh.read(8))
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(f"{labels_path.name}: bad magic {magic}, expected {IDX_LABEL_MAGIC}")
-        labels = np.frombuffer(fh.read(), dtype=np.uint8)
-    if labels.size != label_count:
-        raise ValueError(f"{labels_path.name}: truncated label payload")
+    (count, n_rows, n_cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
+    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if label_count != count:
         raise ValueError(f"image count {count} != label count {label_count}")
     X = pixels.reshape(count, n_rows * n_cols).astype(float) / 255.0
     return _make(name or images_path.stem, X, labels.astype(np.int64), 10, False)
+
+
+def _read_idx(path: Path, magic: int, n_dims: int) -> tuple[list[int], np.ndarray]:
+    """The sizes and the byte payload of one IDX file: a header of the magic
+    and n_dims big-endian u32 sizes, then one byte per entry."""
+    raw = path.read_bytes()
+    head = 4 + 4 * n_dims
+    if len(raw) < head:
+        raise ValueError(f"{path.name}: {len(raw)} bytes, shorter than its {head}-byte header")
+    found, *dims = struct.unpack_from(f">{1 + n_dims}I", raw)
+    if found != magic:
+        raise ValueError(f"{path.name}: bad magic {found}, expected {magic}")
+    payload = np.frombuffer(raw, dtype=np.uint8, offset=head)
+    if payload.size != math.prod(dims):
+        raise ValueError(f"{path.name}: {payload.size} payload bytes, its header says "
+                         f"{math.prod(dims)}")
+    return dims, payload
 
 
 def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -266,8 +257,7 @@ def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     flip = rng.random(len(dataset)) < fraction
     labels = np.where(flip, 1 - dataset.labels, dataset.labels)
-    return Dataset(dataset.name, dataset.X, labels, dataset.true_labels.copy(),
-                   dataset.n_features, dataset.n_classes, dataset.sparse)
+    return dataclasses.replace(dataset, labels=labels, true_labels=dataset.true_labels.copy())
 
 
 def split_shuffle(dataset: Dataset, train_fraction: float, seed: int,

@@ -170,12 +170,19 @@ def validate_config(config: ExperimentConfig) -> None:
                                               or config.snapshot_every < 1):
         raise ValueError("snapshot_every must be null or an integer of at least 1, "
                          f"got {config.snapshot_every!r}")
-    if not isinstance(config.shuffle, bool):
-        raise ValueError(f"shuffle must be true or false, got {config.shuffle!r}")
-    for key in ("train_fraction", "noise_fraction"):
-        value = getattr(config, key)
+    for key, value in (("shuffle", config.shuffle),
+                       ("non_expansive", config.learner.get("non_expansive", False))):
+        if not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
+    numbers = [(key, getattr(config, key)) for key in ("train_fraction", "noise_fraction")]
+    numbers += [(key, config.learner[key]) for key in ("eta", "sigma_init", "r", "p_drop")
+                if key in config.learner]
+    for key, value in numbers:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{key} must be a number, got {value!r}")
+    hidden = config.model.get("hidden", 1)
+    if not _is_int(hidden) or hidden < 1:
+        raise ValueError(f"hidden must be an integer of at least 1, got {hidden!r}")
     if not 0.0 < config.train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     if not 0.0 <= config.noise_fraction <= 1.0:
@@ -971,10 +978,15 @@ def _cmd_suite(args) -> int:
     names = [e.name for e in experiments]
     if len(set(names)) != len(names):
         raise ValueError("experiment names in a suite must be unique")
+    cells = [_suite_cell(config) for config in experiments]
+    for i, cell in enumerate(cells):  # rank_table keys a dataset's ranks by learner
+        if cell in cells[:i]:
+            raise ValueError(f"experiments {names[cells.index(cell)]!r} and {names[i]!r} share "
+                             f"the suite cell dataset {cell[0]!r}, learner {cell[1]!r}")
     out = Path(args.out)
     rows = []
     shared = None  # (spec, dataset): one parse for a run of serial experiments on one dataset
-    for config in experiments:
+    for config, (dataset_label, learner_label) in zip(experiments, cells):
         dataset = None
         if parallel_workers(config.runs) == 1:
             if shared is None or shared[0] != config.dataset:
@@ -983,10 +995,9 @@ def _cmd_suite(args) -> int:
             dataset = shared[1]
         summary = run_experiment(config, out / config.name, dataset)
         agg = summary["aggregate"]
-        files = dataset_files(config.dataset)
         rows.append({
-            "dataset": config.dataset.get("name") or (str(files[0]) if files else "synthetic"),
-            "learner": config.learner["algorithm"],
+            "dataset": dataset_label,
+            "learner": learner_label,
             "experiment": config.name,
             "final_error_pct": agg["final_error_pct"]["mean"],
             "online_error_pct": agg["online_error_pct"]["mean"],
@@ -995,6 +1006,20 @@ def _cmd_suite(args) -> int:
     write_summary(out / "suite_summary.json",
                   {"schema_version": SCHEMA_VERSION, "results": rows, "ranks": rank_table(rows)})
     return 0
+
+
+def _suite_cell(config: ExperimentConfig) -> tuple[str, str]:
+    """A suite row's (dataset, learner) labels: the dataset's name (else its
+    first file) plus any noise fraction above 0, and the algorithm plus a
+    bflo learner's variant."""
+    files = dataset_files(config.dataset)
+    dataset = config.dataset.get("name") or (str(files[0]) if files else "synthetic")
+    if config.noise_fraction > 0:
+        dataset += f" noise {config.noise_fraction:g}"
+    learner = config.learner["algorithm"]
+    if learner == "bflo":
+        learner += f"-{config.learner.get('variant', bel.DIAGONAL)}"
+    return dataset, learner
 
 
 def _cmd_verify(args) -> int:

@@ -59,13 +59,11 @@ def mlp_model(n_features: int, n_hidden: int, n_outputs: int) -> ModelSpec:
 
 
 def sigmoid(t):
+    """1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) below, so exp never
+    overflows; min(t, -t) rather than -|t| keeps a nan input's sign."""
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    e = np.exp(np.minimum(t, -t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def unpack_mlp(spec: ModelSpec, params: np.ndarray):
@@ -100,15 +98,21 @@ def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} parameters, got {params.shape}")
+    return _forward_pass(spec, params, x, hidden_mask)[0]
+
+
+def _forward_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
+                  hidden_mask: np.ndarray | None):
+    """(z, act, hidden): the outputs and, for the MLP, the unscaled hidden
+    sigmoids and the hidden outputs after hidden_mask (None for logistic)."""
     if spec.kind == LOGISTIC:
         if hidden_mask is not None:
             raise ValueError("the logistic model has no hidden units to mask")
-        return sigmoid(np.array([params @ x]))
+        return sigmoid(np.array([params @ x])), None, None
     w1, b1, w2, b2 = unpack_mlp(spec, params)
-    hidden = sigmoid(w1 @ x + b1)
-    if hidden_mask is not None:
-        hidden = hidden * hidden_mask
-    return sigmoid(w2 @ hidden + b2)
+    act = sigmoid(w1 @ x + b1)
+    hidden = act if hidden_mask is None else act * hidden_mask
+    return sigmoid(w2 @ hidden + b2), act, hidden
 
 
 def loss(z: np.ndarray, target: np.ndarray) -> float:
@@ -133,15 +137,10 @@ def forward_backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     """
     params = np.asarray(params, dtype=float)
     x = np.asarray(x, dtype=float)
+    z, act, hidden = _forward_pass(spec, params, x, hidden_mask)
     if spec.kind == LOGISTIC:
-        if hidden_mask is not None:
-            raise ValueError("the logistic model has no hidden units to mask")
-        z = sigmoid(np.array([params @ x]))
         return z, np.multiply(x, z[0] - target[0], out=out)
-    w1, b1, w2, b2 = unpack_mlp(spec, params)
-    act = sigmoid(w1 @ x + b1)
-    hidden = act if hidden_mask is None else act * hidden_mask
-    z = sigmoid(w2 @ hidden + b2)
+    w2 = unpack_mlp(spec, params)[2]
     delta2 = (z - target) / spec.n_outputs
     delta1 = (w2.T @ delta2) * act * (1.0 - act)
     if hidden_mask is not None:

@@ -222,7 +222,8 @@ def trace_rows(snapshots):
             if prev_prec is None:
                 prev_prec = _full_precision(prev)
             cur_prec = _full_precision(cur)
-            row = _full_trace_row(rnd, prev_prec, cur_prec)
+            _, evals, informative = _precision_change(prev_prec, cur_prec)
+            row = _eigen_row(rnd, evals, informative)
             prev_prec = cur_prec
         else:
             spherical = cur.variant == SPHERICAL
@@ -242,21 +243,10 @@ def trace_rows(snapshots):
         row = None  # the consumer's row is the only one held while the next is computed
 
 
-def _full_trace_row(rnd: int, prev_prec: np.ndarray, cur_prec: np.ndarray) -> TraceRow:
-    """Informative-subspace eigenvalues of R for one full-covariance interval.
-
-    One flow update changes the precision on a low-rank subspace, so the
-    whole-matrix inverse the exact extraction needs rarely exists; the
-    spectrum of the precision difference above the roundoff floor is what is
-    reportable.
-    """
-    _, evals, informative = _precision_change(prev_prec, cur_prec)
-    return _eigen_row(rnd, evals, informative)
-
-
 def _logged_trace_row(rnd: int, prev_inv: np.ndarray, cur_inv: np.ndarray,
                       logged: list) -> TraceRow:
-    """:func:`_full_trace_row` for an interval given by its logged flows.
+    """The informative eigenvalues of R for an interval given by its logged
+    flows, as the dense route reads them from the precision difference.
 
     Flow j moves the precision by G_j^T S_j G_j, with G_j = B_j^T W_{j-1}
     and S_j = a2_j^{-T} a2_j^{-1} - I. So Sigma'^{-1} - Sigma^{-1} = H^T D H,

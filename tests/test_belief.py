@@ -179,6 +179,16 @@ def test_kl_variant_mix():
     np.testing.assert_allclose(bel.kl_divergence(diag, full), want, rtol=1e-9)
 
 
+def test_kl_spherical_closed_form_matches_the_general_formula():
+    rng = np.random.default_rng(43)
+    d = 4
+    post = bel.spherical_belief(rng.normal(size=d), 0.7)
+    prior = bel.spherical_belief(rng.normal(size=d), 1.9)
+    as_full = [bel.full_belief(b.mean, np.eye(d), np.full(d, b.variance)) for b in (post, prior)]
+    np.testing.assert_allclose(bel.kl_divergence(post, prior), bel.kl_divergence(*as_full),
+                               rtol=1e-12)
+
+
 def test_entropy_values():
     one = bel.diagonal_belief(np.zeros(1), np.ones(1))
     np.testing.assert_allclose(bel.entropy(one), ENTROPY_STD_NORMAL, rtol=1e-12)

@@ -29,9 +29,10 @@ def test_libsvm_round_trip(tmp_path):
     X = rng.normal(size=(8, 5))
     X[rng.random(size=X.shape) < 0.5] = 0.0
     labels = rng.integers(0, 2, size=8)
-    src = dat.Dataset("t", X, labels, labels.copy(), 5, 2, sparse=False)
     p = tmp_path / "rt.libsvm"
-    dat.write_libsvm(src, p)
+    p.write_text("".join(
+        " ".join([str(y)] + [f"{j + 1}:{v:.17g}" for j, v in enumerate(row) if v != 0.0]) + "\n"
+        for y, row in zip(labels, X)))
     back = dat.parse_libsvm(p, n_features=5)
     for i in range(8):
         np.testing.assert_allclose(back.example(i).x, X[i], rtol=1e-12, atol=1e-15)

@@ -501,6 +501,19 @@ def test_spherical_frozen_example():
     np.testing.assert_allclose(post.mean, [0.0, 2.0 - A_U1_V2], atol=1e-6)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_spherical_flow_matrix_when_the_target_points_opposite_the_draw(d):
+    # s_hat = -d_hat leaves no plane to rotate in: flow_matrix takes the
+    # antiparallel branch of _rotation_between (a reflection for d = 1)
+    prior = bel.spherical_belief(np.full(d, 0.5), 1.5)
+    w = prior.mean + np.arange(1.0, d + 1.0)
+    w_prime = prior.mean - 0.4 * (w - prior.mean)
+    flow = fl.solve_spherical(prior, w, w_prime)
+    assert flow.s_hat @ flow.d_hat == pytest.approx(-1.0)
+    post = fl.apply_flow(prior, flow, w, w_prime)
+    assert constraint_residual(prior, post, flow, w, w_prime) <= 1e-9
+
+
 def test_spherical_scale_one_when_norms_match():
     rng = np.random.default_rng(41)
     prior = bel.spherical_belief(rng.normal(size=3), 2.0)

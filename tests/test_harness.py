@@ -668,6 +668,76 @@ def test_cli_run_rejects_an_unknown_learner_key_without_outputs(tmp_path, capsys
     assert "'sigma'" in capsys.readouterr().err
 
 
+def idx_pair_with_a_short_header(tmp_path, short):
+    """A one-image IDX pair whose file `short` ends one byte before its
+    header does."""
+    headers = {"images": struct.pack(">IIII", 2051, 1, 1, 1), "labels": struct.pack(">II", 2049, 1)}
+    for key, header in headers.items():
+        (tmp_path / key).write_bytes(header[:-1] if key == short else header + b"\x00")
+    return {"format": "idx", "images": str(tmp_path / "images"),
+            "labels": str(tmp_path / "labels")}
+
+
+MLP = {"kind": "mlp", "hidden": 2}
+
+
+@pytest.mark.parametrize("learner, model, idx, named", [
+    ({"eta": None}, {}, None, "eta must be a number, got None"),
+    ({"eta": True}, {}, None, "eta must be a number, got True"),
+    ({"sigma_init": None}, {}, None, "sigma_init must be a number, got None"),
+    ({"algorithm": "arow", "r": None}, {}, None, "r must be a number, got None"),
+    ({"algorithm": "dropout", "p_drop": None}, MLP, None, "p_drop must be a number, got None"),
+    ({"non_expansive": "yes"}, {}, None, "non_expansive must be true or false, got 'yes'"),
+    ({}, {"kind": "mlp", "hidden": None}, None, "hidden must be an integer of at least 1"),
+    ({}, {"kind": "mlp", "hidden": 2.5}, None, "hidden must be an integer of at least 1"),
+    ({}, {}, "images", "images: 15 bytes, shorter than its 16-byte header"),
+    ({}, {}, "labels", "labels: 7 bytes, shorter than its 8-byte header"),
+], ids=["eta-null", "eta-bool", "sigma_init-null", "r-null", "p_drop-null", "non_expansive-str",
+        "hidden-null", "hidden-float", "idx-images-header", "idx-labels-header"])
+def test_cli_run_rejects_a_bad_value_or_file_without_a_traceback(tmp_path, capsys, learner,
+                                                                  model, idx, named):
+    # each of these ended in a TypeError or struct.error traceback (exit 1),
+    # or, for "yes" and true, was accepted
+    overrides = {"learner": dict(tiny_config().learner, **learner), "model": model, "runs": 1}
+    if idx is not None:
+        overrides.update(dataset=idx_pair_with_a_short_header(tmp_path, idx), model=MLP)
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(write_config(tmp_path, tiny_config(**overrides))),
+                         "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+
+
+def test_cli_run_overrides_runs_and_noise(tmp_path, monkeypatch):
+    monkeypatch.setenv("BFLO_THREADS", "1")
+    p = write_config(tmp_path, tiny_config(runs=1))
+    assert hns.cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o"),
+                         "--runs", "3", "--noise", "0.25"]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["config"]["runs"] == 3
+    assert summary["config"]["noise_fraction"] == 0.25
+    assert [r["run_index"] for r in summary["runs"]] == [0, 1, 2]
+
+
+def test_cli_run_reads_a_libsvm_file(tmp_path, capsys):
+    rng = np.random.default_rng(53)
+    lines = []
+    for x in rng.normal(size=(40, 5)):
+        features = [f"{j + 1}:{v:.6f}" for j, v in enumerate(x) if abs(v) > 0.3]
+        lines.append(" ".join(["+1" if x[0] > 0 else "-1", *features]) + "\n")
+    (tmp_path / "toy.libsvm").write_text("".join(lines))
+    cfg = tiny_config(runs=1, dataset={"format": "libsvm", "path": str(tmp_path / "toy.libsvm"),
+                                       "n_features": 5})
+    assert hns.cli_main(["run", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["runs"][0]["n_train"] + summary["runs"][0]["n_test"] == 40
+    assert "online" in capsys.readouterr().out
+
+
 def test_cli_learner_override(tmp_path):
     p = write_config(tmp_path, tiny_config(runs=1))
     code = hns.cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o"),
@@ -700,6 +770,22 @@ def test_cli_trace_round_trip(tmp_path, capsys):
     vectors = hns.read_trace(tmp_path / "o" / "trace.bin")
     assert len(vectors) == len(lines) - 1
     assert str(tmp_path / "o" / "trace.bin") in capsys.readouterr().out
+
+
+def test_log_det_of_a_full_belief_read_back_with_w_only(tmp_path):
+    # a snapshot file holds W, not log det: it is recomputed from W
+    spec = mdl.logistic_model(5)
+    learner = lrn.BeliefFlowLearner(spec, bel.full_belief(np.zeros(5), np.eye(5),
+                                                          np.full(5, 0.04)), eta=0.5)
+    rng = np.random.default_rng(61)
+    for _ in range(8):
+        x = rng.normal(size=5)
+        learner.step(dat.LabeledExample(x, int(x[0] > 0), int(x[0] > 0)), rng)
+    hns.write_snapshots(tmp_path / "s.bin", [(8, bel.snapshot(learner.belief))])
+    (_, back), = hns.read_snapshots(tmp_path / "s.bin")
+    assert back.logdet is None and back.factor is None
+    np.testing.assert_allclose(bel.log_det(back), learner.belief.logdet, rtol=1e-9)
+    np.testing.assert_allclose(bel.entropy(back), bel.entropy(learner.belief), rtol=1e-9)
 
 
 def test_cli_full_variant_run_trace_round_trip(tmp_path):
@@ -1449,4 +1535,49 @@ def test_cli_suite_rejects_a_malformed_suite_file(tmp_path, capsys, raw, named):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {p}: ")
     assert named in captured.err
+    assert captured.out == ""
+
+
+def write_csv_stream(path, rows=60, seed=59):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(rows, 3))
+    path.write_text("".join(",".join(f"{v:.6f}" for v in x) + f",{int(x[0] > 0)}\n" for x in X))
+    return {"format": "csv", "path": str(path), "name": "toy"}
+
+
+def test_cli_suite_ranks_clean_and_noisy_rows_apart(tmp_path):
+    # with one label per dataset the noisy rows overwrote the clean ones
+    dataset = write_csv_stream(tmp_path / "toy.csv")
+    bflo = {"algorithm": "bflo", "variant": "diagonal", "eta": 0.05, "sigma_init": 0.2}
+    sgd = {"algorithm": "sgd", "eta": 0.05, "sigma_init": 0.2}
+    experiments = [tiny_config(name=f"{tag}-{noise}", runs=1, dataset=dataset, learner=lcfg,
+                               noise_fraction=noise).to_dict()
+                   for noise in (0.0, 0.2) for tag, lcfg in (("bflo", bflo), ("sgd", sgd))]
+    p = tmp_path / "suite.json"
+    p.write_text(json.dumps({"experiments": experiments}))
+    assert hns.cli_main(["suite", "--config", str(p), "--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s" / "suite_summary.json").read_text())
+    assert [(r["dataset"], r["learner"]) for r in summary["results"]] == [
+        ("toy", "bflo-diagonal"), ("toy", "sgd"),
+        ("toy noise 0.2", "bflo-diagonal"), ("toy noise 0.2", "sgd")]
+    per_dataset = summary["ranks"]["per_dataset"]
+    assert sorted(per_dataset) == ["toy", "toy noise 0.2"]
+    for ranks in per_dataset.values():
+        assert sorted(ranks) == ["bflo-diagonal", "sgd"]
+        assert sum(ranks.values()) == 3.0
+    assert sorted(summary["ranks"]["mean_rank"]) == ["bflo-diagonal", "sgd"]
+
+
+def test_cli_suite_rejects_two_rows_in_one_cell(tmp_path, capsys):
+    dataset = write_csv_stream(tmp_path / "toy.csv")
+    experiments = [tiny_config(name=name, runs=1, dataset=dataset,
+                               learner={"algorithm": "sgd", "eta": eta}).to_dict()
+                   for name, eta in (("slow", 0.01), ("fast", 0.5))]
+    p = tmp_path / "suite.json"
+    p.write_text(json.dumps({"experiments": experiments}))
+    out_dir = tmp_path / "s"
+    assert hns.cli_main(["suite", "--config", str(p), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert "'slow' and 'fast'" in captured.err and "'toy'" in captured.err
     assert captured.out == ""

@@ -836,3 +836,21 @@ def test_dropout_updates_change_only_kept_units():
     # biases, and outgoing columns must be untouched
     dropped_rows = np.all(w1 == ow1, axis=1) & (b1 == ob1) & np.all(w2 == ow2, axis=0)
     assert dropped_rows.sum() >= 4
+
+
+def test_snapshot_of_an_owned_full_belief_keeps_its_w_while_the_learner_steps():
+    # the learner's W is updated in place every round; a snapshot holds a copy
+    spec = mdl.logistic_model(4)
+    prior = bel.full_belief(np.zeros(4), np.eye(4), np.full(4, 0.04))
+    learner = lrn.BeliefFlowLearner(spec, prior, eta=0.5)
+    rng = np.random.default_rng(47)
+    stream = [example(rng.normal(size=4), int(rng.integers(0, 2))) for _ in range(6)]
+    learner.step(stream[0], rng)
+    assert isinstance(learner.belief, bel.OwnedFull)
+    snap = bel.snapshot(learner.belief)
+    kept = snap.inv_factor.tobytes()
+    assert not np.shares_memory(snap.inv_factor, learner.belief.inv_factor)
+    for ex in stream[1:]:
+        learner.step(ex, rng)
+    assert snap.inv_factor.tobytes() == kept
+    assert learner.belief.inv_factor.tobytes() != kept

@@ -74,13 +74,11 @@ class OwnedFull(BeliefState):
     """A full belief whose L and W belong to a learner, which
     ``flow.apply_flow`` updates in place instead of building a fresh pair.
 
-    L, W and ``work``, the update's d x d scratch array, are C-ordered and
-    are the owner's alone; build one with :func:`own`. Each round returns
-    a new OwnedFull over the same three arrays, so hold a :func:`snapshot`
-    of it across rounds, not the object.
+    L and W are C-ordered and are the owner's alone: a copy from :func:`own`
+    or a fresh pair that :func:`correct_spectrum` rebuilt. Each round returns
+    a new OwnedFull over the same two arrays, so hold a :func:`snapshot` of
+    it across rounds, not the object.
     """
-
-    work: np.ndarray | None = None
 
 
 class ActiveArrays:
@@ -206,23 +204,17 @@ def full_belief_from_cov(mean, cov) -> BeliefState:
     return full_belief_from_factor(mean, factor)
 
 
-def own(belief: BeliefState, into: OwnedFull | None = None) -> OwnedFull:
-    """A full belief with its L and W copied into C-ordered arrays of its
-    own: into's arrays when given (a learner taking back the pair that a
-    floor or a re-sync rebuilt), else fresh ones and a fresh work array.
+def own(belief: BeliefState) -> OwnedFull:
+    """A full belief with its L and W copied into fresh C-ordered arrays of
+    its own.
 
     The mean and log det are shared, since no round writes into them. It
-    must copy: :func:`correct_spectrum` can hand back the caller's belief,
-    and ``full_belief`` gives a Fortran-ordered W.
+    must copy: the caller keeps its belief, and ``full_belief`` gives a
+    Fortran-ordered W.
     """
-    if into is None:
-        d = belief.dim
-        into = OwnedFull(FULL, belief.mean, factor=np.empty((d, d)), inv_factor=np.empty((d, d)),
-                         work=np.empty((d, d)))
-    np.copyto(into.factor, root(belief))
-    np.copyto(into.inv_factor, belief.inv_factor)
-    return OwnedFull(FULL, belief.mean, factor=into.factor, inv_factor=into.inv_factor,
-                     logdet=belief.logdet, age=belief.age, work=into.work)
+    return OwnedFull(FULL, belief.mean, factor=np.array(root(belief), order="C"),
+                     inv_factor=np.array(belief.inv_factor, order="C"),
+                     logdet=belief.logdet, age=belief.age)
 
 
 def diagonal_belief(mean, variances) -> BeliefState:

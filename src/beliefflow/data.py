@@ -174,7 +174,7 @@ def parse_csv(path, label_column: int = -1, scale_minmax: bool = False,
             elif len(rec) != width:
                 raise ValueError(f"{path.name} row {rowno}: {len(rec)} fields, expected {width}")
             try:
-                rows.append([float(v) for v in rec])
+                rows.append(np.array(rec, dtype=float))
                 linenos.append(reader.line_num)
             except ValueError:
                 if rowno == 1:
@@ -183,7 +183,8 @@ def parse_csv(path, label_column: int = -1, scale_minmax: bool = False,
                 raise ValueError(f"{path.name} row {rowno}: non-numeric field") from None
     if not rows:
         raise ValueError(f"{path.name}: no data rows")
-    table = np.asarray(rows, dtype=float)
+    table = np.stack(rows)
+    del rows  # one copy of the table at a time
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise ValueError(f"{path.name} line {linenos[bad[0]]}: non-finite value")

@@ -38,6 +38,9 @@ from .belief import (
 
 # Whitened displacements below this are treated as degenerate.
 EPS_DEGENERATE = 1e-10
+# Bytes of an in-place add_product's row block: cache-sized, and under
+# glibc's 128 KiB mmap threshold, so each block's product comes from the heap.
+_BLOCK_BYTES = 120 * 1024
 
 
 class DegenerateTargetError(ValueError):
@@ -313,8 +316,8 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
     M^{-1} W = W + B (a2^{-1} - I) B^T W: two rank-2 updates, O(d^2), and
     log det Sigma grows by 2 log|det a2|. Both go through
     :func:`add_product`: into fresh arrays for a plain BeliefState, which
-    stays as it was, and in place, in its work array, for an
-    :class:`belief.OwnedFull`, whose L and W the returned belief shares.
+    stays as it was, and in place for an :class:`belief.OwnedFull`, whose
+    L and W the returned belief shares.
     """
     if flow.variant != belief.variant:
         raise ValueError(f"flow variant {flow.variant} does not match belief {belief.variant}")
@@ -349,35 +352,36 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
     # W (mu - w) = -u mu_hat, so A (mu - w) = (mu - w) - u L B (a2 - I) e1.
     mean = w_prime + (belief.mean - w) - flow.u * (lb @ inner[:, 0])
     logdet = log_det(belief) + 2.0 * math.log(abs(det))
-    work = belief.work if isinstance(belief, OwnedFull) else None
-    factor = add_product(factor, lb, inner @ basis.T, work)
-    inv_factor, _ = transport_inverse(belief.inv_factor, flow, work)
+    owned = isinstance(belief, OwnedFull)
+    factor = add_product(factor, lb, inner @ basis.T, owned)
+    inv_factor, _ = transport_inverse(belief.inv_factor, flow, owned)
     return dataclasses.replace(belief, mean=mean, factor=factor, inv_factor=inv_factor,
                                logdet=logdet, age=belief.age + 1)
 
 
 def add_product(src: np.ndarray, left: np.ndarray, right: np.ndarray,
-                work: np.ndarray | None = None) -> np.ndarray:
-    """src + left @ right, the one rank-k update of a factor.
-
-    The product goes into work, then src is added to it. Given work, a
-    scratch array of src's shape, the sum goes into src itself, so src is
-    updated in place and nothing is allocated; without it both go into a
-    fresh array, which is returned. Keep src and work C-ordered: a mixed
-    layout makes both steps slower.
+                in_place: bool = False) -> np.ndarray:
+    """src + left @ right, the one rank-k update of a factor: into a fresh
+    array, or in place into src (C-ordered), one block of rows at a time so
+    that src is read and written once. No block holds one row unless src
+    does: a one-row product takes another BLAS routine, with other rounding.
     """
-    if work is None:
-        out = work = np.empty((left.shape[0], right.shape[1]))
-    else:
-        out = src
-    np.matmul(left, right, out=work)
-    return np.add(work, src, out=out)
+    if not in_place:
+        out = left @ right
+        return np.add(out, src, out=out)
+    n, start = src.shape[0], 0
+    step = max(2, _BLOCK_BYTES // (src.itemsize * src.shape[1]))
+    while start < n:
+        stop = n if n - start <= step + 1 else start + step
+        np.add(src[start:stop], left[start:stop] @ right, out=src[start:stop])
+        start = stop
+    return src
 
 
 def transport_inverse(inv_factor: np.ndarray, flow: FlowSolution,
-                      work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      in_place: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """W' = W + B (a2^{-1} - I) G for a full flow, with B = [mu_hat, nu_hat]
-    and G = B^T W; returns (W', G). Given work, W is moved in place (see
+    and G = B^T W; returns (W', G). In place, W is moved where it is (see
     :func:`add_product`).
 
     This is the whole of a full flow's effect on W, and both
@@ -390,7 +394,7 @@ def transport_inverse(inv_factor: np.ndarray, flow: FlowSolution,
     det = a2[0, 0] * a2[1, 1] - a2[0, 1] * a2[1, 0]
     inv_inner = np.array([[a2[1, 1], -a2[0, 1]], [-a2[1, 0], a2[0, 0]]]) / det - np.eye(2)
     g = basis.T @ inv_factor
-    return add_product(inv_factor, basis, inv_inner @ g, work), g
+    return add_product(inv_factor, basis, inv_inner @ g, in_place), g
 
 
 def flow_matrix(belief: BeliefState, flow: FlowSolution) -> np.ndarray:
@@ -448,7 +452,7 @@ def replay(snapshots):
     moves in place; a record is drawn only when the one before it has been
     yielded.
     """
-    inv_factor = work = None
+    inv_factor = None
     for rnd, record in snapshots:
         if not isinstance(record, FlowLog):
             inv_factor = record.inv_factor
@@ -456,9 +460,7 @@ def replay(snapshots):
             continue
         logged = []
         for j, flow in enumerate(record.flows):
-            if j and work is None:
-                work = np.empty_like(inv_factor)
             # The first flow writes a fresh W, so the one yielded before stays as it was.
-            inv_factor, g = transport_inverse(inv_factor, flow, work if j else None)
+            inv_factor, g = transport_inverse(inv_factor, flow, in_place=j > 0)
             logged.append((g, flow.a2))
         yield rnd, BeliefState(FULL, record.mean, inv_factor=inv_factor), logged

@@ -162,6 +162,16 @@ def validate_config(config: ExperimentConfig) -> None:
         value = getattr(config, key)
         if not isinstance(value, dict):
             raise ValueError(f"{key} must be an object, got {value!r}")
+    dataset = config.dataset
+    fmt = dataset.get("format")
+    if fmt not in DATASET_KEYS:
+        raise _unknown("dataset format", fmt, DATASET_KEYS)
+    for section, keys, known in (("dataset", dataset, DATASET_KEYS[fmt]),
+                                 ("learner", config.learner, LEARNER_KEYS),
+                                 ("model", config.model, MODEL_KEYS)):
+        unknown = sorted(set(keys) - set(known))
+        if unknown:
+            raise ValueError(f"unknown {section} keys {unknown}; known keys are {list(known)}")
     if not _is_int(config.runs) or config.runs < 1:
         raise ValueError(f"runs must be an integer of at least 1, got {config.runs!r}")
     if not _is_int(config.base_seed):
@@ -171,31 +181,35 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValueError("snapshot_every must be null or an integer of at least 1, "
                          f"got {config.snapshot_every!r}")
     for key, value in (("shuffle", config.shuffle),
-                       ("non_expansive", config.learner.get("non_expansive", False))):
+                       ("non_expansive", config.learner.get("non_expansive", False)),
+                       ("scale_minmax", dataset.get("scale_minmax", False))):
         if not isinstance(value, bool):
             raise ValueError(f"{key} must be true or false, got {value!r}")
     numbers = [(key, getattr(config, key)) for key in ("train_fraction", "noise_fraction")]
     numbers += [(key, config.learner[key]) for key in ("eta", "sigma_init", "r", "p_drop")
                 if key in config.learner]
+    numbers += [(key, dataset[key]) for key in ("flip_fraction",) if key in dataset]
     for key, value in numbers:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{key} must be a number, got {value!r}")
-    hidden = config.model.get("hidden", 1)
-    if not _is_int(hidden) or hidden < 1:
-        raise ValueError(f"hidden must be an integer of at least 1, got {hidden!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf or an int no float can hold
+            raise ValueError(f"{key} must be finite, got {value!r}")
+    counts = [("hidden", config.model.get("hidden", 1))]
+    counts += [(key, dataset[key]) for key in ("n", "n_features") if key in dataset]
+    for key, value in counts:
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+    for key in ("seed", "label_column"):
+        if not _is_int(dataset.get(key, 0)):
+            raise ValueError(f"{key} must be an integer, got {dataset[key]!r}")
+    if not isinstance(dataset.get("name", ""), str):
+        raise ValueError(f"dataset name must be a string, got {dataset['name']!r}")
     if not 0.0 < config.train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    if not 0.0 <= config.noise_fraction <= 1.0:
-        raise ValueError("noise_fraction must be in [0, 1]")
-    fmt = config.dataset.get("format")
-    if fmt not in DATASET_KEYS:
-        raise _unknown("dataset format", fmt, DATASET_KEYS)
-    for section, keys, known in (("dataset", config.dataset, DATASET_KEYS[fmt]),
-                                 ("learner", config.learner, LEARNER_KEYS),
-                                 ("model", config.model, MODEL_KEYS)):
-        unknown = sorted(set(keys) - set(known))
-        if unknown:
-            raise ValueError(f"unknown {section} keys {unknown}; known keys are {list(known)}")
+    for key, value in (("noise_fraction", config.noise_fraction),
+                       ("flip_fraction", dataset.get("flip_fraction", 0.0))):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{key} must be in [0, 1]")
     tag = config.learner.get("algorithm")
     if tag not in LEARNER_TAGS:
         raise _unknown("learner algorithm", tag, LEARNER_TAGS)
@@ -206,7 +220,7 @@ def validate_config(config: ExperimentConfig) -> None:
     if kind and kind not in mdl.KINDS:
         raise _unknown("model kind", kind, mdl.KINDS)
     lrn.update_count(config.learner.get("m", 1))
-    for path in dataset_files(config.dataset):
+    for path in dataset_files(dataset):
         if not path.exists():
             raise ValueError(f"dataset file not found: {path}")
 
@@ -218,6 +232,9 @@ def dataset_files(dspec: dict) -> list[Path]:
     missing = [key for key in DATASET_FILE_KEYS[fmt] if dspec.get(key) is None]
     if missing:
         raise ValueError(f"{fmt} dataset is missing file keys {missing}")
+    for key in DATASET_FILE_KEYS[fmt]:
+        if not isinstance(dspec[key], str):
+            raise ValueError(f"{key} must be a string, got {dspec[key]!r}")
     return [Path(dspec[key]) for key in DATASET_FILE_KEYS[fmt]]
 
 

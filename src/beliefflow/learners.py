@@ -46,9 +46,9 @@ class BeliefFlowLearner:
     The learner owns a copy of a diagonal prior and a
     :class:`belief.ActiveDiagonal` whose arrays carry each round in sigma
     form; the round is written into the copy on the active coordinates.
-    It owns a full prior's L and W as a :class:`belief.OwnedFull`, which
-    every flow updates in place; a pair that ``correct_spectrum`` rebuilt
-    is copied back into the same arrays.
+    It owns a copy of a full prior's L and W as a :class:`belief.OwnedFull`,
+    which every flow updates in place; a pair that ``correct_spectrum``
+    rebuilt is fresh and C-ordered, and becomes the learner's own as it is.
 
     After a full learner's step, ``last_flows`` holds the flows it applied
     (not the identity ones), or None when ``correct_spectrum`` rebuilt the
@@ -109,7 +109,7 @@ class BeliefFlowLearner:
             if belief is not moved:
                 flows = None
                 if isinstance(moved, bel.OwnedFull):
-                    belief = bel.own(belief, into=moved)
+                    belief = bel.OwnedFull(**vars(belief))
             elif flows is not None and not flow.identity:
                 flows.append(flow)
         self.last_flows = flows

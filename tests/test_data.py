@@ -175,6 +175,26 @@ def test_csv_rejects_non_finite_values(tmp_path, value):
         dat.parse_csv(p)
 
 
+def test_csv_reads_each_field_as_float_does(tmp_path):
+    # fields float() reads or rejects in ways that are easy to get wrong; a
+    # field it accepts keeps its bytes (-0 stays negative), one it rejects
+    # names its row, and one it reads as infinite names its line
+    accepted = ["1_0", " 1.5 ", "-0", "+.5"]
+    p = tmp_path / "fields.csv"
+    p.write_text("a,b,c,d,label\n" + ",".join(accepted) + ",1\n1,2,3,4,0\n")
+    ds = dat.parse_csv(p)
+    want = np.array([[float(f) for f in accepted], [1.0, 2.0, 3.0, 4.0]])
+    assert ds.X.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(ds.labels, [1, 0])
+    for field, message in [("infinity", "line 3: non-finite value"),
+                           ("1e400", "line 3: non-finite value"),
+                           ("0x1p3", "row 3: non-numeric field"),
+                           ("", "row 3: non-numeric field")]:
+        p.write_text(f"a,b,label\n1,2,1\n0.5,{field},0\n")
+        with pytest.raises(ValueError, match=f"fields\\.csv {message}"):
+            dat.parse_csv(p)
+
+
 def test_csv_minmax_scaling(tmp_path):
     p = tmp_path / "scale.csv"
     p.write_text("0.0,5.0,1\n10.0,5.0,0\n5.0,5.0,1\n")

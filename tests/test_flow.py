@@ -3,6 +3,7 @@
 import dataclasses
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -602,3 +603,31 @@ def test_full_posterior_respects_floor_after_extreme_contraction():
     evals = np.sort(np.linalg.svd(post.factor, compute_uv=False) ** 2)
     np.testing.assert_allclose(evals, [bel.LAMBDA_MIN, 1.0, 1.0], rtol=1e-9)
     bel.validate(post, bel.LAMBDA_MIN)
+
+
+def test_replaying_a_record_of_several_flows_holds_no_d_by_d_scratch():
+    # the record's first flow writes a fresh W and the later ones move it in
+    # place, one row block at a time: nothing else the size of W is held,
+    # and the bytes are those of one fresh update per flow
+    d = 200
+    rng = np.random.default_rng(97)
+    keyframe = bel.snapshot(bel.full_belief(np.zeros(d), np.linalg.qr(rng.normal(size=(d, d)))[0],
+                                            rng.uniform(0.5, 2.0, size=d)))
+    flows = []
+    for uv in ((1.0, 0.5, 0.7), (0.4, -1.2, 0.1), (2.0, -0.3, 0.6)):
+        basis = np.linalg.qr(rng.normal(size=(d, 2)))[0]
+        flows.append(fl.FlowSolution(bel.FULL, mu_hat=basis[:, 0], nu_hat=basis[:, 1],
+                                     a2=fl.solve_2x2(*uv)))
+    records = [(0, keyframe), (1, fl.FlowLog(rng.normal(size=d), tuple(flows)))]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        replayed = [belief for _, belief, _ in fl.replay(records)]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * d * d * 8, peak
+    want = keyframe.inv_factor
+    for flow in flows:
+        want, _ = fl.transport_inverse(want, flow)
+    assert replayed[1].inv_factor.tobytes() == want.tobytes()

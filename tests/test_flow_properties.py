@@ -1,4 +1,5 @@
-"""Property tests of the scalar flow scale and the sigma-carry update."""
+"""Property tests of the scalar flow scale, the sigma-carry update and the
+full factor update."""
 
 import math
 from fractions import Fraction
@@ -74,3 +75,25 @@ def test_sigma_carry_update_maps_the_draw_onto_the_stepped_point(u, v, mu, log_s
     reached = active.mean[0] + carried
     scale = max(abs(w_prime[0]), abs(active.mean[0]), abs(carried))
     assert abs(reached - w_prime[0]) <= 2 * math.ulp(scale)
+
+
+# Every d <= 300 whose last row block would hold one row, were it not
+# merged into the block before it.
+ONE_ROW_TAILS = [d for d in range(2, 301)
+                 if d % max(2, fl._BLOCK_BYTES // (8 * d)) == 1]
+
+
+@pytest.mark.parametrize("d", sorted({*range(1, 71), 130, 300, *ONE_ROW_TAILS}))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-8.0, 8.0))
+def test_add_product_has_the_bytes_of_one_matmul_plus_add(d, seed, log_scale):
+    # fresh or in place, row block by row block: the bytes of src + left @ right
+    rng = np.random.default_rng(seed)
+    src = rng.normal(size=(d, d))
+    left = rng.normal(size=(d, 2))
+    right = rng.normal(scale=10.0 ** log_scale, size=(2, d))
+    want = np.add(np.matmul(left, right), src).tobytes()
+    assert fl.add_product(src, left, right).tobytes() == want
+    moved = src.copy()
+    assert fl.add_product(moved, left, right, in_place=True) is moved
+    assert moved.tobytes() == want

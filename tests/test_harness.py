@@ -711,6 +711,55 @@ def test_cli_run_rejects_a_bad_value_or_file_without_a_traceback(tmp_path, capsy
     assert captured.out == ""
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("learner, model, dataset, named", [
+    ({"algorithm": "sgd", "eta": NAN}, {}, {}, "eta must be finite, got nan"),
+    ({"sigma_init": INF}, {}, {}, "sigma_init must be finite, got inf"),
+    ({"eta": 10 ** 400}, {}, {}, "eta must be finite, got 1000"),
+    ({"algorithm": "arow", "r": NAN}, {}, {}, "r must be finite, got nan"),
+    ({"algorithm": "dropout", "p_drop": NAN}, MLP, {}, "p_drop must be finite, got nan"),
+    ({}, {}, {"n": "300"}, "n must be an integer of at least 1, got '300'"),
+    ({}, {}, {"n": 0}, "n must be an integer of at least 1, got 0"),
+    ({}, {}, {"n_features": 0}, "n_features must be an integer of at least 1, got 0"),
+    ({}, {}, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({}, {}, {"flip_fraction": NAN}, "flip_fraction must be finite, got nan"),
+    ({}, {}, {"flip_fraction": 1.5}, "flip_fraction must be in [0, 1]"),
+    ({}, {}, {"name": 3}, "dataset name must be a string, got 3"),
+    ({}, {}, {"format": "csv", "path": "rows.csv", "label_column": "x"},
+     "label_column must be an integer, got 'x'"),
+    ({}, {}, {"format": "csv", "path": "rows.csv", "scale_minmax": "yes"},
+     "scale_minmax must be true or false, got 'yes'"),
+    ({}, {}, {"format": "libsvm", "path": "rows.csv", "n_features": 0},
+     "n_features must be an integer of at least 1, got 0"),
+    ({}, {}, {"format": "csv", "path": 5}, "path must be a string, got 5"),
+], ids=["sgd-eta-nan", "bflo-sigma_init-inf", "eta-int-beyond-float", "arow-r-nan", "dropout-p_drop-nan", "n-str",
+        "n-zero", "n_features-zero", "seed-float", "flip_fraction-nan", "flip_fraction-above-1",
+        "name-int", "csv-label_column-str", "csv-scale_minmax-str", "libsvm-n_features-zero",
+        "csv-path-int"])
+def test_cli_run_rejects_a_non_finite_or_mistyped_value_without_outputs(
+        tmp_path, capsys, monkeypatch, learner, model, dataset, named):
+    # a NaN eta ran to exit 0 with NaN weights, "n": 0 reported online nan%,
+    # a string count or label column ended in a TypeError traceback, and an
+    # eta beyond float range in an OverflowError one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.csv").write_text("0.5,1\n2.0,0\n")
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "synthetic_quick.json").read_text())
+    raw["learner"].update(learner)
+    raw["model"] = model
+    raw["dataset"] = dataset if "format" in dataset else dict(raw["dataset"], **dataset)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(p), "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+
+
 def test_cli_run_overrides_runs_and_noise(tmp_path, monkeypatch):
     monkeypatch.setenv("BFLO_THREADS", "1")
     p = write_config(tmp_path, tiny_config(runs=1))

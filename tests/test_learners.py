@@ -408,8 +408,8 @@ def test_bflo_full_round_runs_no_dense_decomposition(monkeypatch):
 def test_a_full_round_updates_its_owned_pair_in_place():
     # d = 300, as in the dense benchmark: once a first round has run, a
     # round allocates nothing the size of L or W, whose fresh copies used
-    # to cost page faults every round; the learner's L, W and work array
-    # stay C-ordered, and the caller's prior keeps its bytes
+    # to cost page faults every round; the learner's L and W stay C-ordered,
+    # it holds no other d x d array, and the caller's prior keeps its bytes
     d = 300
     spec = mdl.logistic_model(d)
     rng = np.random.default_rng(83)
@@ -431,9 +431,50 @@ def test_a_full_round_updates_its_owned_pair_in_place():
     assert max(peaks) < d * d * 8 // 2, peaks
     owned = learner.belief
     assert learner.belief.age == 10
-    for arr in (owned.factor, owned.inv_factor, owned.work):
+    assert dataclasses.fields(owned) == dataclasses.fields(bel.BeliefState)
+    for arr in (owned.factor, owned.inv_factor):
         assert arr.flags.c_contiguous and arr.shape == (d, d)
     assert [prior.mean.tobytes(), prior.factor.tobytes(), prior.inv_factor.tobytes()] == before
+
+
+@pytest.mark.parametrize("rebuild", ["floor", "resync"])
+def test_a_full_learner_takes_the_pair_that_correct_spectrum_rebuilt(monkeypatch, rebuild):
+    # the rebuilt L and W become the learner's own, uncopied, and the next
+    # round moves them in place
+    d = 6
+    spec = mdl.logistic_model(d)
+    learner = lrn.BeliefFlowLearner(spec, bel.full_belief(np.zeros(d), np.eye(d), np.full(d, 0.04)),
+                                    eta=0.05)
+    real_fix = bel.correct_spectrum
+    rebuilt = []
+
+    def fix(belief):
+        if rebuild == "floor":
+            out = real_fix(belief, 0.039)
+        else:
+            out = bel.full_belief_from_factor(belief.mean, bel.root(belief))
+        if out is not belief:
+            rebuilt.append(out)
+        return out
+
+    monkeypatch.setattr(bel, "correct_spectrum", fix)
+    rng = np.random.default_rng(101)
+    for _ in range(20):
+        learner.step(example(rng.normal(size=d), int(rng.integers(0, 2))), rng)
+        if rebuilt:
+            break
+    assert len(rebuilt) == 1 and learner.last_flows is None
+    owned = learner.belief
+    assert isinstance(owned, bel.OwnedFull)
+    for name in ("factor", "inv_factor"):
+        arr = getattr(owned, name)
+        assert np.shares_memory(arr, getattr(rebuilt[0], name)) and arr.flags.c_contiguous
+    monkeypatch.setattr(bel, "correct_spectrum", real_fix)
+    kept = owned.inv_factor.copy()
+    learner.step(example(rng.normal(size=d), 1), rng)
+    assert learner.last_flows
+    assert learner.belief.factor is owned.factor and learner.belief.inv_factor is owned.inv_factor
+    assert not np.array_equal(owned.inv_factor, kept)
 
 
 def test_apply_flow_leaves_a_plain_full_belief_as_it_was():

@@ -38,7 +38,7 @@ from .belief import (
 
 # Whitened displacements below this are treated as degenerate.
 EPS_DEGENERATE = 1e-10
-# Bytes of an in-place add_product's row block: cache-sized, and under
+# Bytes of an add_product row block: cache-sized, and under
 # glibc's 128 KiB mmap threshold, so each block's product comes from the heap.
 _BLOCK_BYTES = 120 * 1024
 
@@ -361,21 +361,20 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
 
 def add_product(src: np.ndarray, left: np.ndarray, right: np.ndarray,
                 in_place: bool = False) -> np.ndarray:
-    """src + left @ right, the one rank-k update of a factor: into a fresh
-    array, or in place into src (C-ordered), one block of rows at a time so
-    that src is read and written once. No block holds one row unless src
-    does: a one-row product takes another BLAS routine, with other rounding.
+    """src + left @ right, the one rank-k update of a factor, into a fresh
+    C-ordered array or in place into src. It goes one block of rows at a
+    time, so src is read once and the result written once. No block holds
+    one row unless src does: a one-row product takes another BLAS routine,
+    with other rounding.
     """
-    if not in_place:
-        out = left @ right
-        return np.add(out, src, out=out)
+    out = src if in_place else np.empty(src.shape)
     n, start = src.shape[0], 0
     step = max(2, _BLOCK_BYTES // (src.itemsize * src.shape[1]))
     while start < n:
         stop = n if n - start <= step + 1 else start + step
-        np.add(src[start:stop], left[start:stop] @ right, out=src[start:stop])
+        np.add(src[start:stop], left[start:stop] @ right, out=out[start:stop])
         start = stop
-    return src
+    return out
 
 
 def transport_inverse(inv_factor: np.ndarray, flow: FlowSolution,

@@ -195,7 +195,9 @@ def validate_config(config: ExperimentConfig) -> None:
         if not abs(value) <= sys.float_info.max:  # NaN, inf or an int no float can hold
             raise ValueError(f"{key} must be finite, got {value!r}")
     counts = [("hidden", config.model.get("hidden", 1))]
-    counts += [(key, dataset[key]) for key in ("n", "n_features") if key in dataset]
+    # A libsvm n_features of null is left out: the file's largest index sets it.
+    counts += [(key, dataset[key]) for key in ("n", "n_features")
+               if key in dataset and not (fmt == "libsvm" and dataset[key] is None)]
     for key, value in counts:
         if not _is_int(value) or value < 1:
             raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")

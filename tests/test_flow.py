@@ -607,9 +607,10 @@ def test_full_posterior_respects_floor_after_extreme_contraction():
 
 def test_replaying_a_record_of_several_flows_holds_no_d_by_d_scratch():
     # the record's first flow writes a fresh W and the later ones move it in
-    # place, one row block at a time: nothing else the size of W is held,
-    # and the bytes are those of one fresh update per flow
-    d = 200
+    # place, one row block at a time: beside W only a row block's product
+    # (about 120 KiB) is held, and the bytes are those of one fresh update
+    # per flow
+    d = 300
     rng = np.random.default_rng(97)
     keyframe = bel.snapshot(bel.full_belief(np.zeros(d), np.linalg.qr(rng.normal(size=(d, d)))[0],
                                             rng.uniform(0.5, 2.0, size=d)))

@@ -120,6 +120,16 @@ def test_validate_accepts_every_key_of_every_dataset_format(tmp_path):
         hns.validate_config(tiny_config(dataset=dict(dataset, format=fmt)))
 
 
+def test_validate_accepts_a_null_libsvm_n_features_and_the_file_sets_it(tmp_path):
+    path = tmp_path / "x.libsvm"
+    path.write_text("+1 1:0.5 4:2.0\n-1 2:1.0\n")
+    dataset = {"format": "libsvm", "path": str(path), "n_features": None}
+    hns.validate_config(tiny_config(dataset=dataset))
+    assert hns.load_dataset(dataset).n_features == 4
+    with pytest.raises(ValueError, match="n_features must be an integer of at least 1, got None"):
+        hns.validate_config(tiny_config(dataset={"format": "synthetic", "n_features": None}))
+
+
 def test_validate_accepts_every_key_of_every_learner_at_once():
     # run --learner TAG swaps the algorithm and keeps the other keys
     learner = {"algorithm": "bflo", "variant": "full", "eta": 0.1, "sigma_init": 0.2, "m": 2,

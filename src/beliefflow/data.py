@@ -4,6 +4,9 @@ Three on-disk formats are read: LIBSVM sparse text, numeric CSV with a
 designated label column, and the IDX image/label binary pair. Labels are
 normalized to 0-based integers; binary LIBSVM files using {-1, +1}, {0, 1}
 or {1, 2} become {0, 1}. Non-finite values fail at the line holding them.
+Text files are read as ASCII, with a byte above 0x7f kept as an undecodable
+character (surrogateescape): it fails as a bad field or token of its line,
+and never reads as a digit, as an Arabic-Indic one would under UTF-8.
 Every example keeps two labels: the (possibly noise-flipped) training label
 the learner sees and the true label used for judging predictions.
 """
@@ -62,6 +65,12 @@ class Dataset:
                        self.true_labels[indices].copy(), self.n_features,
                        self.n_classes, self.sparse)
 
+    def __setstate__(self, state):
+        # Only a pool pickles a dataset, and a worker's runs share the copy
+        # they unpickle, so it is read-only like the command's parse.
+        self.__dict__.update(state)
+        read_only(self)
+
 
 def read_only(dataset: Dataset) -> Dataset:
     """Mark the dataset's arrays read-only and return it, so that runs
@@ -111,7 +120,7 @@ def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -
     path = Path(path)
     rows, cols, vals, labels, linenos = [], [], [], [], []
     max_idx = 0
-    with path.open("r", encoding="ascii") as fh:
+    with path.open("r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -164,7 +173,7 @@ def parse_csv(path, label_column: int = -1, scale_minmax: bool = False,
     path = Path(path)
     rows, linenos = [], []
     width = None
-    with path.open("r", newline="", encoding="ascii") as fh:
+    with path.open("r", newline="", encoding="ascii", errors="surrogateescape") as fh:
         reader = _csv.reader(fh)
         for rowno, rec in enumerate(reader, start=1):
             if not rec:

@@ -35,8 +35,6 @@ import numpy as np
 from . import belief as bel
 from . import data as dat
 from . import flow as fl
-from . import learners as lrn
-from . import models as mdl
 
 SCHEMA_VERSION = 1
 LEARNER_TAGS = ("bflo", "sgd", "arow", "blang", "dropout")
@@ -156,6 +154,8 @@ def _is_int(value) -> bool:
 
 def validate_config(config: ExperimentConfig) -> None:
     """Surface config and file errors before any computation or output."""
+    from . import learners as lrn, models as mdl  # not loaded by the trace command
+
     if not isinstance(config.name, str):
         raise ValueError(f"name must be a string, got {config.name!r}")
     for key in ("dataset", "learner", "model"):
@@ -258,6 +258,8 @@ def load_dataset(dspec: dict) -> dat.Dataset:
 
 
 def build_model(mcfg: dict, dataset: dat.Dataset) -> mdl.ModelSpec:
+    from . import models as mdl
+
     kind = mcfg.get("kind") or (mdl.LOGISTIC if dataset.n_classes == 2 else mdl.MLP)
     if kind == mdl.LOGISTIC:
         if dataset.n_classes != 2:
@@ -271,6 +273,8 @@ def build_model(mcfg: dict, dataset: dat.Dataset) -> mdl.ModelSpec:
 
 def make_learner(lcfg: dict, spec: mdl.ModelSpec, rng: np.random.Generator):
     """Build the configured learner, drawing its initialization from rng."""
+    from . import learners as lrn, models as mdl
+
     tag = lcfg.get("algorithm")
     eta = lcfg.get("eta", 0.001)
     sigma = lcfg.get("sigma_init", 0.2)
@@ -328,6 +332,8 @@ class RunReport:
 
 def evaluate_error_pct(spec: mdl.ModelSpec, params: np.ndarray, dataset: dat.Dataset) -> float:
     """Offline error of fixed weights against the true labels, in percent."""
+    from . import models as mdl
+
     z = mdl.batch_forward(spec, params, dataset.X)
     if spec.n_outputs == 1:
         predicted = (z[:, 0] >= 0.5).astype(np.int64)
@@ -356,6 +362,8 @@ def run_online(config: ExperimentConfig, run_index: int,
     :func:`write_snapshots`), unless a step rebuilt W or the flows would
     take more floats than W.
     """
+    from . import learners as lrn
+
     t0 = time.perf_counter()
     seed = config.base_seed + run_index
     rng = np.random.default_rng(seed)
@@ -444,8 +452,9 @@ def run_experiment(config: ExperimentConfig, out_dir, dataset: dat.Dataset | Non
     """Validate, run all runs (in parallel when allowed), write outputs.
 
     dataset, the parsed config.dataset (the run and suite commands pass
-    one, set read-only), is handed to serial runs, which parse their own
-    without it; pool workers always parse their own. The output directory and its outputs appear
+    one, set read-only), goes to every run; without it each run parses its
+    own. A pool gets it with one chunk of runs per worker, so each worker
+    unpickles one copy. The output directory and its outputs appear
     only after all runs return, so a failed run leaves none. Run 0 writes
     its snapshots to a hidden file beside the directory (so they never
     travel through the pool), which becomes snapshots.bin once every run
@@ -464,7 +473,9 @@ def run_experiment(config: ExperimentConfig, out_dir, dataset: dat.Dataset | Non
             import concurrent.futures  # only a pool needs it
 
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(run_online, [config] * config.runs, indices, snap_paths))
+                reports = list(pool.map(run_online, [config] * config.runs, indices, snap_paths,
+                                        [dataset] * config.runs,
+                                        chunksize=math.ceil(config.runs / workers)))
         else:
             reports = [run_online(config, idx, path, dataset)
                        for idx, path in zip(indices, snap_paths)]
@@ -859,8 +870,13 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
 
     Returns one check row per metric: the worst KL gap against the oracle
     per dimension, the worst stationarity residual of the in-plane solver,
-    and the worst flow-constraint violation across variants.
+    and the worst flow-constraint violation across variants. A check over
+    no case would pass vacuously, so cases, dims and each d must be >= 1.
     """
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dims must list one or more dimensions of at least 1, got {list(dims)}")
     from . import oracles as orc  # scipy.optimize and scipy.integrate load only here
 
     checks = []
@@ -981,9 +997,7 @@ def _cmd_run(args) -> int:
     if args.noise is not None:
         config.noise_fraction = args.noise
     validate_config(config)
-    serial = parallel_workers(config.runs) == 1
-    dataset = dat.read_only(load_dataset(config.dataset)) if serial else None
-    summary = run_experiment(config, args.out, dataset)
+    summary = run_experiment(config, args.out, dat.read_only(load_dataset(config.dataset)))
     agg = summary["aggregate"]
     print(f"{config.name}: online {agg['online_error_pct']['mean']:.2f}% "
           f"final {agg['final_error_pct']['mean']:.2f}% over {agg['runs']} run(s) -> {args.out}")
@@ -1004,15 +1018,12 @@ def _cmd_suite(args) -> int:
                              f"the suite cell dataset {cell[0]!r}, learner {cell[1]!r}")
     out = Path(args.out)
     rows = []
-    shared = None  # (spec, dataset): one parse for a run of serial experiments on one dataset
+    shared = None  # (spec, dataset): one parse for consecutive experiments on one dataset
     for config, (dataset_label, learner_label) in zip(experiments, cells):
-        dataset = None
-        if parallel_workers(config.runs) == 1:
-            if shared is None or shared[0] != config.dataset:
-                shared = None  # drop the previous parse before making the next
-                shared = (config.dataset, dat.read_only(load_dataset(config.dataset)))
-            dataset = shared[1]
-        summary = run_experiment(config, out / config.name, dataset)
+        if shared is None or shared[0] != config.dataset:
+            shared = None  # drop the previous parse before making the next
+            shared = (config.dataset, dat.read_only(load_dataset(config.dataset)))
+        summary = run_experiment(config, out / config.name, shared[1])
         agg = summary["aggregate"]
         rows.append({
             "dataset": dataset_label,

@@ -1,5 +1,6 @@
 """Dataset parsing, label handling, splits, noise injection."""
 
+import pickle
 import struct
 
 import numpy as np
@@ -307,6 +308,22 @@ def test_split_is_seed_deterministic():
     a1, _ = dat.split_shuffle(ds, 0.5, seed=4, shuffle=True)
     a2, _ = dat.split_shuffle(ds, 0.5, seed=4, shuffle=True)
     np.testing.assert_array_equal(a1.X, a2.X)
+
+
+def test_an_unpickled_dataset_is_read_only_with_the_same_bytes(tmp_path):
+    # a pool worker's runs share the copy of the parse they unpickle
+    p = tmp_path / "toy.libsvm"
+    p.write_text("+1 1:0.5 3:2.0\n-1 2:1.5\n")
+    for ds in (dat.parse_libsvm(p), dat.synthetic_linear(20, 3, 7)):
+        a, b = pickle.loads(pickle.dumps([ds, ds]))
+        assert a is b
+        arrays = [a.X.data, a.X.indices, a.X.indptr] if a.sparse else [a.X]
+        want = [ds.X.data, ds.X.indices, ds.X.indptr] if ds.sparse else [ds.X]
+        for got, ref in zip(arrays + [a.labels, a.true_labels],
+                            want + [ds.labels, ds.true_labels]):
+            assert got.tobytes() == ref.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0
 
 
 # ---------------------------------------------------------------------------

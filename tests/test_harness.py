@@ -314,18 +314,48 @@ def write_csv_suite(directory, *experiments):
 
 def test_suite_and_trace_import_only_what_they_use(tmp_path):
     # a serial suite needs no pool, no pseudo datapoints and no scipy, and
-    # a trace no scipy; numpy.ma is what np.unique used to pull in
+    # a trace no scipy, no learners and no models; numpy.ma is what
+    # np.unique used to pull in
     suite, _ = write_csv_suite(tmp_path, ("full", {"algorithm": "bflo", "variant": "full",
                                                    "eta": 0.05, "sigma_init": 0.2}, 1))
     loaded = ("\nprint('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-              "or m in ('numpy.ma', 'concurrent.futures', 'beliefflow.pseudo')))")
+              "or m in ('numpy.ma', 'concurrent.futures', 'beliefflow.pseudo', "
+              "'beliefflow.learners', 'beliefflow.models')))")
     out = tmp_path / "out"
     ran = run_child(CLI + loaded, "suite", "--config", str(suite), "--out", str(out))
-    assert ran.splitlines()[-1].split()[1:] == []
+    assert ran.splitlines()[-1].split()[1:] == ["beliefflow.learners", "beliefflow.models"]
     ran = run_child(CLI + loaded, "trace", "--snapshots", str(out / "full" / "snapshots.bin"),
                     "--out", str(out / "full" / "trace.csv"))
-    assert "beliefflow.pseudo" in ran.splitlines()[-1].split()
-    assert not [m for m in ran.splitlines()[-1].split()[1:] if m.startswith("scipy")]
+    assert ran.splitlines()[-1].split()[1:] == ["beliefflow.pseudo"]
+
+
+def parse_here_only(monkeypatch, name="parse_csv"):
+    """Make data.<name> count its calls and raise in any process but this
+    one (a fork-started pool worker inherits the patch); returns the calls."""
+    pid, real, calls = os.getpid(), getattr(dat, name), []
+
+    def parse(*args, **kwargs):
+        if os.getpid() != pid:
+            raise RuntimeError(f"{name} ran in pool worker {os.getpid()}")
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dat, name, parse)
+    return calls
+
+
+def assert_same_outputs(a, b, names):
+    """The experiment directories a and b hold the same outputs, summaries
+    compared without their wall times."""
+    for exp in names:
+        for name in ("curve.csv", "snapshots.bin", "summary.json"):
+            x, y = a / exp / name, b / exp / name
+            assert x.exists() == y.exists(), (exp, name)
+            if name == "summary.json":
+                assert (scrub_wall_times(json.loads(x.read_text()))
+                        == scrub_wall_times(json.loads(y.read_text())))
+            elif x.exists():
+                assert x.read_bytes() == y.read_bytes(), (exp, name)
 
 
 def test_a_suite_parses_its_dataset_once_for_its_serial_runs(tmp_path, monkeypatch):
@@ -351,15 +381,38 @@ def test_a_suite_parses_its_dataset_once_for_its_serial_runs(tmp_path, monkeypat
     # each experiment alone, every run parsing its own copy, writes the same bytes
     for config in configs:
         hns.run_experiment(config, tmp_path / "alone" / config.name)
-        for name in ("curve.csv", "snapshots.bin", "summary.json"):
-            a, b = tmp_path / "s" / config.name / name, tmp_path / "alone" / config.name / name
-            assert a.exists() == b.exists(), (config.name, name)
-            if name == "summary.json":
-                assert (scrub_wall_times(json.loads(a.read_text()))
-                        == scrub_wall_times(json.loads(b.read_text())))
-            elif a.exists():
-                assert a.read_bytes() == b.read_bytes(), (config.name, name)
+    assert_same_outputs(tmp_path / "s", tmp_path / "alone", [c.name for c in configs])
     assert len(parsed) == 1 + 2 + 2
+
+
+def test_a_pooled_suite_parses_its_dataset_once_in_the_command_process(tmp_path, monkeypatch):
+    # 2 experiments x 4 runs on 2 workers parsed the CSV in every run's worker
+    suite, configs = write_csv_suite(
+        tmp_path, ("bflo", {"algorithm": "bflo", "variant": "diagonal", "eta": 0.05,
+                            "sigma_init": 0.2}, 4),
+        ("sgd", {"algorithm": "sgd", "eta": 0.05, "sigma_init": 0.2}, 4))
+    calls = parse_here_only(monkeypatch)
+    monkeypatch.setenv("BFLO_THREADS", "2")
+    assert hns.cli_main(["suite", "--config", str(suite), "--out", str(tmp_path / "pool")]) == 0
+    assert len(calls) == 1
+    monkeypatch.setenv("BFLO_THREADS", "1")
+    assert hns.cli_main(["suite", "--config", str(suite), "--out", str(tmp_path / "one")]) == 0
+    assert_same_outputs(tmp_path / "pool", tmp_path / "one", [c.name for c in configs])
+    assert ((tmp_path / "pool" / "suite_summary.json").read_bytes()
+            == (tmp_path / "one" / "suite_summary.json").read_bytes())
+
+
+def test_a_pooled_run_parses_its_dataset_once_in_the_command_process(tmp_path, monkeypatch):
+    _, (config,) = write_csv_suite(tmp_path, ("bflo", {"algorithm": "bflo", "variant": "full",
+                                                       "eta": 0.05, "sigma_init": 0.2}, 1))
+    calls = parse_here_only(monkeypatch)
+    p = write_config(tmp_path, config)
+    for threads, out in (("2", "pool"), ("1", "one")):
+        monkeypatch.setenv("BFLO_THREADS", threads)
+        assert hns.cli_main(["run", "--config", str(p), "--out", str(tmp_path / out / "bflo"),
+                             "--runs", "4"]) == 0
+    assert len(calls) == 2
+    assert_same_outputs(tmp_path / "pool", tmp_path / "one", ["bflo"])
 
 
 def test_importing_the_harness_loads_no_scipy_sparse_stats_or_optimize():
@@ -770,6 +823,25 @@ def test_cli_run_rejects_a_non_finite_or_mistyped_value_without_outputs(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fmt, text, named", [
+    ("csv", b"a,b,label\n1,2,1\n0.5,\xd9\xa1,0\n", "rows.csv row 3: non-numeric field"),
+    ("libsvm", b"+1 1:0.5\n-1 2:\xd9\xa1\n", "rows.csv line 2: token '2:"),
+], ids=["csv-row-3", "libsvm-line-2"])
+def test_cli_run_names_the_line_of_a_non_ascii_byte(tmp_path, capsys, fmt, text, named):
+    # the codec's message named neither file nor line; under UTF-8 numpy
+    # would read the Arabic-Indic digit one as 1.0
+    (tmp_path / "rows.csv").write_bytes(text)
+    config = tiny_config(runs=1, dataset={"format": fmt, "path": str(tmp_path / "rows.csv")})
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+
+
 def test_cli_run_overrides_runs_and_noise(tmp_path, monkeypatch):
     monkeypatch.setenv("BFLO_THREADS", "1")
     p = write_config(tmp_path, tiny_config(runs=1))
@@ -814,6 +886,22 @@ def test_cli_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "kl gap" in out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--cases", "0"], "cases must be at least 1, got 0"),
+    (["--dims", "", "--cases", "-3"], "cases must be at least 1, got -3"),
+    (["--dims", ""], "dims must list one or more dimensions of at least 1, got []"),
+    (["--dims", "0"], "dims must list one or more dimensions of at least 1, got [0]"),
+    (["--dims", "2,-1"], "got [2, -1]"),
+], ids=["cases-0", "cases-negative", "dims-empty", "dims-0", "dims-negative"])
+def test_cli_verify_rejects_an_empty_check(capsys, args, named):
+    # --cases 0 and an empty --dims printed PASS over no case, and --dims 0
+    # ended in a zero-size reduction
+    assert hns.cli_main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
 
 
 def test_cli_trace_round_trip(tmp_path, capsys):

@@ -61,7 +61,7 @@ def traced_run(flip_fraction):
     with tempfile.TemporaryDirectory() as tmp:
         snap_path = Path(tmp) / "snapshots.bin"
         hn.run_online(cfg, 0, snapshot_path=snap_path)
-        return ps.pseudo_trace(hn.read_snapshots(snap_path))
+        return list(ps.trace_rows(hn.iter_snapshots(snap_path)))
 
 
 rows = traced_run(0.0)

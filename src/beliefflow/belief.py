@@ -204,14 +204,15 @@ def full_belief_from_cov(mean, cov) -> BeliefState:
     return full_belief_from_factor(mean, factor)
 
 
-def own(belief: BeliefState) -> OwnedFull:
-    """A full belief with its L and W copied into fresh C-ordered arrays of
-    its own.
-
-    The mean and log det are shared, since no round writes into them. It
-    must copy: the caller keeps its belief, and ``full_belief`` gives a
-    Fortran-ordered W.
-    """
+def own(belief: BeliefState) -> BeliefState:
+    """What a belief-flow learner holds of a belief: a full one as an
+    :class:`OwnedFull` whose L and W are copied into fresh C-ordered arrays
+    (the caller keeps its belief, and ``full_belief`` gives a Fortran-ordered
+    W; the mean and log det, which no round writes into, are shared), and
+    any other as its :func:`snapshot`: copies of a diagonal belief's arrays,
+    which the learner's rounds write into, and a spherical belief as it is."""
+    if belief.variant != FULL:
+        return snapshot(belief)
     return OwnedFull(FULL, belief.mean, factor=np.array(root(belief), order="C"),
                      inv_factor=np.array(belief.inv_factor, order="C"),
                      logdet=belief.logdet, age=belief.age)
@@ -406,8 +407,9 @@ def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> Belief
     ||L (W z) - z|| for a fixed unit z exceeds RESYNC_TOL.
 
     Returns the input object unchanged when no correction is needed, so a
-    clean belief passes through bit for bit. An :class:`ActiveDiagonal` is
-    floored in place, at sigma >= sqrt(lam_min).
+    clean belief passes through bit for bit, and a rebuilt full pair keeps
+    the input's class (an :class:`OwnedFull`'s new L and W are its owner's).
+    An :class:`ActiveDiagonal` is floored in place, at sigma >= sqrt(lam_min).
     """
     if isinstance(belief, ActiveDiagonal):
         np.maximum(belief.sigma, math.sqrt(lam_min), out=belief.sigma)
@@ -425,11 +427,12 @@ def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> Belief
         u, s, vt = np.linalg.svd(root(belief))
         if s[-1] < math.sqrt(lam_min):  # s is in descending order
             s = np.maximum(s, math.sqrt(lam_min))
-            return BeliefState(FULL, belief.mean, factor=(u * s) @ vt,
-                               inv_factor=(vt.T / s) @ u.T, logdet=2.0 * float(np.sum(np.log(s))))
+            return dataclasses.replace(belief, factor=(u * s) @ vt, inv_factor=(vt.T / s) @ u.T,
+                                       logdet=2.0 * float(np.sum(np.log(s))), age=0)
     z = _probe(belief.dim)
     if belief.age >= RESYNC_EVERY or np.linalg.norm(root(belief) @ (w @ z) - z) > RESYNC_TOL:
-        return full_belief_from_factor(belief.mean, root(belief))
+        synced = full_belief_from_factor(belief.mean, root(belief))
+        return dataclasses.replace(belief, **vars(synced))
     return belief
 
 

@@ -142,30 +142,27 @@ def scale_into(u, v, out, uv, neg, pin) -> np.ndarray:
     return out
 
 
-def solve_2x2(u: float, v_par: float, v_perp: float,
-              delta1: int = 1, delta2: int = 1) -> np.ndarray:
+def solve_2x2(u: float, v_par: float, v_perp: float) -> np.ndarray:
     """In-plane 2x2 flow matrix for whitened offsets (u, 0) -> (v_par, v_perp).
 
     Requires u > 0 and v_perp >= 0; the target norm must not vanish. The
     returned matrix maps the mu_hat axis onto the target direction and fixes
-    the KL-optimal scale along it. delta1 = delta2 = +1 selects the branch
-    connected to the identity map, the one every update uses; the other
-    sign branches exist to verify the stationarity condition.
+    the KL-optimal scale along it. It is the stationary branch connected to
+    the identity map, the one every update uses; ``oracles.branch_2x2``
+    derives the other three sign branches from it.
     """
     if not u > 0.0:
         raise ValueError("u must be positive; degenerate samples are handled by the caller")
     if v_perp < 0.0:
         raise ValueError("v_perp is a norm and cannot be negative")
-    if delta1 not in (-1, 1) or delta2 not in (-1, 1):
-        raise ValueError("sign branches must be +1 or -1")
     s2 = v_par * v_par + v_perp * v_perp
     if s2 <= EPS_DEGENERATE * EPS_DEGENERATE:
         raise DegenerateTargetError("target vector vanished in whitened coordinates")
     s = np.sqrt(s2)
-    c = (u * s + delta1 * np.sqrt(4.0 + u * u * (4.0 + s2))) / (2.0 * (1.0 + u * u))
+    c = (u * s + np.sqrt(4.0 + u * u * (4.0 + s2))) / (2.0 * (1.0 + u * u))
     return np.array([
-        [c * v_par / s, -delta2 * v_perp / s],
-        [c * v_perp / s, delta2 * v_par / s],
+        [c * v_par / s, -v_perp / s],
+        [c * v_perp / s, v_par / s],
     ])
 
 

@@ -72,6 +72,10 @@ _RECORD_V3 = struct.Struct("<QII")
 _KEYFRAME, _DELTA = 0, 1
 _VARIANT_CODES = {bel.FULL: 0, bel.DIAGONAL: 1, bel.SPHERICAL: 2}
 _VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
+# The belief field a keyframe record holds after the mean, and its count of
+# axes of length d: it is stored with shape (d,) * axes, as d ** axes floats.
+_PAYLOADS = {bel.FULL: ("inv_factor", 2), bel.DIAGONAL: ("variances", 1),
+             bel.SPHERICAL: ("variance", 0)}
 
 TRACE_MAGIC = b"BFTR"
 TRACE_VERSION = 1
@@ -451,16 +455,18 @@ def parallel_workers(runs: int) -> int:
 def run_experiment(config: ExperimentConfig, out_dir, dataset: dat.Dataset | None = None) -> dict:
     """Validate, run all runs (in parallel when allowed), write outputs.
 
-    dataset, the parsed config.dataset (the run and suite commands pass
-    one, set read-only), goes to every run; without it each run parses its
-    own. A pool gets it with one chunk of runs per worker, so each worker
-    unpickles one copy. The output directory and its outputs appear
+    dataset, the parsed config.dataset (the suite command passes one), goes
+    to every run; without it, config.dataset is parsed here, once, and set
+    read-only. A pool gets it with one chunk of runs per worker, so each
+    worker unpickles one copy. The output directory and its outputs appear
     only after all runs return, so a failed run leaves none. Run 0 writes
     its snapshots to a hidden file beside the directory (so they never
     travel through the pool), which becomes snapshots.bin once every run
     has returned and is removed if one fails, along with the parent
     directories made for it."""
     validate_config(config)
+    if dataset is None:
+        dataset = dat.read_only(load_dataset(config.dataset))
     out = Path(out_dir)
     workers = parallel_workers(config.runs)
     indices = range(config.runs)
@@ -624,12 +630,6 @@ def write_curve(path, report: RunReport) -> None:
             fh.write(f"{i + 1},{int(cum[i])},{ent_s}\n")
 
 
-def _payload_len(variant: str, d: int) -> int:
-    if variant == bel.FULL:
-        return d * d
-    return d if variant == bel.DIAGONAL else 1
-
-
 def _records(fh, path, record: struct.Struct, body):
     """Walk the records of an open little-endian file from its position on.
 
@@ -664,22 +664,19 @@ def _snapshot_header(first) -> bytes:
         raise ValueError("the first snapshot must be a keyframe, not a flow log")
     variant, d = first.variant, first.dim
     return SNAPSHOT_MAGIC + _HEADER_V2.pack(SNAPSHOT_VERSIONS[variant], _VARIANT_CODES[variant], d,
-                                            _payload_len(variant, d))
+                                            d ** _PAYLOADS[variant][1])
 
 
 def _write_snapshot(fh, rnd: int, state) -> None:
     """One record of a snapshot stream (see write_snapshots), written from
     the arrays of state as they are; nothing is copied."""
-    if state.variant != bel.FULL:
-        fh.write(_ROUND.pack(rnd))
-        arrays = [state.mean,
-                  state.variances if state.variant == bel.DIAGONAL else [state.variance]]
-    elif isinstance(state, fl.FlowLog):
+    if isinstance(state, fl.FlowLog):
         fh.write(_RECORD_V3.pack(rnd, _DELTA, len(state.flows)))
         arrays = [state.mean] + [a for f in state.flows for a in (f.mu_hat, f.nu_hat, f.a2)]
     else:
-        fh.write(_RECORD_V3.pack(rnd, _KEYFRAME, 0))
-        arrays = [state.mean, state.inv_factor]
+        fh.write(_ROUND.pack(rnd) if SNAPSHOT_VERSIONS[state.variant] == 2
+                 else _RECORD_V3.pack(rnd, _KEYFRAME, 0))
+        arrays = [state.mean, getattr(state, _PAYLOADS[state.variant][0])]
     for arr in arrays:
         fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
@@ -743,7 +740,7 @@ def iter_snapshots(path):
         raise ValueError(f"{path}: unknown variant code {code}")
     if version == 3 and variant != bel.FULL:
         raise ValueError(f"{path}: version 3 holds full beliefs only, not {variant}")
-    if payload_len != _payload_len(variant, d):
+    if payload_len != d ** _PAYLOADS[variant][1]:
         raise ValueError(f"{path}: payload length {payload_len} does not fit a {variant} "
                          f"belief of dimension {d}")
     return _snapshot_records(path, variant, d, version)
@@ -757,7 +754,8 @@ def read_snapshots(path) -> list:
 
 def _snapshot_records(path, variant: str, d: int, version: int):
     """The records after a snapshot file's header, which iter_snapshots checked."""
-    step, v2_len = 2 * d + 4, d + _payload_len(variant, d)
+    field, axes = _PAYLOADS[variant]
+    step, v2_len = 2 * d + 4, d + d ** axes
 
     def body(at, rnd, kind=_KEYFRAME, count=0):
         if version == 2:
@@ -782,13 +780,10 @@ def _snapshot_records(path, variant: str, d: int, version: int):
                     fl.FlowSolution(bel.FULL, mu_hat=v[:d], nu_hat=v[d:2 * d],
                                     a2=v[2 * d:].reshape(2, 2))
                     for v in rest.reshape(-1, step)))
-            elif variant == bel.FULL:
-                keyframe_seen = True
-                state = bel.BeliefState(bel.FULL, mean, inv_factor=rest.reshape(d, d))
-            elif variant == bel.DIAGONAL:
-                state = bel.BeliefState(bel.DIAGONAL, mean, variances=rest)
             else:
-                state = bel.BeliefState(bel.SPHERICAL, mean, variance=float(rest[0]))
+                keyframe_seen = True
+                state = bel.BeliefState(variant, mean, **{
+                    field: rest.reshape((d,) * axes) if axes else float(rest[0])})
             yield int(rnd), state
 
 
@@ -908,7 +903,7 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
         v_perp = float(rng.uniform(0.05, 3.0))
         for d1 in (1, -1):
             for d2 in (1, -1):
-                a2 = fl.solve_2x2(u, v_par, v_perp, d1, d2)
+                a2 = orc.branch_2x2(u, v_par, v_perp, d1, d2)
                 worst_resid = max(worst_resid, orc.plane_optimality_residual(u, v_par, v_perp, a2))
     checks.append({"name": f"stationarity residual, all four branches ({cases} cases)",
                    "value": worst_resid, "threshold": 1e-8})
@@ -996,8 +991,7 @@ def _cmd_run(args) -> int:
         config.learner = dict(config.learner, algorithm=args.learner)
     if args.noise is not None:
         config.noise_fraction = args.noise
-    validate_config(config)
-    summary = run_experiment(config, args.out, dat.read_only(load_dataset(config.dataset)))
+    summary = run_experiment(config, args.out)
     agg = summary["aggregate"]
     print(f"{config.name}: online {agg['online_error_pct']['mean']:.2f}% "
           f"final {agg['final_error_pct']['mean']:.2f}% over {agg['runs']} run(s) -> {args.out}")

@@ -43,12 +43,11 @@ class BeliefFlowLearner:
     and variance; its draw would never be read. The round is the same in
     distribution, but draws only the active coordinates from the rng. Full
     and spherical flows mix coordinates, so they run on the whole belief.
-    The learner owns a copy of a diagonal prior and a
-    :class:`belief.ActiveDiagonal` whose arrays carry each round in sigma
-    form; the round is written into the copy on the active coordinates.
-    It owns a copy of a full prior's L and W as a :class:`belief.OwnedFull`,
-    which every flow updates in place; a pair that ``correct_spectrum``
-    rebuilt is fresh and C-ordered, and becomes the learner's own as it is.
+    The learner holds ``belief.own`` of its floored prior: a copy of a
+    diagonal prior, into which a :class:`belief.ActiveDiagonal` writes each
+    round (carried in sigma form) on the active coordinates, or a full
+    prior's L and W as a :class:`belief.OwnedFull`, which every flow and
+    every pair that ``correct_spectrum`` rebuilds leave an OwnedFull.
 
     After a full learner's step, ``last_flows`` holds the flows it applied
     (not the identity ones), or None when ``correct_spectrum`` rebuilt the
@@ -62,13 +61,8 @@ class BeliefFlowLearner:
         if prior.dim != spec.n_params:
             raise ValueError(f"prior dimension {prior.dim} != parameter count {spec.n_params}")
         self.spec = spec
-        belief = bel.correct_spectrum(prior)
-        if belief.variant == bel.DIAGONAL:
-            belief = bel.snapshot(belief)
-        elif belief.variant == bel.FULL:
-            belief = bel.own(belief)
-        self.belief = belief
-        self.active = bel.ActiveDiagonal() if belief.variant == bel.DIAGONAL else None
+        self.belief = bel.own(bel.correct_spectrum(prior))
+        self.active = bel.ActiveDiagonal() if self.belief.variant == bel.DIAGONAL else None
         self.eta = float(eta)
         self.m = update_count(m)
         self.non_expansive = non_expansive
@@ -108,8 +102,6 @@ class BeliefFlowLearner:
             belief = bel.correct_spectrum(moved)
             if belief is not moved:
                 flows = None
-                if isinstance(moved, bel.OwnedFull):
-                    belief = bel.OwnedFull(**vars(belief))
             elif flows is not None and not flow.identity:
                 flows.append(flow)
         self.last_flows = flows

@@ -1,9 +1,9 @@
 """Independent numerical checks for the flow math.
 
-Everything here deliberately avoids the closed-form solver paths: KL values
-come from dense matrix algebra or quadrature, and optimal transformations
-come from generic numerical minimization. The test suite and the ``verify``
-command compare the production code against these routes.
+Everything here but :func:`branch_2x2` avoids the closed-form solver paths:
+KL values come from dense matrix algebra or quadrature, and optimal
+transformations come from generic numerical minimization. The test suite
+and the ``verify`` command compare the production code against these routes.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 from scipy import integrate, optimize
+
+from . import flow as fl
 
 
 def gaussian_kl_dense(mu_post, cov_post, mu_prior, cov_prior) -> float:
@@ -127,3 +129,13 @@ def plane_optimality_residual(u: float, v_par: float, v_perp: float, a2: np.ndar
     lhs -= np.array([[v_par * u, 0.0], [v_perp * u, 0.0]]) @ a2.T
     return float(np.max(np.abs(lhs - np.eye(2))))
 
+
+def branch_2x2(u: float, v_par: float, v_perp: float, delta1: int, delta2: int) -> np.ndarray:
+    """Sign branch (delta1, delta2) = (+-1, +-1) of the stationary in-plane
+    map, derived from ``flow.solve_2x2``'s (+1, +1). Its first column's norm
+    c is a root of c^2 (1 + u^2) - c u s - 1 = 0 (s the target norm): delta1
+    = -1 takes the other root, -1/((1 + u^2) c); delta2 = -1 negates column 2."""
+    a2 = fl.solve_2x2(u, v_par, v_perp)
+    a2[:, 0] *= 1.0 if delta1 == 1 else -1.0 / ((1.0 + u * u) * float(a2[:, 0] @ a2[:, 0]))
+    a2[:, 1] *= delta2
+    return a2

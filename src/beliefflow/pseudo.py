@@ -92,7 +92,7 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
     # precision subspace and has no whole-space pseudo datapoint.
     if not informative.all():
         raise ValueError("precision difference is singular; the update moved a proper "
-                         "subspace only (use pseudo_trace for its informative eigenvalues)")
+                         "subspace only (use trace_rows for its informative eigenvalues)")
     r = np.linalg.inv(dprec)
     r = 0.5 * (r + r.T)
     x = r @ (prec1 @ posterior.mean - prec0 @ prior.mean)

@@ -94,7 +94,7 @@ def test_criterion_1_oracle_equivalence():
         u = float(rng.uniform(0.05, 3.0))
         v_par = float(rng.normal(scale=1.5))
         v_perp = float(rng.uniform(0.05, 3.0))
-        a2 = fl.solve_2x2(u, v_par, v_perp, 1, 1)
+        a2 = fl.solve_2x2(u, v_par, v_perp)
         worst_resid = max(worst_resid, orc.plane_optimality_residual(u, v_par, v_perp, a2))
     dt = time.perf_counter() - t0
     ok = worst_gap <= 1e-5 and worst_resid <= 1e-8 and dt < 60.0

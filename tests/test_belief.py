@@ -279,6 +279,33 @@ def test_full_resync_fires_on_its_cadence():
     np.testing.assert_allclose(fixed.logdet, clean.logdet, rtol=1e-12)
 
 
+@pytest.mark.parametrize("route", ["floor", "resync"])
+def test_correct_spectrum_keeps_the_class_of_a_full_belief_it_rebuilds(route):
+    # an OwnedFull's rebuilt pair stays owned, so its learner moves it in place
+    rng = np.random.default_rng(59)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    plain = bel.full_belief(np.zeros(4), q, np.array([1e-12 if route == "floor" else 0.25,
+                                                      0.5, 1.0, 2.0]))
+    if route == "resync":
+        plain = dataclasses.replace(plain, age=bel.RESYNC_EVERY)
+    for belief, cls in ((plain, bel.BeliefState), (bel.own(plain), bel.OwnedFull)):
+        fixed = bel.correct_spectrum(belief)
+        assert fixed is not belief and type(fixed) is cls and fixed.age == 0
+        assert fixed.inv_factor.flags.c_contiguous
+        np.testing.assert_allclose(fixed.factor @ fixed.inv_factor, np.eye(4), atol=1e-10)
+
+
+def test_own_copies_a_diagonal_belief_and_keeps_a_spherical_one():
+    diag = bel.diagonal_belief(np.arange(3.0), np.full(3, 0.5))
+    owned = bel.own(diag)
+    assert type(owned) is bel.BeliefState and owned.variant == bel.DIAGONAL
+    for name in ("mean", "variances"):
+        assert not np.shares_memory(getattr(owned, name), getattr(diag, name))
+        np.testing.assert_array_equal(getattr(owned, name), getattr(diag, name))
+    sph = bel.spherical_belief(np.arange(3.0), 0.5)
+    assert bel.own(sph) is sph
+
+
 def test_snapshot_copies_diagonal_arrays_and_drops_the_full_factor():
     diag = bel.diagonal_belief(np.arange(3.0), np.full(3, 0.5))
     snap = bel.snapshot(diag)

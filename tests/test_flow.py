@@ -154,7 +154,7 @@ def test_overshooting_step_on_a_one_dimensional_full_belief():
 
 
 def test_solve_2x2_frozen_matrix():
-    a2 = fl.solve_2x2(1.0, 1.0, 1.0, 1, 1)
+    a2 = fl.solve_2x2(1.0, 1.0, 1.0)
     np.testing.assert_allclose(a2, A2_SYMMETRIC_CASE, atol=1e-5)
 
 
@@ -167,7 +167,7 @@ def test_solve_2x2_stationarity_all_branches():
         v_perp = float(rng.uniform(0.05, 3.0))
         for d1 in (1, -1):
             for d2 in (1, -1):
-                a2 = fl.solve_2x2(u, v_par, v_perp, d1, d2)
+                a2 = orc.branch_2x2(u, v_par, v_perp, d1, d2)
                 worst = max(worst, orc.plane_optimality_residual(u, v_par, v_perp, a2))
     assert worst <= 1e-8
 
@@ -182,7 +182,7 @@ def test_solve_2x2_delta_branches_tie_or_lose():
         kls = {}
         for d1 in (1, -1):
             for d2 in (1, -1):
-                a2 = fl.solve_2x2(u, v_par, v_perp, d1, d2)
+                a2 = orc.branch_2x2(u, v_par, v_perp, d1, d2)
                 cov = a2 @ a2.T
                 sign, logdet = np.linalg.slogdet(cov)
                 assert sign > 0
@@ -196,13 +196,11 @@ def test_solve_2x2_delta_branches_tie_or_lose():
 
 def test_solve_2x2_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        fl.solve_2x2(-1.0, 1.0, 1.0, 1, 1)
+        fl.solve_2x2(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        fl.solve_2x2(1.0, 1.0, -1.0, 1, 1)
-    with pytest.raises(ValueError):
-        fl.solve_2x2(1.0, 1.0, 1.0, 2, 1)
+        fl.solve_2x2(1.0, 1.0, -1.0)
     with pytest.raises(fl.DegenerateTargetError):
-        fl.solve_2x2(1.0, 0.0, 0.0, 1, 1)
+        fl.solve_2x2(1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -378,11 +378,11 @@ def test_a_suite_parses_its_dataset_once_for_its_serial_runs(tmp_path, monkeypat
     for arr in (shared.X, shared.labels, shared.true_labels):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
-    # each experiment alone, every run parsing its own copy, writes the same bytes
+    # each experiment alone, parsing its own copy once, writes the same bytes
     for config in configs:
         hns.run_experiment(config, tmp_path / "alone" / config.name)
     assert_same_outputs(tmp_path / "s", tmp_path / "alone", [c.name for c in configs])
-    assert len(parsed) == 1 + 2 + 2
+    assert len(parsed) == 1 + 1 + 1
 
 
 def test_a_pooled_suite_parses_its_dataset_once_in_the_command_process(tmp_path, monkeypatch):
@@ -541,8 +541,13 @@ def test_summary_is_deterministic_modulo_wall_time(tmp_path):
         json.dumps(scrub_wall_times(s2), sort_keys=True)
 
 
-def test_snapshot_round_trip(tmp_path):
-    cfg = tiny_config()
+@pytest.mark.parametrize("variant", bel.VARIANTS)
+def test_snapshot_round_trip(tmp_path, variant):
+    # d = 8: a full interval of 7 flows (20 floats each) outgrows the 64 of W
+    # and makes a keyframe; the last, of 2 flows, is a delta
+    cfg = tiny_config(snapshot_every=7 if variant == bel.FULL else None,
+                      learner={"algorithm": "bflo", "variant": variant, "eta": 0.05,
+                               "sigma_init": 0.2})
     out = tmp_path / "exp"
     hns.run_experiment(cfg, out)
     snaps = hns.read_snapshots(out / "snapshots.bin")
@@ -550,7 +555,9 @@ def test_snapshot_round_trip(tmp_path):
     assert rounds[0] == 0 and rounds[-1] == 240
     assert rounds == sorted(rounds)
     state = snaps[-1][1]
-    assert state.variant == bel.DIAGONAL and state.dim == 8
+    assert state.variant == variant and state.dim == 8
+    if variant == bel.FULL:
+        assert snapshot_kinds(out / "snapshots.bin") == ["keyframe"] * (len(snaps) - 1) + ["delta"]
     # rewrite and reread: identical bytes
     p2 = tmp_path / "again.bin"
     hns.write_snapshots(p2, snaps)
@@ -659,6 +666,18 @@ def test_cli_run_with_a_learner_that_cannot_be_built_leaves_no_directory(tmp_pat
     assert code == 2
     assert not out_dir.exists()
     assert "error" in capsys.readouterr().err
+
+
+def test_the_variant_bytes_suite_validates():
+    # the byte gate's suite: every variant with the clamp off and on, plus a
+    # full run that floors and re-syncs
+    experiments = hns.load_suite(Path(__file__).parents[1] / "configs" / "variant_bytes.json")
+    for config in experiments:
+        hns.validate_config(config)
+    cells = [hns._suite_cell(config) for config in experiments]
+    assert len(set(cells)) == len(cells)
+    assert ({(c.learner["variant"], c.learner["non_expansive"]) for c in experiments[:6]}
+            == {(v, clamp) for v in bel.VARIANTS for clamp in (False, True)})
 
 
 def test_cli_run_rejects_a_misspelt_dataset_key_without_outputs(tmp_path, capsys):
@@ -1371,9 +1390,14 @@ def test_a_failing_later_run_leaves_no_output_directory(tmp_path, monkeypatch):
     labels = (X[:, 0] > 0).astype(np.int64)
     bad = X.copy()
     bad[:, 1] = np.inf
-    loads = iter([dat.Dataset("ok", X, labels, labels.copy(), 3, 2, sparse=False),
-                  dat.Dataset("bad", bad, labels, labels.copy(), 3, 2, sparse=False)] * 3)
-    monkeypatch.setattr(hns, "load_dataset", lambda dspec: next(loads))
+    datasets = [dat.Dataset("ok", X, labels, labels.copy(), 3, 2, sparse=False),
+                dat.Dataset("bad", bad, labels, labels.copy(), 3, 2, sparse=False)]
+    real_run = hns.run_online
+
+    def run(config, run_index, snapshot_path=None, dataset=None):
+        return real_run(config, run_index, snapshot_path, datasets[run_index])
+
+    monkeypatch.setattr(hns, "run_online", run)
     (tmp_path / "kept").mkdir()
     for out in (tmp_path / "exp", tmp_path / "a" / "b" / "exp", tmp_path / "kept" / "b" / "exp"):
         with pytest.raises(lrn.NonFiniteStepError, match="run 1 round 1"), \

@@ -447,12 +447,12 @@ def test_a_full_learner_takes_the_pair_that_correct_spectrum_rebuilt(monkeypatch
                                     eta=0.05)
     real_fix = bel.correct_spectrum
     rebuilt = []
+    lam_min = 0.039 if rebuild == "floor" else bel.LAMBDA_MIN
+    if rebuild == "resync":  # the first flow brings the pair to RESYNC_EVERY rounds unsynced
+        learner.belief = dataclasses.replace(learner.belief, age=bel.RESYNC_EVERY - 1)
 
     def fix(belief):
-        if rebuild == "floor":
-            out = real_fix(belief, 0.039)
-        else:
-            out = bel.full_belief_from_factor(belief.mean, bel.root(belief))
+        out = real_fix(belief, lam_min)
         if out is not belief:
             rebuilt.append(out)
         return out

@@ -40,7 +40,7 @@ for name, prior in beliefs.items():
     kl = bel.kl_divergence(post, prior)
 
     # the hard constraint: the posterior mean must obey mu' = A(mu - w) + w'
-    a_mat = fl.flow_matrix(prior, flow)
+    a_mat = fl.flow_matrix(prior, flow, w)
     constraint = np.linalg.norm(post.mean - (a_mat @ (prior.mean - w) + w_prime))
 
     # independent minimizer over the same constraint set

@@ -51,14 +51,15 @@ class DegenerateTargetError(ValueError):
 class FlowSolution:
     """Solved flow in the representation natural to the belief variant.
 
-    full:      whitened orthonormal pair (mu_hat, nu_hat), scalars u, v_par,
-               v_perp and the in-plane 2x2 matrix a2. nu_hat is a zero vector
-               when the plane degenerates to a line (or when d = 1).
+    full:      whitened orthonormal pair (mu_hat, nu_hat), the whitened
+               draw's norm u and the in-plane 2x2 matrix a2. nu_hat is a zero
+               vector when the plane degenerates to a line (or when d = 1).
     diagonal:  per-coordinate scales.
     spherical: one scale and the unit target direction d_hat.
 
-    identity marks a bitwise no-op step (w' == w); apply returns the belief
-    unchanged in that case.
+    identity marks a bitwise no-op step (w' == w), which :func:`solve`
+    decides; such a flow carries no payload, and apply returns the belief
+    unchanged.
     """
 
     variant: str
@@ -66,13 +67,10 @@ class FlowSolution:
     mu_hat: np.ndarray | None = None
     nu_hat: np.ndarray | None = None
     u: float | None = None
-    v_par: float | None = None
-    v_perp: float | None = None
     a2: np.ndarray | None = None
     scales: np.ndarray | None = None
     scale: float | None = None
     d_hat: np.ndarray | None = None
-    s_hat: np.ndarray | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,27 +165,20 @@ def solve_2x2(u: float, v_par: float, v_perp: float) -> np.ndarray:
 
 
 def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
-    """Optimal flow for a full-covariance belief.
+    """Optimal flow for a full belief, where :func:`solve` ruled out w' == w.
 
     Whitens both displacements, solves the in-plane 2x2 problem, and returns
     the pieces needed to embed the plane back into weight space. Degenerate
     geometries fall back to pure translation (u below eps) or to a 1-D scale
     along mu_hat (target colinear with the sample or vanished).
     """
-    if belief.variant != FULL:
-        raise ValueError("solve_full needs a full belief")
-    w = np.asarray(w, dtype=float)
-    w_prime = np.asarray(w_prime, dtype=float)
-    if np.array_equal(w, w_prime):
-        return FlowSolution(FULL, identity=True, a2=np.eye(2))
     # One pass over W whitens both displacements.
     dt, dtp = whiten(belief, np.column_stack([w - belief.mean, w_prime - belief.mean])).T
     u = float(np.linalg.norm(dt))
     if u <= EPS_DEGENERATE:
         # Sampled the mean: nothing to anchor a scale on, translate only.
         d = belief.dim
-        return FlowSolution(FULL, mu_hat=np.zeros(d), nu_hat=np.zeros(d),
-                            u=u, v_par=0.0, v_perp=0.0, a2=np.eye(2))
+        return FlowSolution(FULL, mu_hat=np.zeros(d), nu_hat=np.zeros(d), u=u, a2=np.eye(2))
     mu_hat = dt / u
     v_par = float(dtp @ mu_hat)
     resid = dtp - v_par * mu_hat
@@ -201,28 +192,20 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowS
             a = 1.0 / np.sqrt(1.0 + u * u)
         else:
             a = float(scalar_scale(u, v_par))
-        return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=np.zeros(belief.dim),
-                            u=u, v_par=v_par, v_perp=0.0, a2=np.diag([a, 1.0]))
-    nu_hat = resid / v_perp
-    a2 = solve_2x2(u, v_par, v_perp)
-    return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=nu_hat,
-                        u=u, v_par=v_par, v_perp=v_perp, a2=a2)
+        return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=np.zeros(belief.dim), u=u,
+                            a2=np.diag([a, 1.0]))
+    return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=resid / v_perp, u=u,
+                        a2=solve_2x2(u, v_par, v_perp))
 
 
 def solve_diagonal(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
-    """Per-coordinate optimal scales for a diagonal-covariance belief.
+    """Per-coordinate scales for a diagonal belief; :func:`solve` ruled out w' == w.
 
     Coordinates the step never touched (w'_i == w_i) have u_i == v_i, so
     scalar_scale gives them the exact scale 1.0, which keeps sparse online
     updates bit-stable. An :class:`ActiveDiagonal` is solved in its own
     work arrays, from the draw that :func:`belief.sample` left in it.
     """
-    if belief.variant != DIAGONAL:
-        raise ValueError("solve_diagonal needs a diagonal belief")
-    w = np.asarray(w, dtype=float)
-    w_prime = np.asarray(w_prime, dtype=float)
-    if np.array_equal(w, w_prime):
-        return FlowSolution(DIAGONAL, identity=True, scales=np.ones(belief.dim))
     if isinstance(belief, ActiveDiagonal):
         # u is the draw xi that gave w. v = xi + (w' - w) / sigma follows
         # the step as taken, so an untouched coordinate has v == u exactly.
@@ -238,37 +221,35 @@ def solve_diagonal(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> F
 
 
 def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
-    """Isotropic flow: rotate the displacement onto the target and scale.
+    """Isotropic flow, where :func:`solve` ruled out w' == w: rotate and scale.
 
     u and v are the whitened norms of w - mu and w' - mu; the scale follows
     the same positive-root formula as the scalar problem, and the rotation is
     implicit in the stored target direction d_hat.
     """
-    if belief.variant != SPHERICAL:
-        raise ValueError("solve_spherical needs a spherical belief")
-    w = np.asarray(w, dtype=float)
-    w_prime = np.asarray(w_prime, dtype=float)
-    if np.array_equal(w, w_prime):
-        return FlowSolution(SPHERICAL, identity=True, scale=1.0, d_hat=np.zeros(belief.dim))
     sigma = np.sqrt(belief.variance)
     dw = w - belief.mean
     dwp = w_prime - belief.mean
     norm_dw = float(np.linalg.norm(dw))
     norm_dwp = float(np.linalg.norm(dwp))
-    u = norm_dw / sigma
-    v = norm_dwp / sigma
-    s_hat = dw / norm_dw if norm_dw > 0.0 else np.zeros(belief.dim)
     if norm_dwp <= EPS_DEGENERATE * sigma:
         # Target at the mean: contract along the original direction.
         d_hat = dw / norm_dw if norm_dw > EPS_DEGENERATE * sigma else np.zeros(belief.dim)
     else:
         d_hat = dwp / norm_dwp
-    a = float(scalar_scale(u, v))
-    return FlowSolution(SPHERICAL, scale=a, d_hat=d_hat, s_hat=s_hat, u=u)
+    a = float(scalar_scale(norm_dw / sigma, norm_dwp / sigma))
+    return FlowSolution(SPHERICAL, scale=a, d_hat=d_hat)
 
 
 def solve(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
-    """Dispatch to the solver matching the belief variant."""
+    """The flow of one update w -> w' for the belief. This entry alone
+    decides the identity: a flow with no payload when w' == w bit for bit.
+    Otherwise it hands w and w' as float arrays to the solver of the
+    belief's variant, whose step is then never the identity."""
+    w = np.asarray(w, dtype=float)
+    w_prime = np.asarray(w_prime, dtype=float)
+    if np.array_equal(w, w_prime):
+        return FlowSolution(belief.variant, identity=True)
     if belief.variant == FULL:
         return solve_full(belief, w, w_prime)
     if belief.variant == DIAGONAL:
@@ -393,19 +374,22 @@ def transport_inverse(inv_factor: np.ndarray, flow: FlowSolution,
     return add_product(inv_factor, basis, inv_inner @ g, in_place), g
 
 
-def flow_matrix(belief: BeliefState, flow: FlowSolution) -> np.ndarray:
-    """Densify the flow's transformation matrix A. Diagnostic helper for
-    verification; no update needs it."""
+def flow_matrix(belief: BeliefState, flow: FlowSolution, w: np.ndarray) -> np.ndarray:
+    """Densify the transformation matrix A of the flow that :func:`solve`
+    gave for the draw w. Diagnostic helper for verification; no update
+    needs it. Only a spherical flow reads w: its rotation carries the
+    direction of w - mu onto d_hat."""
     d = belief.dim
     if flow.identity:
         return np.eye(d)
     if flow.variant == DIAGONAL:
         return np.diag(flow.scales)
     if flow.variant == SPHERICAL:
-        if not np.any(flow.d_hat) or not np.any(flow.s_hat):
+        dw = np.asarray(w, dtype=float) - belief.mean
+        norm_dw = float(np.linalg.norm(dw))
+        if not np.any(flow.d_hat) or norm_dw == 0.0:
             return flow.scale * np.eye(d)
-        # Rotation carrying the sampled displacement direction onto d_hat.
-        return flow.scale * _rotation_between(flow.s_hat, flow.d_hat)
+        return flow.scale * _rotation_between(dw / norm_dw, flow.d_hat)
     basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
     return np.eye(d) + (root(belief) @ basis) @ (flow.a2 - np.eye(2)) @ (basis.T @ belief.inv_factor)
 

@@ -116,19 +116,27 @@ class ExperimentConfig:
         return cls(**raw)
 
 
+def _load_object(path, expected: str) -> dict:
+    """The JSON object a config or suite file holds. A syntax error, or a
+    value that is not an object (expected says what the file must hold),
+    fails naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: {expected}, got {type(raw).__name__}")
+    return raw
+
+
 def load_config(path) -> ExperimentConfig:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+    return ExperimentConfig.from_dict(_load_object(path, "a config file must hold an object"))
 
 
 def load_suite(path) -> list[ExperimentConfig]:
     """The experiments of a suite file: a JSON object whose one key,
     "experiments", holds a non-empty list of experiment objects."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: a suite file must hold an object with an 'experiments' list, "
-                         f"got {type(raw).__name__}")
+    raw = _load_object(path, "a suite file must hold an object with an 'experiments' list")
     unknown = sorted(set(raw) - {"experiments"})
     if unknown:
         raise ValueError(f"{path}: unknown suite keys {unknown}; the one key is 'experiments'")
@@ -208,6 +216,9 @@ def validate_config(config: ExperimentConfig) -> None:
     for key in ("seed", "label_column"):
         if not _is_int(dataset.get(key, 0)):
             raise ValueError(f"{key} must be an integer, got {dataset[key]!r}")
+    for key, value in (("base_seed", config.base_seed), ("seed", dataset.get("seed", 0))):
+        if value < 0:
+            raise ValueError(f"{key} must not be negative, got {value}")
     if not isinstance(dataset.get("name", ""), str):
         raise ValueError(f"dataset name must be a string, got {dataset['name']!r}")
     if not 0.0 < config.train_fraction < 1.0:
@@ -753,7 +764,8 @@ def read_snapshots(path) -> list:
 
 
 def _snapshot_records(path, variant: str, d: int, version: int):
-    """The records after a snapshot file's header, which iter_snapshots checked."""
+    """The records after a snapshot file's header, which iter_snapshots
+    checked; a record that is not a belief fails naming its byte."""
     field, axes = _PAYLOADS[variant]
     step, v2_len = 2 * d + 4, d + d ** axes
 
@@ -772,6 +784,8 @@ def _snapshot_records(path, variant: str, d: int, version: int):
         fh.seek(4 + _HEADER_V2.size)
         for at, (rnd, *kind), vals in _records(fh, path, _ROUND if version == 2 else _RECORD_V3,
                                                body):
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{path}: record at byte {at} holds a non-finite value")
             mean, rest = vals[:d], vals[d:]
             if kind and kind[0] == _DELTA:
                 if not keyframe_seen:
@@ -781,6 +795,8 @@ def _snapshot_records(path, variant: str, d: int, version: int):
                                     a2=v[2 * d:].reshape(2, 2))
                     for v in rest.reshape(-1, step)))
             else:
+                if axes < 2 and not np.all(rest > 0.0):  # variances, or the variance
+                    raise ValueError(f"{path}: record at byte {at} holds a variance not above 0")
                 keyframe_seen = True
                 state = bel.BeliefState(variant, mean, **{
                     field: rest.reshape((d,) * axes) if axes else float(rest[0])})
@@ -872,6 +888,8 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
         raise ValueError(f"cases must be at least 1, got {cases}")
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must list one or more dimensions of at least 1, got {list(dims)}")
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
     from . import oracles as orc  # scipy.optimize and scipy.integrate load only here
 
     checks = []
@@ -916,7 +934,7 @@ def verify_flow(dims=(1, 2, 3), cases: int = 200, seed: int = 0) -> list[dict]:
                 w_prime = w + rng.normal(scale=0.5, size=d)
                 flow = fl.solve(prior, w, w_prime)
                 post = fl.apply_flow(prior, flow, w, w_prime)
-                a = fl.flow_matrix(prior, flow)
+                a = fl.flow_matrix(prior, flow, w)
                 resid = float(np.linalg.norm(a @ w + (post.mean - a @ prior.mean) - w_prime))
                 worst_constraint = max(worst_constraint, resid / (1.0 + float(np.linalg.norm(w_prime))))
     checks.append({"name": "flow constraint ||A w + b - w'|| (all variants, d in 1,2,5,20)",
@@ -1047,7 +1065,10 @@ def _suite_cell(config: ExperimentConfig) -> tuple[str, str]:
 
 
 def _cmd_verify(args) -> int:
-    dims = tuple(int(tok) for tok in str(args.dims).split(",") if tok)
+    try:
+        dims = tuple(int(tok) for tok in str(args.dims).split(",") if tok)
+    except ValueError:
+        raise ValueError(f"dims must be integers separated by commas, got {args.dims!r}") from None
     checks = verify_flow(dims=dims, cases=args.cases, seed=args.seed)
     all_ok = True
     for chk in checks:
@@ -1060,6 +1081,9 @@ def _cmd_verify(args) -> int:
 def _cmd_trace(args) -> int:
     from . import pseudo as psd  # only the trace command extracts pseudo datapoints
 
+    out = Path(args.out)
+    if Path(args.snapshots).resolve() in (out.resolve(), out.with_suffix(".bin").resolve()):
+        raise ValueError(f"{args.snapshots}: the trace CSV or its .bin would overwrite it")
     rows = write_trace(args.out, psd.trace_rows(iter_snapshots(args.snapshots)))
-    print(f"{rows} trace rows -> {args.out}, {Path(args.out).with_suffix('.bin')}")
+    print(f"{rows} trace rows -> {args.out}, {out.with_suffix('.bin')}")
     return 0

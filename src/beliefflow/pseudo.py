@@ -32,13 +32,13 @@ NO_DATAPOINT_TOL = 1e-12
 class PseudoDatapoint:
     """Location and effective covariance of the implied observation.
 
-    cov is shaped to the variant: (d, d) for full, per-coordinate vector for
-    diagonal, scalar for spherical. Diagonal coordinates the update never
-    touched carry infinite covariance (a zero-precision observation), which
-    keeps the conjugate round trip exact on sparse updates.
+    cov is shaped to the beliefs' variant, which the record does not hold:
+    (d, d) for full, per-coordinate vector for diagonal, scalar for
+    spherical. Diagonal coordinates the update never touched carry infinite
+    covariance (a zero-precision observation), which keeps the conjugate
+    round trip exact on sparse updates.
     """
 
-    variant: str
     x: np.ndarray
     cov: np.ndarray | float
 
@@ -62,7 +62,7 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
         dprec = 1.0 / posterior.variance - 1.0 / prior.variance
         r = 1.0 / dprec
         x = r * (posterior.mean / posterior.variance - prior.mean / prior.variance)
-        return PseudoDatapoint(SPHERICAL, x, r)
+        return PseudoDatapoint(x, r)
     if prior.variant == DIAGONAL:
         v0, v1 = prior.variances, posterior.variances
         dprec = v1 - v0
@@ -81,7 +81,7 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
         np.copyto(x, posterior.mean, where=untouched)
         r = np.divide(1.0, dprec, out=dprec)
         r[untouched] = np.inf
-        return PseudoDatapoint(DIAGONAL, x, r)
+        return PseudoDatapoint(x, r)
     prec0 = _full_precision(prior)
     prec1 = _full_precision(posterior)
     dprec, _, informative = _precision_change(prec0, prec1)
@@ -96,7 +96,7 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
     r = np.linalg.inv(dprec)
     r = 0.5 * (r + r.T)
     x = r @ (prec1 @ posterior.mean - prec0 @ prior.mean)
-    return PseudoDatapoint(FULL, x, r)
+    return PseudoDatapoint(x, r)
 
 
 def _full_precision(belief: BeliefState) -> np.ndarray:

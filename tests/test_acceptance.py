@@ -120,7 +120,7 @@ def test_criterion_2_constraint_exactness():
                     resid = float(np.linalg.norm(
                         flow.scale * norm_dw * flow.d_hat + post.mean - w_prime))
                 else:
-                    a = fl.flow_matrix(prior, flow)
+                    a = fl.flow_matrix(prior, flow, w)
                     b = post.mean - a @ prior.mean
                     resid = float(np.linalg.norm(a @ w + b - w_prime))
                 worst = max(worst, resid / (1.0 + float(np.linalg.norm(w_prime))))
@@ -135,8 +135,9 @@ def test_criterion_3_spot_values():
     a12 = float(fl.scalar_scale(1.0, 2.0))
     a10 = float(fl.scalar_scale(1.0, 0.0))
     prior = bel.full_belief(np.zeros(2), np.eye(2), np.ones(2))
-    flow = fl.solve_full(prior, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    a_star = fl.flow_matrix(prior, flow)
+    w = np.array([1.0, 0.0])
+    flow = fl.solve_full(prior, w, np.array([1.0, 1.0]))
+    a_star = fl.flow_matrix(prior, flow, w)
     want = np.array([[0.809017, -0.707107], [0.809017, 0.707107]])
     gap_a12 = abs(a12 - 1.366025)
     gap_a10 = abs(a10 - 0.707107)

@@ -40,7 +40,7 @@ def random_belief(variant, d, rng):
 def constraint_residual(prior, post, flow, w, w_prime):
     if flow.identity:
         return float(np.linalg.norm(w - w_prime))
-    a = fl.flow_matrix(prior, flow)
+    a = fl.flow_matrix(prior, flow, w)
     b = post.mean - a @ prior.mean
     return float(np.linalg.norm(a @ w + b - w_prime))
 
@@ -212,7 +212,7 @@ def test_full_d2_frozen_example():
     w = np.array([1.0, 0.0])
     w_prime = np.array([1.0, 1.0])
     flow = fl.solve_full(prior, w, w_prime)
-    a = fl.flow_matrix(prior, flow)
+    a = fl.flow_matrix(prior, flow, w)
     np.testing.assert_allclose(a, A2_SYMMETRIC_CASE, atol=1e-4)
     post = fl.apply_flow(prior, flow, w, w_prime)
     np.testing.assert_allclose(bel.covariance(post), FULL_D2_COV, atol=1e-5)
@@ -321,6 +321,18 @@ def test_identity_when_target_equals_sample():
         np.testing.assert_allclose(bel.covariance(post), bel.covariance(prior), rtol=0)
 
 
+def test_solve_alone_decides_the_identity_and_its_flow_carries_no_payload():
+    rng = np.random.default_rng(37)
+    for variant in bel.VARIANTS:
+        prior = random_belief(variant, 3, rng)
+        w = bel.sample(prior, rng)
+        flow = fl.solve(prior, w, w.copy())
+        assert flow == fl.FlowSolution(variant, identity=True)
+        assert fl.clamp_nonexpansive(flow) is flow
+        assert fl.apply_flow(prior, flow, w, w.copy()) is prior
+        assert np.array_equal(fl.flow_matrix(prior, flow, w), np.eye(3))
+
+
 def test_translation_when_sample_is_at_the_mean():
     prior = bel.full_belief(np.array([1.0, 2.0]), np.eye(2), np.array([1.0, 4.0]))
     w = prior.mean.copy()
@@ -381,7 +393,7 @@ def test_degenerate_plane_needs_no_second_axis(non_expansive):
         else:
             w_prime = prior.mean + rng.uniform(-3.0, 3.0) * (w - prior.mean)  # colinear
         flow = fl.solve_full(prior, w, w_prime)
-        assert flow.v_perp == 0.0 and not np.any(flow.nu_hat)
+        assert not np.any(flow.nu_hat)
         if non_expansive:
             flow = fl.clamp_nonexpansive(flow)
         ref = dataclasses.replace(flow, nu_hat=complement_unit(flow.mu_hat))
@@ -390,7 +402,7 @@ def test_degenerate_plane_needs_no_second_axis(non_expansive):
         for field in ("mean", "factor", "inv_factor"):
             assert getattr(post, field).tobytes() == getattr(want, field).tobytes(), field
         assert post.logdet == want.logdet
-        assert fl.flow_matrix(prior, flow).tobytes() == fl.flow_matrix(prior, ref).tobytes()
+        assert fl.flow_matrix(prior, flow, w).tobytes() == fl.flow_matrix(prior, ref, w).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +514,14 @@ def test_spherical_frozen_example():
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_spherical_flow_matrix_when_the_target_points_opposite_the_draw(d):
-    # s_hat = -d_hat leaves no plane to rotate in: flow_matrix takes the
-    # antiparallel branch of _rotation_between (a reflection for d = 1)
+    # d_hat pointing opposite w - mu leaves no plane to rotate in: flow_matrix
+    # takes the antiparallel branch of _rotation_between (a reflection for d = 1)
     prior = bel.spherical_belief(np.full(d, 0.5), 1.5)
     w = prior.mean + np.arange(1.0, d + 1.0)
     w_prime = prior.mean - 0.4 * (w - prior.mean)
     flow = fl.solve_spherical(prior, w, w_prime)
-    assert flow.s_hat @ flow.d_hat == pytest.approx(-1.0)
+    dw = w - prior.mean
+    assert dw @ flow.d_hat == pytest.approx(-np.linalg.norm(dw))
     post = fl.apply_flow(prior, flow, w, w_prime)
     assert constraint_residual(prior, post, flow, w, w_prime) <= 1e-9
 

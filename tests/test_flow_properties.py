@@ -1,5 +1,5 @@
-"""Property tests of the scalar flow scale, the sigma-carry update and the
-full factor update."""
+"""Property tests of the scalar flow scale, the sigma-carry update, the
+full factor update and every variant's step constraint."""
 
 import math
 from fractions import Fraction
@@ -97,3 +97,57 @@ def test_add_product_has_the_bytes_of_one_matmul_plus_add(d, seed, log_scale):
     moved = src.copy()
     assert fl.add_product(moved, left, right, in_place=True) is moved
     assert moved.tobytes() == want
+
+
+EPS = np.finfo(float).eps
+
+
+@PROPERTY
+@given(st.sampled_from(bel.VARIANTS), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(-8.0, 8.0), min_size=5, max_size=5), st.floats(-8.0, 6.0),
+       st.booleans())
+def test_the_flow_carries_the_draw_onto_the_stepped_point(variant, d, seed, log_variances,
+                                                          log_step, non_expansive):
+    # A w + b = w' for every variant, clamped or not, at variances 1e-8..1e8
+    # (per axis for full and diagonal beliefs) and steps of norm up to 1e6,
+    # with A = flow_matrix and b = mu' - A mu as verify forms them.
+    #
+    # Tolerance: the residual A w + (mu' - A mu) - w' is a sum of terms of
+    # magnitude |A| |w|, |A| |mu|, |mu'| and |w'|; mu' itself is w' plus a
+    # transport of w - mu, which A carries, so it adds no larger term. Every
+    # computed product is a chain of at most three dot products of length
+    # at most d + 2, and the sums add a few roundings more: at most
+    # 4 (d + 4) roundings, each of eps relative to the terms. For a full
+    # flow A = I + (L B)(a2 - I)(B^T W) is itself a sum, so |A| is taken
+    # term by term, as |I| + |L B| |a2 - I| |B^T W|. The bound leaves out
+    # one amplification, a fault of solve_full: a target at angle t from
+    # antiparallel to the draw gets a nu_hat that is off orthogonal to
+    # mu_hat by about eps / t, and the residual carries it (hundreds of eps
+    # of the terms at t = 1e-2). A step in a random direction comes that
+    # close to antiparallel only rarely.
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(size=d)
+    variances = 10.0 ** np.array(log_variances[:d])
+    if variant == bel.FULL:
+        prior = bel.full_belief(mean, np.linalg.qr(rng.normal(size=(d, d)))[0], variances)
+    elif variant == bel.DIAGONAL:
+        prior = bel.diagonal_belief(mean, variances)
+    else:
+        prior = bel.spherical_belief(mean, variances[0])
+    w = bel.sample(prior, rng)
+    step = rng.normal(size=d)
+    w_prime = w + 10.0 ** log_step * step / np.linalg.norm(step)
+    flow = fl.solve(prior, w, w_prime)
+    if non_expansive:
+        flow = fl.clamp_nonexpansive(flow)
+    post = fl.apply_flow(prior, flow, w, w_prime)
+    a = fl.flow_matrix(prior, flow, w)
+    resid = np.linalg.norm(a @ w + (post.mean - a @ prior.mean) - w_prime)
+    terms = np.abs(a)
+    if variant == bel.FULL and not flow.identity:
+        basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
+        terms = np.eye(d) + (np.abs(prior.factor @ basis) @ np.abs(flow.a2 - np.eye(2))
+                             @ np.abs(basis.T @ prior.inv_factor))
+    scale = (np.linalg.norm(terms @ (np.abs(w) + np.abs(prior.mean)))
+             + np.linalg.norm(post.mean) + np.linalg.norm(w_prime))
+    assert resid <= 4 * (d + 4) * EPS * scale

@@ -740,6 +740,28 @@ def test_cli_run_rejects_a_malformed_top_level_value_without_outputs(tmp_path, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, raw, args, named", [
+    ("run", "[1, 2]", [], "{p}: a config file must hold an object, got list"),
+    ("run", '{"name": "x",', [], "{p}: Expecting property name"),
+    ("suite", '{"experiments": [', [], "{p}: Expecting value"),
+    ("run", tiny_config(base_seed=-1), [], "base_seed must not be negative, got -1"),
+    ("run", tiny_config(), ["--seed", "-5"], "base_seed must not be negative, got -5"),
+    ("run", tiny_config(dataset={"format": "synthetic", "n": 300, "n_features": 8, "seed": -2}),
+     [], "seed must not be negative, got -2"),
+], ids=["config-list", "config-syntax", "suite-syntax", "base-seed", "seed-flag", "dataset-seed"])
+def test_cli_names_the_file_or_key_of_a_bad_config(tmp_path, capsys, command, raw, args, named):
+    # a config holding a list ended in a TypeError traceback, a syntax error
+    # named no file, and a negative seed failed inside numpy, naming no key
+    p = tmp_path / "cfg.json"
+    p.write_text(raw if isinstance(raw, str) else json.dumps(raw.to_dict()))
+    out_dir = tmp_path / "never"
+    assert hns.cli_main([command, "--config", str(p), "--out", str(out_dir), *args]) == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + named.format(p=p))
+    assert captured.out == ""
+
+
 def test_cli_run_rejects_an_unknown_learner_key_without_outputs(tmp_path, capsys):
     cfg = tiny_config(learner={"algorithm": "bflo", "sigma": 5.0})
     out_dir = tmp_path / "never"
@@ -920,6 +942,19 @@ def test_cli_verify_rejects_an_empty_check(capsys, args, named):
     assert hns.cli_main(["verify", *args]) == 2
     captured = capsys.readouterr()
     assert named in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--seed", "-1"], "seed must not be negative, got -1"),
+    (["--dims", "abc"], "dims must be integers separated by commas, got 'abc'"),
+], ids=["seed-negative", "dims-not-integers"])
+def test_cli_verify_names_a_bad_seed_or_dims(capsys, args, named):
+    # a negative seed failed inside numpy and --dims abc in int(), neither
+    # naming its argument
+    assert hns.cli_main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named}\n"
     assert captured.out == ""
 
 
@@ -1601,6 +1636,69 @@ def test_cli_trace_of_a_file_that_fails_mid_stream_leaves_nothing(tmp_path, caps
                              "--out", str(work / "trace.csv")]) == 2, name
         assert f"error: {snap}: {message}" in capsys.readouterr().err, name
         assert [p.name for p in work.iterdir()] == ["snapshots.bin"], name
+
+
+@pytest.mark.parametrize("out", ["snapshots.csv", "sub/../snapshots.csv", "link/snapshots.csv",
+                                 "link/snapshots.bin"])
+def test_cli_trace_refuses_to_overwrite_its_snapshot_file(tmp_path, capsys, out):
+    # the vectors of --out run.csv go to run.bin: a trace of run.bin used to
+    # replace it with its own trace vectors
+    work = tmp_path / "work"
+    (work / "sub").mkdir(parents=True)
+    (work / "link").symlink_to(work)
+    snap = work / "snapshots.bin"
+    hns.run_online(tiny_config(runs=1, snapshot_every=60), 0, snap)
+    raw = snap.read_bytes()
+    assert hns.cli_main(["trace", "--snapshots", str(snap), "--out", str(work / out)]) == 2
+    assert capsys.readouterr().err == (f"error: {snap}: the trace CSV or its .bin would "
+                                       "overwrite it\n")
+    assert snap.read_bytes() == raw
+    assert sorted(p.name for p in work.iterdir()) == ["link", "snapshots.bin", "sub"]
+
+
+def patched_snapshot_file(path, variant, record, index, value):
+    """A snapshot file of a short run whose record-th record has its
+    index-th value (counting from the mean's first) set to value; returns
+    the record's byte. The full file is small_flow_log_file's: a keyframe,
+    then a delta of two flows (d = 2)."""
+    if variant == bel.FULL:
+        raw = bytearray(small_flow_log_file(path))
+        at, head = 24 + (16 + 8 * (2 + 4)) * record, 16
+    else:
+        cfg = tiny_config(runs=1, snapshot_every=60,
+                          learner={"algorithm": "bflo", "variant": variant, "eta": 0.05,
+                                   "sigma_init": 0.2})
+        hns.run_online(cfg, 0, path)
+        raw = bytearray(path.read_bytes())
+        d, payload_len = struct.unpack_from("<II", raw, 12)
+        at, head = 24 + (8 + 8 * (d + payload_len)) * record, 8
+    struct.pack_into("<d", raw, at + head + 8 * index, value)
+    path.write_bytes(bytes(raw))
+    return at
+
+
+@pytest.mark.parametrize("variant, record, index, value, message", [
+    ("diagonal", 1, 0, float("nan"), "holds a non-finite value"),
+    ("diagonal", 1, 8, 0.0, "holds a variance not above 0"),
+    ("diagonal", 0, 15, -1.0, "holds a variance not above 0"),
+    ("spherical", 1, 8, float("nan"), "holds a non-finite value"),
+    ("spherical", 2, 8, 0.0, "holds a variance not above 0"),
+    ("full", 0, 3, float("inf"), "holds a non-finite value"),
+    ("full", 1, 9, float("nan"), "holds a non-finite value"),
+], ids=["diagonal-mean-nan", "diagonal-variance-0", "diagonal-variance-negative",
+        "spherical-variance-nan", "spherical-variance-0", "full-keyframe-inf",
+        "full-delta-nan"])
+def test_cli_trace_rejects_a_snapshot_record_that_is_not_a_belief(tmp_path, capsys, variant,
+                                                                  record, index, value, message):
+    # a NaN mean traced with exit 0 into NaN x vectors, and a NaN variance
+    # into nan,nan for rho,cum_rho
+    work = tmp_path / "work"
+    work.mkdir()
+    snap = work / "snapshots.bin"
+    at = patched_snapshot_file(snap, variant, record, index, value)
+    assert hns.cli_main(["trace", "--snapshots", str(snap), "--out", str(work / "trace.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {snap}: record at byte {at} {message}\n"
+    assert [p.name for p in work.iterdir()] == ["snapshots.bin"]
 
 
 def test_write_snapshots_checks_its_list_before_it_opens_a_file(tmp_path, monkeypatch):

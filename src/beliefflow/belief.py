@@ -6,7 +6,11 @@ vector of a model. Three covariance families are supported:
 * ``full``      - Sigma kept as a square-root pair: a factor L with
                   Sigma = L L^T, its inverse W = L^{-1}, and log det Sigma,
 * ``diagonal``  - Sigma = diag(variances),
-* ``spherical`` - Sigma = variance * I.
+* ``spherical`` - Sigma = variances * I, with ``variances`` one float.
+
+A spherical belief is a diagonal one whose variances are one shared number,
+so the two share the ``variances`` field: where a diagonal belief holds an
+array, a spherical one holds a float, which broadcasts the same way.
 
 Any square root of Sigma whitens (W (w - mu) has identity covariance), and
 the KL-minimal flow does not depend on which root is used. So full beliefs
@@ -49,10 +53,10 @@ class BeliefState:
 
     Exactly one covariance payload is populated, matching ``variant``:
     (``factor``, ``inv_factor``, ``logdet``) for full, ``variances`` for
-    diagonal, ``variance`` for spherical. A full belief read back from a
-    snapshot stores W only; ``factor`` and ``logdet`` are then None and are
-    rebuilt on demand by :func:`root` and :func:`log_det`. ``age`` counts
-    the flow rounds since L and W were last made consistent.
+    diagonal (an array) and spherical (one float). A full belief read back
+    from a snapshot stores W only; ``factor`` and ``logdet`` are then None
+    and are rebuilt on demand by :func:`root` and :func:`log_det`. ``age``
+    counts the flow rounds since L and W were last made consistent.
     """
 
     variant: str
@@ -61,8 +65,7 @@ class BeliefState:
     inv_factor: np.ndarray | None = None
     logdet: float | None = None
     age: int = 0
-    variances: np.ndarray | None = None
-    variance: float | None = None
+    variances: np.ndarray | float | None = None
 
     @property
     def dim(self) -> int:
@@ -232,7 +235,7 @@ def spherical_belief(mean, variance: float) -> BeliefState:
     mean = np.asarray(mean, dtype=float)
     if not variance > 0.0:
         raise ValueError("variance must be positive")
-    return BeliefState(SPHERICAL, mean, variance=float(variance))
+    return BeliefState(SPHERICAL, mean, variances=float(variance))
 
 
 def validate(belief: BeliefState, lam_min: float | None = None) -> None:
@@ -258,12 +261,8 @@ def validate(belief: BeliefState, lam_min: float | None = None) -> None:
         evals = 1.0 / np.linalg.svd(w, compute_uv=False) ** 2
         if np.any(evals < floor) or not np.all(evals > 0.0):
             raise ValueError("eigenvalues below floor")
-    elif belief.variant == DIAGONAL:
-        if belief.variances is None or np.any(belief.variances < floor) or not np.all(belief.variances > 0.0):
-            raise ValueError("variances below floor")
-    else:
-        if belief.variance is None or belief.variance < floor or not belief.variance > 0.0:
-            raise ValueError("variance below floor")
+    elif belief.variances is None or np.any(belief.variances < floor) or not np.all(belief.variances > 0.0):
+        raise ValueError("variances below floor")
 
 
 def root(belief: BeliefState) -> np.ndarray:
@@ -285,7 +284,7 @@ def log_det(belief: BeliefState) -> float:
         return -2.0 * float(np.linalg.slogdet(belief.inv_factor)[1])
     if belief.variant == DIAGONAL:
         return float(np.sum(np.log(belief.variances)))
-    return belief.dim * math.log(belief.variance)
+    return belief.dim * math.log(belief.variances)
 
 
 def snapshot(belief: BeliefState) -> BeliefState:
@@ -309,9 +308,7 @@ def covariance(belief: BeliefState) -> np.ndarray:
     if belief.variant == FULL:
         factor = root(belief)
         return factor @ factor.T
-    if belief.variant == DIAGONAL:
-        return np.diag(belief.variances)
-    return belief.variance * np.eye(belief.dim)
+    return belief.variances * np.eye(belief.dim)
 
 
 def sample(belief: BeliefState, rng: np.random.Generator) -> np.ndarray:
@@ -335,9 +332,7 @@ def whiten(belief: BeliefState, vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if belief.variant == FULL:
         return belief.inv_factor @ vec
-    if belief.variant == DIAGONAL:
-        return vec / _per_row(np.sqrt(belief.variances), vec)
-    return vec / math.sqrt(belief.variance)
+    return vec / _per_row(np.sqrt(belief.variances), vec)
 
 
 def unwhiten(belief: BeliefState, vec: np.ndarray) -> np.ndarray:
@@ -345,14 +340,13 @@ def unwhiten(belief: BeliefState, vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if belief.variant == FULL:
         return root(belief) @ vec
-    if belief.variant == DIAGONAL:
-        return _per_row(np.sqrt(belief.variances), vec) * vec
-    return math.sqrt(belief.variance) * vec
+    return _per_row(np.sqrt(belief.variances), vec) * vec
 
 
 def _per_row(scales: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Per-coordinate scales shaped to broadcast along the rows of vec."""
-    return scales if vec.ndim == 1 else scales[:, None]
+    """Per-coordinate scales shaped to broadcast along the rows of vec; a
+    spherical belief's one 0-d scale broadcasts as it is."""
+    return scales if vec.ndim == 1 or scales.ndim == 0 else scales[:, None]
 
 
 def kl_divergence(posterior: BeliefState, prior: BeliefState) -> float:
@@ -405,14 +399,10 @@ def correct_spectrum(belief: BeliefState, lam_min: float = LAMBDA_MIN) -> Belief
     if isinstance(belief, ActiveDiagonal):
         np.maximum(belief.sigma, math.sqrt(lam_min), out=belief.sigma)
         return belief
-    if belief.variant == DIAGONAL:
+    if belief.variant != FULL:
         if np.all(belief.variances >= lam_min):
             return belief
-        return BeliefState(DIAGONAL, belief.mean, variances=np.maximum(belief.variances, lam_min))
-    if belief.variant == SPHERICAL:
-        if belief.variance >= lam_min:
-            return belief
-        return BeliefState(SPHERICAL, belief.mean, variance=lam_min)
+        return BeliefState(belief.variant, belief.mean, variances=np.maximum(belief.variances, lam_min))
     w = belief.inv_factor
     if float(np.vdot(w, w)) > 1.0 / lam_min:
         u, s, vt = np.linalg.svd(root(belief))

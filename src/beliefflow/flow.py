@@ -55,7 +55,8 @@ class FlowSolution:
                draw's norm u and the in-plane 2x2 matrix a2. nu_hat is a zero
                vector when the plane degenerates to a line (or when d = 1).
     diagonal:  per-coordinate scales.
-    spherical: one scale and the unit target direction d_hat.
+    spherical: one scale, a float in scales that broadcasts as the diagonal
+               array does, and the unit target direction d_hat.
 
     identity marks a bitwise no-op step (w' == w), which :func:`solve`
     decides; such a flow carries no payload, and apply returns the belief
@@ -68,8 +69,7 @@ class FlowSolution:
     nu_hat: np.ndarray | None = None
     u: float | None = None
     a2: np.ndarray | None = None
-    scales: np.ndarray | None = None
-    scale: float | None = None
+    scales: np.ndarray | float | None = None
     d_hat: np.ndarray | None = None
 
 
@@ -227,7 +227,7 @@ def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> 
     the same positive-root formula as the scalar problem, and the rotation is
     implicit in the stored target direction d_hat.
     """
-    sigma = np.sqrt(belief.variance)
+    sigma = np.sqrt(belief.variances)
     dw = w - belief.mean
     dwp = w_prime - belief.mean
     norm_dw = float(np.linalg.norm(dw))
@@ -238,7 +238,7 @@ def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> 
     else:
         d_hat = dwp / norm_dwp
     a = float(scalar_scale(norm_dw / sigma, norm_dwp / sigma))
-    return FlowSolution(SPHERICAL, scale=a, d_hat=d_hat)
+    return FlowSolution(SPHERICAL, scales=a, d_hat=d_hat)
 
 
 def solve(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
@@ -267,14 +267,10 @@ def clamp_nonexpansive(flow: FlowSolution) -> FlowSolution:
     """
     if flow.identity:
         return flow
-    if flow.variant == DIAGONAL:
+    if flow.variant != FULL:
         if np.all(flow.scales <= 1.0):
             return flow
         return dataclasses.replace(flow, scales=np.minimum(flow.scales, 1.0))
-    if flow.variant == SPHERICAL:
-        if flow.scale <= 1.0:
-            return flow
-        return dataclasses.replace(flow, scale=1.0)
     left, sing, right = np.linalg.svd(flow.a2)
     if np.all(sing <= 1.0):
         return flow
@@ -319,8 +315,8 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
         return BeliefState(DIAGONAL, mean, variances=variances)
     if belief.variant == SPHERICAL:
         norm_dw = float(np.linalg.norm(w - belief.mean))
-        mean = w_prime - flow.scale * norm_dw * flow.d_hat
-        return BeliefState(SPHERICAL, mean, variance=flow.scale ** 2 * belief.variance)
+        mean = w_prime - flow.scales * norm_dw * flow.d_hat
+        return BeliefState(SPHERICAL, mean, variances=flow.scales ** 2 * belief.variances)
     basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
     a2 = flow.a2
     det = a2[0, 0] * a2[1, 1] - a2[0, 1] * a2[1, 0]
@@ -388,8 +384,8 @@ def flow_matrix(belief: BeliefState, flow: FlowSolution, w: np.ndarray) -> np.nd
         dw = np.asarray(w, dtype=float) - belief.mean
         norm_dw = float(np.linalg.norm(dw))
         if not np.any(flow.d_hat) or norm_dw == 0.0:
-            return flow.scale * np.eye(d)
-        return flow.scale * _rotation_between(dw / norm_dw, flow.d_hat)
+            return flow.scales * np.eye(d)
+        return flow.scales * _rotation_between(dw / norm_dw, flow.d_hat)
     basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
     return np.eye(d) + (root(belief) @ basis) @ (flow.a2 - np.eye(2)) @ (basis.T @ belief.inv_factor)
 

@@ -75,7 +75,7 @@ _VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
 # The belief field a keyframe record holds after the mean, and its count of
 # axes of length d: it is stored with shape (d,) * axes, as d ** axes floats.
 _PAYLOADS = {bel.FULL: ("inv_factor", 2), bel.DIAGONAL: ("variances", 1),
-             bel.SPHERICAL: ("variance", 0)}
+             bel.SPHERICAL: ("variances", 0)}
 
 TRACE_MAGIC = b"BFTR"
 TRACE_VERSION = 1

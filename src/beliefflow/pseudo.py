@@ -57,11 +57,12 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
     if prior.dim != posterior.dim:
         raise ValueError("dimension mismatch")
     if prior.variant == SPHERICAL:
-        if abs(posterior.variance - prior.variance) <= NO_DATAPOINT_TOL * prior.variance:
+        v0, v1 = prior.variances, posterior.variances
+        if abs(v1 - v0) <= NO_DATAPOINT_TOL * v0:
             return None
-        dprec = 1.0 / posterior.variance - 1.0 / prior.variance
+        dprec = 1.0 / v1 - 1.0 / v0
         r = 1.0 / dprec
-        x = r * (posterior.mean / posterior.variance - prior.mean / prior.variance)
+        x = r * (posterior.mean / v1 - prior.mean / v0)
         return PseudoDatapoint(x, r)
     if prior.variant == DIAGONAL:
         v0, v1 = prior.variances, posterior.variances
@@ -136,13 +137,13 @@ def bayes_update_gaussian(prior: BeliefState, x, cov) -> BeliefState:
     """
     x = np.asarray(x, dtype=float)
     if prior.variant == SPHERICAL:
-        prec = 1.0 / prior.variance + 1.0 / cov
+        prec = 1.0 / prior.variances + 1.0 / cov
         if not prec > 0.0:
             raise ValueError("inconsistent pseudo datapoint: posterior precision not positive")
         var = 1.0 / prec
-        mean = var * (prior.mean / prior.variance + x / cov)
+        mean = var * (prior.mean / prior.variances + x / cov)
         # Spherical stays spherical only because cov is scalar here.
-        return BeliefState(SPHERICAL, mean, variance=var)
+        return BeliefState(SPHERICAL, mean, variances=var)
     if prior.variant == DIAGONAL:
         cov = np.asarray(cov, dtype=float)
         with np.errstate(divide="ignore"):

@@ -118,7 +118,7 @@ def test_criterion_2_constraint_exactness():
                 if flow.variant == bel.SPHERICAL:
                     norm_dw = float(np.linalg.norm(w - prior.mean))
                     resid = float(np.linalg.norm(
-                        flow.scale * norm_dw * flow.d_hat + post.mean - w_prime))
+                        flow.scales * norm_dw * flow.d_hat + post.mean - w_prime))
                 else:
                     a = fl.flow_matrix(prior, flow, w)
                     b = post.mean - a @ prior.mean
@@ -184,8 +184,7 @@ def test_criterion_5_pseudo_round_trip():
                                    factor=post.factor,
                                    inv_factor=post.inv_factor,
                                    logdet=post.logdet,
-                                   variances=post.variances,
-                                   variance=post.variance)
+                                   variances=post.variances)
             pd = psd.extract_pseudo(prior, post)
             back = psd.bayes_update_gaussian(prior, pd.x, pd.cov)
             mean_err = np.linalg.norm(back.mean - post.mean) / (1.0 + np.linalg.norm(post.mean))
@@ -250,7 +249,7 @@ def test_criterion_7_nonexpansive_logdet():
             return float(np.linalg.slogdet(bel.covariance(state))[1])
         if state.variant == bel.DIAGONAL:
             return float(np.sum(np.log(state.variances)))
-        return state.dim * math.log(state.variance)
+        return state.dim * math.log(state.variances)
 
     for variant, d in ((bel.DIAGONAL, 8), (bel.FULL, 6), (bel.SPHERICAL, 8)):
         state = random_belief(variant, d, rng)

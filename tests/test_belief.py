@@ -66,7 +66,7 @@ def reference_sample(belief, rng):
         return belief.mean + bel.root(belief) @ xi
     if belief.variant == bel.DIAGONAL:
         return belief.mean + np.sqrt(belief.variances) * xi
-    return belief.mean + math.sqrt(belief.variance) * xi
+    return belief.mean + math.sqrt(belief.variances) * xi
 
 
 @pytest.mark.parametrize("variant", bel.VARIANTS)
@@ -184,7 +184,7 @@ def test_kl_spherical_closed_form_matches_the_general_formula():
     d = 4
     post = bel.spherical_belief(rng.normal(size=d), 0.7)
     prior = bel.spherical_belief(rng.normal(size=d), 1.9)
-    as_full = [bel.full_belief(b.mean, np.eye(d), np.full(d, b.variance)) for b in (post, prior)]
+    as_full = [bel.full_belief(b.mean, np.eye(d), np.full(d, b.variances)) for b in (post, prior)]
     np.testing.assert_allclose(bel.kl_divergence(post, prior), bel.kl_divergence(*as_full),
                                rtol=1e-12)
 
@@ -213,8 +213,8 @@ def test_spectrum_floor_applies_and_is_noop_when_clean():
     assert fixed.variances[0] == bel.LAMBDA_MIN
     assert fixed.variances[1] == 2.0
 
-    sph = bel.BeliefState(bel.SPHERICAL, np.zeros(2), variance=1e-20)
-    assert bel.correct_spectrum(sph, bel.LAMBDA_MIN).variance == bel.LAMBDA_MIN
+    sph = bel.BeliefState(bel.SPHERICAL, np.zeros(2), variances=1e-20)
+    assert bel.correct_spectrum(sph, bel.LAMBDA_MIN).variances == bel.LAMBDA_MIN
 
 
 def test_spectrum_floor_full_repairs_factor_pair():

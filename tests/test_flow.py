@@ -506,9 +506,9 @@ def test_spherical_frozen_example():
     w = np.array([1.0, 0.0])
     w_prime = np.array([0.0, 2.0])
     flow = fl.solve_spherical(prior, w, w_prime)
-    np.testing.assert_allclose(flow.scale, A_U1_V2, atol=1e-6)
+    np.testing.assert_allclose(flow.scales, A_U1_V2, atol=1e-6)
     post = fl.apply_flow(prior, flow, w, w_prime)
-    np.testing.assert_allclose(math.sqrt(post.variance), A_U1_V2, atol=1e-6)
+    np.testing.assert_allclose(math.sqrt(post.variances), A_U1_V2, atol=1e-6)
     np.testing.assert_allclose(post.mean, [0.0, 2.0 - A_U1_V2], atol=1e-6)
 
 
@@ -536,9 +536,9 @@ def test_spherical_scale_one_when_norms_match():
     perp = perp - (perp @ delta) / (delta @ delta) * delta
     w_prime = prior.mean + np.linalg.norm(delta) * perp / np.linalg.norm(perp)
     flow = fl.solve_spherical(prior, w, w_prime)
-    assert flow.scale == 1.0
+    assert flow.scales == 1.0
     post = fl.apply_flow(prior, flow, w, w_prime)
-    assert post.variance == prior.variance
+    assert post.variances == prior.variances
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,13 @@ class FlowSolution:
     """Solved flow in the representation natural to the belief variant.
 
     full:      whitened orthonormal pair (mu_hat, nu_hat), the whitened
-               draw's norm u and the in-plane 2x2 matrix a2. nu_hat is a zero
-               vector when the plane degenerates to a line (or when d = 1).
+               draw's norm u = ||W (w - mu)|| and the in-plane 2x2 matrix
+               a2. nu_hat is a zero vector when the plane degenerates to a
+               line (or when d = 1).
     diagonal:  per-coordinate scales.
     spherical: one scale, a float in scales that broadcasts as the diagonal
-               array does, and the unit target direction d_hat.
+               array does, the unit target direction d_hat and the draw's
+               distance u = ||w - mu|| from the mean, not whitened.
 
     identity marks a bitwise no-op step (w' == w), which :func:`solve`
     decides; such a flow carries no payload, and apply returns the belief
@@ -238,7 +240,7 @@ def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> 
     else:
         d_hat = dwp / norm_dwp
     a = float(scalar_scale(norm_dw / sigma, norm_dwp / sigma))
-    return FlowSolution(SPHERICAL, scales=a, d_hat=d_hat)
+    return FlowSolution(SPHERICAL, u=norm_dw, scales=a, d_hat=d_hat)
 
 
 def solve(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
@@ -314,8 +316,7 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
         variances = flow.scales * flow.scales * belief.variances
         return BeliefState(DIAGONAL, mean, variances=variances)
     if belief.variant == SPHERICAL:
-        norm_dw = float(np.linalg.norm(w - belief.mean))
-        mean = w_prime - flow.scales * norm_dw * flow.d_hat
+        mean = w_prime - flow.scales * flow.u * flow.d_hat
         return BeliefState(SPHERICAL, mean, variances=flow.scales ** 2 * belief.variances)
     basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
     a2 = flow.a2
@@ -381,11 +382,10 @@ def flow_matrix(belief: BeliefState, flow: FlowSolution, w: np.ndarray) -> np.nd
     if flow.variant == DIAGONAL:
         return np.diag(flow.scales)
     if flow.variant == SPHERICAL:
-        dw = np.asarray(w, dtype=float) - belief.mean
-        norm_dw = float(np.linalg.norm(dw))
-        if not np.any(flow.d_hat) or norm_dw == 0.0:
+        if not np.any(flow.d_hat) or flow.u == 0.0:
             return flow.scales * np.eye(d)
-        return flow.scales * _rotation_between(dw / norm_dw, flow.d_hat)
+        dw = np.asarray(w, dtype=float) - belief.mean
+        return flow.scales * _rotation_between(dw / flow.u, flow.d_hat)
     basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
     return np.eye(d) + (root(belief) @ basis) @ (flow.a2 - np.eye(2)) @ (basis.T @ belief.inv_factor)
 

@@ -512,6 +512,20 @@ def test_spherical_frozen_example():
     np.testing.assert_allclose(post.mean, [0.0, 2.0 - A_U1_V2], atol=1e-6)
 
 
+def test_spherical_flow_carries_the_draws_distance_from_the_mean():
+    # u is ||w - mu|| as solve_spherical measured it, unwhitened; apply_flow
+    # moves the mean by it instead of measuring it again
+    rng = np.random.default_rng(47)
+    prior = bel.spherical_belief(rng.normal(size=6), 0.3)
+    w = bel.sample(prior, rng)
+    w_prime = w + rng.normal(scale=0.4, size=6)
+    flow = fl.solve_spherical(prior, w, w_prime)
+    norm_dw = float(np.linalg.norm(w - prior.mean))
+    assert flow.u == norm_dw
+    post = fl.apply_flow(prior, flow, w, w_prime)
+    np.testing.assert_array_equal(post.mean, w_prime - flow.scales * norm_dw * flow.d_hat)
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_spherical_flow_matrix_when_the_target_points_opposite_the_draw(d):
     # d_hat pointing opposite w - mu leaves no plane to rotate in: flow_matrix

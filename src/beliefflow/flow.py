@@ -184,6 +184,11 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowS
     mu_hat = dt / u
     v_par = float(dtp @ mu_hat)
     resid = dtp - v_par * mu_hat
+    # A second Gram-Schmidt pass: near antiparallel, the first leaves resid
+    # off orthogonal to mu_hat by about eps |dtp| / |resid|.
+    again = float(resid @ mu_hat)
+    resid -= again * mu_hat
+    v_par += again
     v_perp = float(np.linalg.norm(resid))
     target_norm = float(np.linalg.norm(dtp))
     if target_norm <= EPS_DEGENERATE or v_perp <= EPS_DEGENERATE:

@@ -148,24 +148,49 @@ def test_the_flow_carries_the_draw_onto_the_stepped_point(variant, d, seed, log_
     # at most d + 2, and the sums add a few roundings more: at most
     # 4 (d + 4) roundings, each of eps relative to the terms. For a full
     # flow A = I + (L B)(a2 - I)(B^T W) is itself a sum, so |A| is taken
-    # term by term, as |I| + |L B| |a2 - I| |B^T W|. The bound leaves out
-    # one amplification, a fault of solve_full: a target at angle t from
-    # antiparallel to the draw gets a nu_hat that is off orthogonal to
-    # mu_hat by about eps / t, and the residual carries it (hundreds of eps
-    # of the terms at t = 1e-2). A step in a random direction comes that
-    # close to antiparallel only rarely.
+    # term by term, as |I| + |L B| |a2 - I| |B^T W|.
     prior, w, w_prime, flow, post, _ = flow_case(variant, d, seed, log_variances, log_step,
                                                  non_expansive)
+    assert constraint_residual(prior, w, w_prime, flow, post) <= 1.0
+
+
+def constraint_residual(prior, w, w_prime, flow, post):
+    """||A w + b - w'|| in units of 4 (d + 4) eps of its terms' scale, the
+    tolerance derived above."""
+    d = prior.dim
     a = fl.flow_matrix(prior, flow, w)
     resid = np.linalg.norm(a @ w + (post.mean - a @ prior.mean) - w_prime)
     terms = np.abs(a)
-    if variant == bel.FULL and not flow.identity:
+    if flow.variant == bel.FULL and not flow.identity:
         basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
         terms = np.eye(d) + (np.abs(prior.factor @ basis) @ np.abs(flow.a2 - np.eye(2))
                              @ np.abs(basis.T @ prior.inv_factor))
     scale = (np.linalg.norm(terms @ (np.abs(w) + np.abs(prior.mean)))
              + np.linalg.norm(post.mean) + np.linalg.norm(w_prime))
-    assert resid <= 4 * (d + 4) * EPS * scale
+    return resid / (4 * (d + 4) * EPS * scale)
+
+
+@pytest.mark.parametrize("tilt", [1e-2, 1e-5, 1e-9])
+def test_a_nearly_antiparallel_full_step_keeps_the_constraint(tilt):
+    # w' - mu = -0.5 (w - mu) plus a perpendicular tilt of relative size
+    # tilt, in the prior's whitened coordinates: the target lies at angle
+    # about tilt from antiparallel to the draw, where one Gram-Schmidt pass
+    # leaves nu_hat off orthogonal to mu_hat by about eps / tilt.
+    rng = np.random.default_rng(61)
+    worst = 0.0
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        prior = bel.full_belief(rng.normal(size=3), q, rng.uniform(0.2, 3.0, size=3) ** 2)
+        w = bel.sample(prior, rng)
+        xi = bel.whiten(prior, w - prior.mean)
+        perp = rng.normal(size=3)
+        perp -= (perp @ xi) / (xi @ xi) * xi
+        target = -0.5 * xi + tilt * 0.5 * np.linalg.norm(xi) * perp / np.linalg.norm(perp)
+        w_prime = prior.mean + bel.unwhiten(prior, target)
+        flow = fl.solve(prior, w, w_prime)
+        post = fl.apply_flow(prior, flow, w, w_prime)
+        worst = max(worst, constraint_residual(prior, w, w_prime, flow, post))
+    assert worst <= 1.0
 
 
 def whitened_kl(m, s, t):

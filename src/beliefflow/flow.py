@@ -232,7 +232,8 @@ def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> 
 
     u and v are the whitened norms of w - mu and w' - mu; the scale follows
     the same positive-root formula as the scalar problem, and the rotation is
-    implicit in the stored target direction d_hat.
+    implicit in the stored target direction d_hat. The flow's u is the
+    unwhitened ||w - mu||, by which :func:`apply_flow` moves the mean.
     """
     sigma = np.sqrt(belief.variances)
     dw = w - belief.mean

@@ -56,8 +56,8 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
         raise ValueError("prior and posterior must share a variant")
     if prior.dim != posterior.dim:
         raise ValueError("dimension mismatch")
+    v0, v1 = prior.variances, posterior.variances
     if prior.variant == SPHERICAL:
-        v0, v1 = prior.variances, posterior.variances
         if abs(v1 - v0) <= NO_DATAPOINT_TOL * v0:
             return None
         dprec = 1.0 / v1 - 1.0 / v0
@@ -65,7 +65,6 @@ def extract_pseudo(prior: BeliefState, posterior: BeliefState) -> PseudoDatapoin
         x = r * (posterior.mean / v1 - prior.mean / v0)
         return PseudoDatapoint(x, r)
     if prior.variant == DIAGONAL:
-        v0, v1 = prior.variances, posterior.variances
         dprec = v1 - v0
         if np.linalg.norm(dprec) <= NO_DATAPOINT_TOL * np.linalg.norm(v0):
             return None

@@ -298,7 +298,7 @@ def snapshot(belief: BeliefState) -> BeliefState:
     if isinstance(belief, OwnedFull):
         return BeliefState(FULL, belief.mean, inv_factor=belief.inv_factor.copy(),
                            logdet=belief.logdet, age=belief.age)
-    if belief.variant != FULL or belief.factor is None:
+    if belief.factor is None:  # spherical, or a full belief without L
         return belief
     return dataclasses.replace(belief, factor=None)
 

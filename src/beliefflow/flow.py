@@ -51,10 +51,11 @@ class DegenerateTargetError(ValueError):
 class FlowSolution:
     """Solved flow in the representation natural to the belief variant.
 
-    full:      whitened orthonormal pair (mu_hat, nu_hat), the whitened
-               draw's norm u = ||W (w - mu)|| and the in-plane 2x2 matrix
-               a2. nu_hat is a zero vector when the plane degenerates to a
-               line (or when d = 1).
+    full:      the plane's basis B = [mu_hat, nu_hat], a C-ordered d x 2
+               array whose columns are the whitened orthonormal pair, the
+               whitened draw's norm u = ||W (w - mu)|| and the in-plane 2x2
+               matrix a2. nu_hat is a zero column when the plane degenerates
+               to a line (or when d = 1).
     diagonal:  per-coordinate scales.
     spherical: one scale, a float in scales that broadcasts as the diagonal
                array does, the unit target direction d_hat and the draw's
@@ -67,8 +68,7 @@ class FlowSolution:
 
     variant: str
     identity: bool = False
-    mu_hat: np.ndarray | None = None
-    nu_hat: np.ndarray | None = None
+    basis: np.ndarray | None = None
     u: float | None = None
     a2: np.ndarray | None = None
     scales: np.ndarray | float | None = None
@@ -80,7 +80,7 @@ class FlowLog:
     """A full belief given by the flows applied to the one before it.
 
     Holds the mean and, in the order applied, the full-variant
-    FlowSolutions whose mu_hat, nu_hat and a2 (as applied, after any clamp)
+    FlowSolutions whose basis and a2 (as applied, after any clamp)
     move the previous W onto this one; see :func:`replay`. Snapshot files
     store such deltas in place of W.
     """
@@ -179,8 +179,7 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowS
     u = float(np.linalg.norm(dt))
     if u <= EPS_DEGENERATE:
         # Sampled the mean: nothing to anchor a scale on, translate only.
-        d = belief.dim
-        return FlowSolution(FULL, mu_hat=np.zeros(d), nu_hat=np.zeros(d), u=u, a2=np.eye(2))
+        return FlowSolution(FULL, basis=np.zeros((belief.dim, 2)), u=u, a2=np.eye(2))
     mu_hat = dt / u
     v_par = float(dtp @ mu_hat)
     resid = dtp - v_par * mu_hat
@@ -199,9 +198,9 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowS
             a = 1.0 / np.sqrt(1.0 + u * u)
         else:
             a = float(scalar_scale(u, v_par))
-        return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=np.zeros(belief.dim), u=u,
+        return FlowSolution(FULL, basis=np.stack([mu_hat, np.zeros(belief.dim)], axis=1), u=u,
                             a2=np.diag([a, 1.0]))
-    return FlowSolution(FULL, mu_hat=mu_hat, nu_hat=resid / v_perp, u=u,
+    return FlowSolution(FULL, basis=np.stack([mu_hat, resid / v_perp], axis=1), u=u,
                         a2=solve_2x2(u, v_par, v_perp))
 
 
@@ -258,11 +257,10 @@ def solve(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSoluti
     w_prime = np.asarray(w_prime, dtype=float)
     if np.array_equal(w, w_prime):
         return FlowSolution(belief.variant, identity=True)
-    if belief.variant == FULL:
-        return solve_full(belief, w, w_prime)
-    if belief.variant == DIAGONAL:
-        return solve_diagonal(belief, w, w_prime)
-    return solve_spherical(belief, w, w_prime)
+    return _SOLVERS[belief.variant](belief, w, w_prime)
+
+
+_SOLVERS = {FULL: solve_full, DIAGONAL: solve_diagonal, SPHERICAL: solve_spherical}
 
 
 def clamp_nonexpansive(flow: FlowSolution) -> FlowSolution:
@@ -294,12 +292,12 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
     A w + b = w' holds exactly by construction of b.
 
     For full beliefs A = L M W with the whitened flow M = I + B (a2 - I) B^T
-    and B = [mu_hat, nu_hat], so the posterior root is L M and its inverse
-    M^{-1} W = W + B (a2^{-1} - I) B^T W: two rank-2 updates, O(d^2), and
-    log det Sigma grows by 2 log|det a2|. Both go through
-    :func:`add_product`: into fresh arrays for a plain BeliefState, which
-    stays as it was, and in place for an :class:`belief.OwnedFull`, whose
-    L and W the returned belief shares.
+    and B = [mu_hat, nu_hat] the flow's basis, so the posterior root is L M
+    and its inverse M^{-1} W = W + B (a2^{-1} - I) B^T W: two rank-2
+    updates, O(d^2), and log det Sigma grows by 2 log|det a2|. Both go
+    through :func:`add_product`: into fresh arrays for a plain BeliefState,
+    which stays as it was, and in place for an :class:`belief.OwnedFull`,
+    whose L and W the returned belief shares.
     """
     if flow.variant != belief.variant:
         raise ValueError(f"flow variant {flow.variant} does not match belief {belief.variant}")
@@ -324,8 +322,7 @@ def apply_flow(belief: BeliefState, flow: FlowSolution,
     if belief.variant == SPHERICAL:
         mean = w_prime - flow.scales * flow.u * flow.d_hat
         return BeliefState(SPHERICAL, mean, variances=flow.scales ** 2 * belief.variances)
-    basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
-    a2 = flow.a2
+    basis, a2 = flow.basis, flow.a2
     det = a2[0, 0] * a2[1, 1] - a2[0, 1] * a2[1, 0]
     inner = a2 - np.eye(2)
     factor = root(belief)
@@ -360,8 +357,8 @@ def add_product(src: np.ndarray, left: np.ndarray, right: np.ndarray,
 
 def transport_inverse(inv_factor: np.ndarray, flow: FlowSolution,
                       in_place: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """W' = W + B (a2^{-1} - I) G for a full flow, with B = [mu_hat, nu_hat]
-    and G = B^T W; returns (W', G). In place, W is moved where it is (see
+    """W' = W + B (a2^{-1} - I) G for a full flow, with B its basis and
+    G = B^T W; returns (W', G). In place, W is moved where it is (see
     :func:`add_product`).
 
     This is the whole of a full flow's effect on W, and both
@@ -369,8 +366,7 @@ def transport_inverse(inv_factor: np.ndarray, flow: FlowSolution,
     logged flows has the learner's bytes. G is what a trace row needs: the
     precision W^T W moves by G^T (a2^{-T} a2^{-1} - I) G.
     """
-    basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
-    a2 = flow.a2
+    basis, a2 = flow.basis, flow.a2
     det = a2[0, 0] * a2[1, 1] - a2[0, 1] * a2[1, 0]
     inv_inner = np.array([[a2[1, 1], -a2[0, 1]], [-a2[1, 0], a2[0, 0]]]) / det - np.eye(2)
     g = basis.T @ inv_factor
@@ -392,7 +388,7 @@ def flow_matrix(belief: BeliefState, flow: FlowSolution, w: np.ndarray) -> np.nd
             return flow.scales * np.eye(d)
         dw = np.asarray(w, dtype=float) - belief.mean
         return flow.scales * _rotation_between(dw / flow.u, flow.d_hat)
-    basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
+    basis = flow.basis
     return np.eye(d) + (root(belief) @ basis) @ (flow.a2 - np.eye(2)) @ (basis.T @ belief.inv_factor)
 
 

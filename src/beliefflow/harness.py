@@ -280,14 +280,13 @@ def build_model(mcfg: dict, dataset: dat.Dataset) -> mdl.ModelSpec:
         if dataset.n_classes != 2:
             raise ValueError("logistic model needs a binary dataset")
         return mdl.logistic_model(dataset.n_features)
-    if kind == mdl.MLP:
-        outputs = 1 if dataset.n_classes == 2 else dataset.n_classes
-        return mdl.mlp_model(dataset.n_features, mcfg.get("hidden", 200), outputs)
-    raise _unknown("model kind", kind, mdl.KINDS)
+    outputs = 1 if dataset.n_classes == 2 else dataset.n_classes
+    return mdl.mlp_model(dataset.n_features, mcfg.get("hidden", 200), outputs)
 
 
 def make_learner(lcfg: dict, spec: mdl.ModelSpec, rng: np.random.Generator):
-    """Build the configured learner, drawing its initialization from rng."""
+    """Build the learner of a checked config (see :func:`validate_config`),
+    drawing its initialization from rng."""
     from . import learners as lrn, models as mdl
 
     tag = lcfg.get("algorithm")
@@ -306,10 +305,8 @@ def make_learner(lcfg: dict, spec: mdl.ModelSpec, rng: np.random.Generator):
             prior = bel.full_belief(np.zeros(d), np.eye(d), np.full(d, var0))
         elif variant == bel.DIAGONAL:
             prior = bel.diagonal_belief(np.zeros(d), np.full(d, var0))
-        elif variant == bel.SPHERICAL:
-            prior = bel.spherical_belief(np.zeros(d), var0)
         else:
-            raise _unknown("belief variant", variant, bel.VARIANTS)
+            prior = bel.spherical_belief(np.zeros(d), var0)
         return lrn.BeliefFlowLearner(spec, prior, eta, m=m,
                                      non_expansive=lcfg.get("non_expansive", False))
     if tag == "arow":
@@ -321,9 +318,7 @@ def make_learner(lcfg: dict, spec: mdl.ModelSpec, rng: np.random.Generator):
         return lrn.SGDLearner(spec, w0, eta, m=m)
     if tag == "blang":
         return lrn.LangevinSGDLearner(spec, w0, eta, m=m)
-    if tag == "dropout":
-        return lrn.DropoutSGDLearner(spec, w0, eta, p_drop=lcfg.get("p_drop", 0.5), m=m)
-    raise _unknown("learner algorithm", tag, LEARNER_TAGS)
+    return lrn.DropoutSGDLearner(spec, w0, eta, p_drop=lcfg.get("p_drop", 0.5), m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +354,8 @@ def evaluate_error_pct(spec: mdl.ModelSpec, params: np.ndarray, dataset: dat.Dat
 
 def run_online(config: ExperimentConfig, run_index: int,
                snapshot_path=None, dataset: dat.Dataset | None = None) -> RunReport:
-    """One seeded pass over the training stream, then offline evaluation.
+    """One seeded pass over the training stream, then offline evaluation,
+    of a config that :func:`validate_config` checks first.
 
     dataset is config.dataset already parsed, which runs in one process
     share (see :func:`run_experiment`); without it the run parses its own.
@@ -379,6 +375,7 @@ def run_online(config: ExperimentConfig, run_index: int,
     """
     from . import learners as lrn
 
+    validate_config(config)
     t0 = time.perf_counter()
     seed = config.base_seed + run_index
     rng = np.random.default_rng(seed)
@@ -680,10 +677,11 @@ def _snapshot_header(first) -> bytes:
 
 def _write_snapshot(fh, rnd: int, state) -> None:
     """One record of a snapshot stream (see write_snapshots), written from
-    the arrays of state as they are; nothing is copied."""
+    the arrays of state as they are; only a flow's basis is copied, to
+    write it column by column."""
     if isinstance(state, fl.FlowLog):
         fh.write(_RECORD_V3.pack(rnd, _DELTA, len(state.flows)))
-        arrays = [state.mean] + [a for f in state.flows for a in (f.mu_hat, f.nu_hat, f.a2)]
+        arrays = [state.mean] + [a for f in state.flows for a in (f.basis.T, f.a2)]
     else:
         fh.write(_ROUND.pack(rnd) if SNAPSHOT_VERSIONS[state.variant] == 2
                  else _RECORD_V3.pack(rnd, _KEYFRAME, 0))
@@ -791,7 +789,8 @@ def _snapshot_records(path, variant: str, d: int, version: int):
                 if not keyframe_seen:
                     raise ValueError(f"{path}: delta at byte {at} comes before any keyframe")
                 state = fl.FlowLog(mean, tuple(
-                    fl.FlowSolution(bel.FULL, mu_hat=v[:d], nu_hat=v[d:2 * d],
+                    # replay reads a C-ordered basis, as solve_full stacks it
+                    fl.FlowSolution(bel.FULL, basis=v[:2 * d].reshape(2, d).T.copy(),
                                     a2=v[2 * d:].reshape(2, 2))
                     for v in rest.reshape(-1, step)))
             else:

@@ -135,16 +135,10 @@ def bayes_update_gaussian(prior: BeliefState, x, cov) -> BeliefState:
     otherwise the pair is inconsistent and a ValueError is raised.
     """
     x = np.asarray(x, dtype=float)
-    if prior.variant == SPHERICAL:
-        prec = 1.0 / prior.variances + 1.0 / cov
-        if not prec > 0.0:
-            raise ValueError("inconsistent pseudo datapoint: posterior precision not positive")
-        var = 1.0 / prec
-        mean = var * (prior.mean / prior.variances + x / cov)
-        # Spherical stays spherical only because cov is scalar here.
-        return BeliefState(SPHERICAL, mean, variances=var)
-    if prior.variant == DIAGONAL:
-        cov = np.asarray(cov, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    if prior.variant != FULL:
+        # A spherical prior's variance and cov are scalars, which broadcast
+        # as a diagonal one's arrays do, so spherical stays spherical.
         with np.errstate(divide="ignore"):
             obs_prec = np.where(np.isinf(cov), 0.0, 1.0 / cov)
         prec = 1.0 / prior.variances + obs_prec
@@ -152,8 +146,7 @@ def bayes_update_gaussian(prior: BeliefState, x, cov) -> BeliefState:
             raise ValueError("inconsistent pseudo datapoint: posterior precision not positive")
         var = 1.0 / prec
         mean = var * (prior.mean / prior.variances + np.where(obs_prec == 0.0, 0.0, x * obs_prec))
-        return BeliefState(DIAGONAL, mean, variances=var)
-    cov = np.asarray(cov, dtype=float)
+        return BeliefState(prior.variant, mean, variances=var)
     prec0 = _full_precision(prior)
     obs_prec = np.linalg.inv(cov)
     post_prec = prec0 + 0.5 * (obs_prec + obs_prec.T)

@@ -9,9 +9,9 @@ from beliefflow import belief as bel
 # The ROADMAP's pattern: a comparison against a variant name, or an isinstance
 # test on one of the variant-specific belief classes.
 VARIANT_TEST = re.compile(r"variant ==|variant !=|isinstance\([^)]*(ActiveDiagonal|OwnedFull)")
-# The count after a spherical belief's variance and a spherical flow's scale
-# were folded into the diagonal fields; lower it when dispatch goes away.
-MAX_VARIANT_TESTS = 42
+# The count after flow.solve took its solver from a table and run_online came
+# to check its config; lower it when dispatch goes away.
+MAX_VARIANT_TESTS = 37
 
 
 def test_variant_dispatch_does_not_spread():

@@ -393,10 +393,11 @@ def test_degenerate_plane_needs_no_second_axis(non_expansive):
         else:
             w_prime = prior.mean + rng.uniform(-3.0, 3.0) * (w - prior.mean)  # colinear
         flow = fl.solve_full(prior, w, w_prime)
-        assert not np.any(flow.nu_hat)
+        assert not np.any(flow.basis[:, 1])
         if non_expansive:
             flow = fl.clamp_nonexpansive(flow)
-        ref = dataclasses.replace(flow, nu_hat=complement_unit(flow.mu_hat))
+        mu_hat = flow.basis[:, 0]
+        ref = dataclasses.replace(flow, basis=np.stack([mu_hat, complement_unit(mu_hat)], axis=1))
         post = fl.apply_flow(prior, flow, w, w_prime)
         want = fl.apply_flow(prior, ref, w, w_prime)
         for field in ("mean", "factor", "inv_factor"):
@@ -642,8 +643,7 @@ def test_replaying_a_record_of_several_flows_holds_no_d_by_d_scratch():
     flows = []
     for uv in ((1.0, 0.5, 0.7), (0.4, -1.2, 0.1), (2.0, -0.3, 0.6)):
         basis = np.linalg.qr(rng.normal(size=(d, 2)))[0]
-        flows.append(fl.FlowSolution(bel.FULL, mu_hat=basis[:, 0], nu_hat=basis[:, 1],
-                                     a2=fl.solve_2x2(*uv)))
+        flows.append(fl.FlowSolution(bel.FULL, basis=basis, a2=fl.solve_2x2(*uv)))
     records = [(0, keyframe), (1, fl.FlowLog(rng.normal(size=d), tuple(flows)))]
     tracemalloc.start()
     try:

@@ -162,7 +162,7 @@ def constraint_residual(prior, w, w_prime, flow, post):
     resid = np.linalg.norm(a @ w + (post.mean - a @ prior.mean) - w_prime)
     terms = np.abs(a)
     if flow.variant == bel.FULL and not flow.identity:
-        basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
+        basis = flow.basis
         terms = np.eye(d) + (np.abs(prior.factor @ basis) @ np.abs(flow.a2 - np.eye(2))
                              @ np.abs(basis.T @ prior.inv_factor))
     scale = (np.linalg.norm(terms @ (np.abs(w) + np.abs(prior.mean)))
@@ -247,7 +247,7 @@ def test_the_closed_form_flow_has_the_least_kl_of_its_family(variant, d, seed, l
                                                    non_expansive)
     s, t = bel.whiten(prior, np.column_stack([w - prior.mean, w_prime - prior.mean])).T
     if variant == bel.FULL and not flow.identity:
-        basis = np.stack([flow.mu_hat, flow.nu_hat], axis=1)
+        basis = flow.basis
         m = np.eye(d) + basis @ (flow.a2 - np.eye(2)) @ basis.T
     else:
         # whitening by a diagonal or scalar root commutes with a diagonal A

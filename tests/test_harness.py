@@ -450,8 +450,8 @@ def test_run_online_names_run_and_round_of_a_non_finite_step(monkeypatch):
     ({"dataset": {"format": "idx", "images": "i"}}, "idx dataset is missing file keys ['labels']"),
 ])
 def test_run_online_rejects_an_unknown_config_value(overrides, message):
-    # run_online does not validate the config, so each builder must refuse
-    # a value it does not know instead of falling through to another branch
+    # run_online checks its config, so a value no builder knows is refused
+    # before any branch could fall through on it
     with pytest.raises(ValueError, match=re.escape(message)):
         hns.run_online(tiny_config(**overrides), 0)
 
@@ -1200,8 +1200,7 @@ def small_flow_log_file(path, d=2):
     rng = np.random.default_rng(3)
     keyframe = bel.snapshot(bel.full_belief(rng.normal(size=d), np.eye(d), np.full(d, 0.5)))
     basis = np.linalg.qr(rng.normal(size=(d, 2)))[0]
-    flow = fl.FlowSolution(bel.FULL, mu_hat=basis[:, 0], nu_hat=basis[:, 1],
-                           a2=fl.solve_2x2(1.0, 0.5, 0.7))
+    flow = fl.FlowSolution(bel.FULL, basis=basis, a2=fl.solve_2x2(1.0, 0.5, 0.7))
     hns.write_snapshots(path, [(0, keyframe), (1, fl.FlowLog(rng.normal(size=d), (flow, flow)))])
     return path.read_bytes()
 
@@ -1245,8 +1244,7 @@ def test_trace_of_a_flow_log_file_holds_one_w_at_a_time(tmp_path):
     for _ in range(199):
         basis = np.linalg.qr(rng.normal(size=(d, 2)))[0]
         u, v_par, v_perp = rng.uniform(0.2, 2.0, size=3)
-        flows.append(fl.FlowSolution(bel.FULL, mu_hat=basis[:, 0], nu_hat=basis[:, 1],
-                                     a2=fl.solve_2x2(u, v_par, v_perp)))
+        flows.append(fl.FlowSolution(bel.FULL, basis=basis, a2=fl.solve_2x2(u, v_par, v_perp)))
     prior = bel.snapshot(bel.full_belief(np.zeros(d), np.eye(d), np.full(d, 0.04)))
     snap = tmp_path / "snapshots.bin"
     hns.write_snapshots(snap, [(0, prior)] + [(r + 1, fl.FlowLog(np.zeros(d), (f,)))

@@ -240,8 +240,9 @@ def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> 
     norm_dw = float(np.linalg.norm(dw))
     norm_dwp = float(np.linalg.norm(dwp))
     if norm_dwp <= EPS_DEGENERATE * sigma:
-        # Target at the mean: contract along the original direction.
-        d_hat = dw / norm_dw if norm_dw > EPS_DEGENERATE * sigma else np.zeros(belief.dim)
+        # Target at the mean: contract along the original direction, which
+        # apply_flow needs however short it is, so that A w + b = w'.
+        d_hat = dw / norm_dw if norm_dw > 0.0 else np.zeros(belief.dim)
     else:
         d_hat = dwp / norm_dwp
     a = float(scalar_scale(norm_dw / sigma, norm_dwp / sigma))

@@ -193,6 +193,20 @@ def test_a_nearly_antiparallel_full_step_keeps_the_constraint(tilt):
     assert worst <= 1.0
 
 
+@pytest.mark.parametrize("offset", [1e-11, 1e-13])
+def test_a_degenerate_spherical_step_keeps_the_constraint(offset):
+    # w - mu and w' - mu both within EPS_DEGENERATE sigma of the mean, with
+    # w != w' and w != mu: the target counts as the mean, and the flow must
+    # still carry w onto w', measured with flow_matrix's A and the
+    # posterior's b
+    prior = bel.spherical_belief(np.array([1.0, -2.0, 0.5]), 0.04)
+    w = prior.mean + offset * np.array([1.0, 0.0, 0.0])
+    w_prime = prior.mean + np.array([0.0, 1e-13, 0.0])
+    flow = fl.solve(prior, w, w_prime)
+    post = fl.apply_flow(prior, flow, w, w_prime)
+    assert constraint_residual(prior, w, w_prime, flow, post) <= 1.0
+
+
 def whitened_kl(m, s, t):
     """(sign of det m, KL, a bound on the KL's rounding) of the flow whose
     matrix in the prior's whitened coordinates is m, for the whitened draw s

@@ -113,7 +113,8 @@ def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -
     largest index seen; passing n_features overrides it (it must cover the
     data). Labels map to {0, 1} as one set per file (see _binary_labels).
     Malformed tokens, non-finite values and labels outside the file's set
-    raise with the offending line number.
+    raise with the offending line number, and a file with no examples
+    raises too.
     """
     from scipy import sparse as sp
 
@@ -148,6 +149,8 @@ def parse_libsvm(path, n_features: int | None = None, name: str | None = None) -
                 rows.append(row)
                 cols.append(idx - 1)
                 vals.append(val)
+    if not labels:
+        raise ValueError(f"{path.name}: no examples")
     labels = _binary_labels(labels, linenos, path.name)
     vals = np.asarray(vals, dtype=float)
     bad = np.flatnonzero(~np.isfinite(vals))
@@ -228,14 +231,16 @@ def parse_idx(images_path, labels_path, name: str | None = None) -> Dataset:
     """Read an IDX image/label file pair (big-endian, magic 2051/2049).
 
     Pixels are scaled to [0, 1] by dividing by 255; each image becomes one
-    flat row of rows*cols features. Labels must be one byte per image and
-    the counts must agree.
+    flat row of rows*cols features. Labels must be one byte per image, the
+    counts must agree, and there must be one image at least.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     (count, n_rows, n_cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if label_count != count:
         raise ValueError(f"image count {count} != label count {label_count}")
+    if not count:
+        raise ValueError(f"{images_path.name}: no examples")
     X = pixels.reshape(count, n_rows * n_cols).astype(float) / 255.0
     return _make(name or images_path.stem, X, labels.astype(np.int64), 10, False)
 

@@ -385,6 +385,9 @@ def run_online(config: ExperimentConfig, run_index: int,
         dataset = load_dataset(config.dataset)
     train, test = dat.split_shuffle(dataset, config.train_fraction, split_seed,
                                     shuffle=config.shuffle)
+    if not len(train):
+        raise ValueError(f"{len(dataset)} examples at train_fraction {config.train_fraction} "
+                         "leave no training round")
     if config.noise_fraction > 0.0:
         train = dat.flip_labels(train, config.noise_fraction, flip_seed)
     spec = build_model(config.model, dataset)
@@ -439,7 +442,7 @@ def run_online(config: ExperimentConfig, run_index: int,
         mistakes=mistakes,
         entropies=entropies,
         entropy_trace=[(rnd, float(entropies[rnd - 1])) for rnd in snapshot_rounds],
-        online_error_pct=100.0 * float(np.mean(mistakes)) if n_train else float("nan"),
+        online_error_pct=100.0 * float(np.mean(mistakes)),
         final_error_pct=final_error,
         wall_time_s=time.perf_counter() - t0,
         key=config_key(config),

@@ -883,6 +883,31 @@ def test_cli_run_names_the_line_of_a_non_ascii_byte(tmp_path, capsys, fmt, text,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fmt, files, named", [
+    ("libsvm", {"rows": b""}, "rows: no examples"),
+    ("idx", {"images": struct.pack(">IIII", 2051, 0, 1, 1), "labels": struct.pack(">II", 2049, 0)},
+     "images: no examples"),
+    ("libsvm", {"rows": b"+1 1:0.5\n"}, "1 examples at train_fraction 0.8 leave no training round"),
+    ("csv", {"rows": b"0.5,1\n"}, "1 examples at train_fraction 0.8 leave no training round"),
+], ids=["libsvm-empty", "idx-zero-images", "libsvm-one-row", "csv-one-row"])
+def test_cli_run_rejects_a_stream_with_no_training_round(tmp_path, capsys, fmt, files, named):
+    # each ran to exit 0 and wrote "mean": NaN, which is not JSON, into
+    # summary.json
+    for key, data in files.items():
+        (tmp_path / key).write_bytes(data)
+    dataset = {"format": fmt, **{("path" if key == "rows" else key): str(tmp_path / key)
+                                 for key in files}}
+    config = tiny_config(runs=1, dataset=dataset, model=MLP if fmt == "idx" else {})
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+
+
 def test_cli_run_overrides_runs_and_noise(tmp_path, monkeypatch):
     monkeypatch.setenv("BFLO_THREADS", "1")
     p = write_config(tmp_path, tiny_config(runs=1))

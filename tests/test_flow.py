@@ -541,6 +541,36 @@ def test_spherical_flow_matrix_when_the_target_points_opposite_the_draw(d):
     assert constraint_residual(prior, post, flow, w, w_prime) <= 1e-9
 
 
+@pytest.mark.parametrize("w_prime_offset", [2.0, 1e-13])
+def test_spherical_flow_matrix_of_a_draw_on_the_mean(w_prime_offset):
+    # w == mu has no direction to rotate from, so A is the scale times I,
+    # whether the target moved off the mean or, within EPS_DEGENERATE
+    # sigma, stayed on it
+    prior = bel.spherical_belief(np.array([1.0, -2.0, 0.5]), 0.04)
+    w = prior.mean.copy()
+    w_prime = prior.mean + np.array([0.0, w_prime_offset, 0.0])
+    flow = fl.solve(prior, w, w_prime)
+    assert flow.u == 0.0
+    np.testing.assert_array_equal(fl.flow_matrix(prior, flow, w), flow.scales * np.eye(3))
+    post = fl.apply_flow(prior, flow, w, w_prime)
+    np.testing.assert_array_equal(post.mean, w_prime)
+    assert constraint_residual(prior, post, flow, w, w_prime) <= 1e-15
+
+
+@pytest.mark.parametrize("flow_variant, belief_variant", [(bel.FULL, bel.DIAGONAL),
+                                                          (bel.SPHERICAL, bel.FULL)])
+def test_apply_flow_rejects_a_flow_of_another_variant(flow_variant, belief_variant):
+    rng = np.random.default_rng(71)
+    prior = random_belief(flow_variant, 3, rng)
+    w = bel.sample(prior, rng)
+    w_prime = w + 0.1
+    flow = fl.solve(prior, w, w_prime)
+    other = random_belief(belief_variant, 3, rng)
+    with pytest.raises(ValueError, match=f"flow variant {flow_variant} does not match belief "
+                                         f"{belief_variant}"):
+        fl.apply_flow(other, flow, w, w_prime)
+
+
 def test_spherical_scale_one_when_norms_match():
     rng = np.random.default_rng(41)
     prior = bel.spherical_belief(rng.normal(size=3), 2.0)

@@ -128,6 +128,36 @@ def test_full_extraction_raises_on_rank_deficient_difference():
         psd.extract_pseudo(prior, post)
 
 
+@pytest.mark.parametrize("posterior, message", [
+    (bel.spherical_belief(np.zeros(3), 1.0), "prior and posterior must share a variant"),
+    (bel.diagonal_belief(np.zeros(4), np.ones(4)), "dimension mismatch"),
+], ids=["variant", "dimension"])
+def test_extract_pseudo_rejects_an_unrelated_pair(posterior, message):
+    prior = bel.diagonal_belief(np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match=message):
+        psd.extract_pseudo(prior, posterior)
+
+
+@pytest.mark.parametrize("prior, cov", [
+    (bel.spherical_belief(np.zeros(3), 1.0), -0.5),
+    (bel.diagonal_belief(np.zeros(3), np.ones(3)), np.array([2.0, -0.5, np.inf])),
+    (bel.full_belief(np.zeros(2), np.eye(2), np.ones(2)), np.diag([2.0, -0.5])),
+], ids=["spherical", "diagonal", "full"])
+def test_bayes_update_rejects_a_datapoint_that_leaves_no_precision(prior, cov):
+    # an observation of precision -2 against a prior of precision 1 along
+    # one axis: no Gaussian posterior has that negative precision
+    with pytest.raises(ValueError, match="inconsistent pseudo datapoint: posterior precision "
+                                         "not positive"):
+        psd.bayes_update_gaussian(prior, np.ones(prior.dim), cov)
+
+
+def test_trace_rows_reject_snapshots_of_two_variants():
+    snapshots = [(0, bel.spherical_belief(np.zeros(3), 1.0)),
+                 (1, bel.diagonal_belief(np.zeros(3), np.ones(3)))]
+    with pytest.raises(ValueError, match="snapshots mix belief variants"):
+        psd.pseudo_trace(snapshots)
+
+
 def test_trace_rows_for_a_spherical_run():
     rng = np.random.default_rng(17)
     snapshots = [(0, bel.spherical_belief(np.zeros(3), 1.0))]

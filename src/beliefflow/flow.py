@@ -249,6 +249,9 @@ def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> 
     return FlowSolution(SPHERICAL, u=norm_dw, scales=a, d_hat=d_hat)
 
 
+_SOLVERS = {FULL: solve_full, DIAGONAL: solve_diagonal, SPHERICAL: solve_spherical}
+
+
 def solve(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
     """The flow of one update w -> w' for the belief. This entry alone
     decides the identity: a flow with no payload when w' == w bit for bit.
@@ -259,9 +262,6 @@ def solve(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSoluti
     if np.array_equal(w, w_prime):
         return FlowSolution(belief.variant, identity=True)
     return _SOLVERS[belief.variant](belief, w, w_prime)
-
-
-_SOLVERS = {FULL: solve_full, DIAGONAL: solve_diagonal, SPHERICAL: solve_spherical}
 
 
 def clamp_nonexpansive(flow: FlowSolution) -> FlowSolution:

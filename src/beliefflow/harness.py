@@ -432,8 +432,8 @@ def run_online(config: ExperimentConfig, run_index: int,
                     _write_snapshot(snap, rnd, learner.belief if flows is None
                                     else fl.FlowLog(learner.belief.mean, tuple(flows)))
                 flows = [] if deltas else None
-        final_error = (evaluate_error_pct(spec, learner.freeze(), test) if len(test)
-                       else float("nan"))
+        # int(n * train_fraction) < n, so the split leaves test an example
+        final_error = evaluate_error_pct(spec, learner.freeze(), test)
     return RunReport(
         run_index=run_index,
         seed=seed,

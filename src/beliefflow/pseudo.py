@@ -142,7 +142,7 @@ def bayes_update_gaussian(prior: BeliefState, x, cov) -> BeliefState:
         with np.errstate(divide="ignore"):
             obs_prec = np.where(np.isinf(cov), 0.0, 1.0 / cov)
         prec = 1.0 / prior.variances + obs_prec
-        if np.any(prec <= 0.0):
+        if not np.all(prec > 0.0):
             raise ValueError("inconsistent pseudo datapoint: posterior precision not positive")
         var = 1.0 / prec
         mean = var * (prior.mean / prior.variances + np.where(obs_prec == 0.0, 0.0, x * obs_prec))

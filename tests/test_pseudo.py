@@ -140,12 +140,13 @@ def test_extract_pseudo_rejects_an_unrelated_pair(posterior, message):
 
 @pytest.mark.parametrize("prior, cov", [
     (bel.spherical_belief(np.zeros(3), 1.0), -0.5),
+    (bel.spherical_belief(np.zeros(3), 1.0), np.nan),
     (bel.diagonal_belief(np.zeros(3), np.ones(3)), np.array([2.0, -0.5, np.inf])),
     (bel.full_belief(np.zeros(2), np.eye(2), np.ones(2)), np.diag([2.0, -0.5])),
-], ids=["spherical", "diagonal", "full"])
+], ids=["spherical", "spherical-nan", "diagonal", "full"])
 def test_bayes_update_rejects_a_datapoint_that_leaves_no_precision(prior, cov):
     # an observation of precision -2 against a prior of precision 1 along
-    # one axis: no Gaussian posterior has that negative precision
+    # one axis, or of NaN precision: no Gaussian posterior has that
     with pytest.raises(ValueError, match="inconsistent pseudo datapoint: posterior precision "
                                          "not positive"):
         psd.bayes_update_gaussian(prior, np.ones(prior.dim), cov)

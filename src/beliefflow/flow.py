@@ -385,7 +385,7 @@ def flow_matrix(belief: BeliefState, flow: FlowSolution, w: np.ndarray) -> np.nd
     if flow.variant == DIAGONAL:
         return np.diag(flow.scales)
     if flow.variant == SPHERICAL:
-        if not np.any(flow.d_hat) or flow.u == 0.0:
+        if flow.u == 0.0:  # no direction to rotate from; d_hat is zero only here
             return flow.scales * np.eye(d)
         dw = np.asarray(w, dtype=float) - belief.mean
         return flow.scales * _rotation_between(dw / flow.u, flow.d_hat)

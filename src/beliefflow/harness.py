@@ -56,9 +56,6 @@ DATASET_FILE_KEYS = {"libsvm": ("path",), "csv": ("path",), "idx": ("images", "l
 # Full covariances above this dimension do not fit a desk-scale run: a full
 # belief holds the 2 d^2 floats of L and W (snapshots hold one W per keyframe).
 FULL_VARIANT_MAX_DIM = 2000
-# Per-round entropy is recorded only below this dimension; above it the
-# entropy trace falls back to snapshot rounds.
-ENTROPY_EVERY_ROUND_MAX_DIM = 20000
 
 SNAPSHOT_MAGIC = b"BFSN"
 # Full beliefs are written as v3 (keyframes plus logged flows), the others as v2.
@@ -364,14 +361,15 @@ def run_online(config: ExperimentConfig, run_index: int,
     and the label noise are drawn first, then learner initialization, then
     the per-round draws, so every byte of the outcome is reproducible.
 
-    A belief learner's entropy is recorded every round up to
-    ENTROPY_EVERY_ROUND_MAX_DIM parameters, and at every snapshot round.
-    Given a snapshot_path, a belief learner's run streams its snapshots
-    there, each written from the learner's own arrays when it is taken; a
-    run that fails leaves no file. A full belief's snapshot is a delta, the
+    A belief learner's entropy is recorded on every round, at any
+    dimension. Given a snapshot_path, a belief learner's run streams its
+    snapshots there, each written from the learner's own arrays when it is
+    taken; a run that fails leaves no file. A snapshot is a delta, the
     steps' ``last_flows`` since the previous one (see
-    :func:`write_snapshots`), unless a step rebuilt W or the flows would
-    take more floats than W.
+    :func:`write_snapshots`), unless a step left ``last_flows`` None (every
+    step of a diagonal or spherical learner, and a full step that rebuilt
+    W) or the flows would take more floats than W; otherwise it is a
+    keyframe.
     """
     from . import learners as lrn
 
@@ -396,15 +394,13 @@ def run_online(config: ExperimentConfig, run_index: int,
     n_train = len(train)
     cadence = config.snapshot_every or max(1, math.ceil(n_train / 200))
     is_belief = isinstance(learner, lrn.BeliefFlowLearner)
-    every_round = is_belief and spec.n_params <= ENTROPY_EVERY_ROUND_MAX_DIM
     keep = is_belief and snapshot_path is not None
-    deltas = keep and learner.belief.variant == bel.FULL
     # A delta holds 2 d + 4 floats a flow; past the d^2 of W, a keyframe is smaller.
     max_flows = spec.n_params ** 2 // (2 * spec.n_params + 4)
     mistakes = np.zeros(n_train, dtype=np.uint8)
     entropies = np.full(n_train, np.nan)
     snapshot_rounds = []
-    flows = [] if deltas else None  # since the last snapshot; None makes a keyframe
+    flows = [] if keep else None  # since the last snapshot; None makes a keyframe
     with _replacing(snapshot_path, "wb") if keep else contextlib.nullcontext() as snap:
         if keep:
             snap.write(_snapshot_header(learner.belief))
@@ -422,16 +418,16 @@ def run_online(config: ExperimentConfig, run_index: int,
                     flows = None
                 else:
                     flows += applied
+            if not is_belief:
+                continue
+            entropies[i] = bel.entropy(learner.belief)
             rnd = i + 1
-            snapshot = is_belief and (rnd % cadence == 0 or rnd == n_train)
-            if every_round or snapshot:
-                entropies[i] = bel.entropy(learner.belief)
-            if snapshot:
+            if rnd % cadence == 0 or rnd == n_train:
                 snapshot_rounds.append(rnd)
                 if keep:
                     _write_snapshot(snap, rnd, learner.belief if flows is None
                                     else fl.FlowLog(learner.belief.mean, tuple(flows)))
-                flows = [] if deltas else None
+                    flows = []
         # int(n * train_fraction) < n, so the split leaves test an example
         final_error = evaluate_error_pct(spec, learner.freeze(), test)
     return RunReport(

@@ -10,8 +10,9 @@ from beliefflow import belief as bel
 # test on one of the variant-specific belief classes.
 VARIANT_TEST = re.compile(r"variant ==|variant !=|isinstance\([^)]*(ActiveDiagonal|OwnedFull)")
 # The count after flow.solve took its solver from a table and run_online came
-# to check its config; lower it when dispatch goes away.
-MAX_VARIANT_TESTS = 37
+# to check its config and to read its keyframes off the learner's last_flows;
+# lower it when dispatch goes away.
+MAX_VARIANT_TESTS = 36
 
 
 def test_variant_dispatch_does_not_spread():

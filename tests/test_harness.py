@@ -513,25 +513,19 @@ def test_run_experiment_writes_all_outputs(tmp_path):
     assert int(last[1]) == on_disk["runs"][0]["total_mistakes"]
 
 
-def curve_entropy_rounds(curve):
-    rows = [line.split(",") for line in curve.read_text().splitlines()[1:]]
-    return [int(r[0]) for r in rows if r[2]], len(rows)
-
-
-def test_entropy_is_recorded_every_round_up_to_the_threshold(tmp_path, monkeypatch):
-    cfg = tiny_config(runs=1)  # d = 8
-    hns.run_experiment(cfg, tmp_path / "every")
-    rounds, n = curve_entropy_rounds(tmp_path / "every" / "curve.csv")
-    assert rounds == list(range(1, n + 1))
-    monkeypatch.setattr(hns, "ENTROPY_EVERY_ROUND_MAX_DIM", 7)
-    summary = hns.run_experiment(cfg, tmp_path / "snapshots")
-    rounds, _ = curve_entropy_rounds(tmp_path / "snapshots" / "curve.csv")
-    assert rounds == [r for r, _ in summary["runs"][0]["entropy_trace"]]
-    assert rounds == list(range(2, n + 1, 2))  # cadence ceil(240 / 200) = 2
-    # the same rounds carry the same bytes either way
-    every = (tmp_path / "every" / "curve.csv").read_text().splitlines()
-    sparse = (tmp_path / "snapshots" / "curve.csv").read_text().splitlines()
-    assert [every[r] for r in rounds] == [sparse[r] for r in rounds]
+def test_entropy_is_recorded_every_round_at_any_dimension(tmp_path):
+    # MLP 100-200-1: d = 20,401, past the 20,000 parameters above which
+    # entropy used to be recorded at snapshot rounds only
+    cfg = tiny_config(runs=1, snapshot_every=7, model={"kind": "mlp", "hidden": 200},
+                      dataset={"format": "synthetic", "n": 40, "n_features": 100, "seed": 5})
+    summary = hns.run_experiment(cfg, tmp_path)
+    rows = [line.split(",") for line in (tmp_path / "curve.csv").read_text().splitlines()[1:]]
+    assert len(rows) == summary["runs"][0]["n_train"] == 32
+    entropies = [float(r[2]) for r in rows]
+    assert np.isfinite(entropies).all()
+    trace = summary["runs"][0]["entropy_trace"]
+    assert [r for r, _ in trace] == [7, 14, 21, 28, 32]
+    assert [entropies[r - 1] for r, _ in trace] == [e for _, e in trace]
 
 
 def test_summary_is_deterministic_modulo_wall_time(tmp_path):

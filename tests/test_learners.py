@@ -437,6 +437,25 @@ def test_a_full_round_updates_its_owned_pair_in_place():
     assert [prior.mean.tobytes(), prior.factor.tobytes(), prior.inv_factor.tobytes()] == before
 
 
+@pytest.mark.parametrize("variant", [bel.DIAGONAL, bel.SPHERICAL])
+@pytest.mark.parametrize("m", [1, 3])
+def test_diagonal_and_spherical_learners_report_no_flows(variant, m):
+    # harness.run_online keeps every snapshot of such a learner as a
+    # keyframe because last_flows is None after each of its steps, sparse
+    # rounds and clamped flows included
+    d = 6
+    prior = (bel.diagonal_belief(np.zeros(d), np.full(d, 0.04)) if variant == bel.DIAGONAL
+             else bel.spherical_belief(np.zeros(d), 0.04))
+    rng = np.random.default_rng(83)
+    for non_expansive in (False, True):
+        learner = lrn.BeliefFlowLearner(mdl.logistic_model(d), prior, eta=0.05, m=m,
+                                        non_expansive=non_expansive)
+        for _ in range(20):
+            x = rng.normal(size=d) * (rng.random(d) < 0.5)
+            learner.step(example(x, int(rng.integers(0, 2))), rng)
+            assert learner.last_flows is None
+
+
 @pytest.mark.parametrize("rebuild", ["floor", "resync"])
 def test_a_full_learner_takes_the_pair_that_correct_spectrum_rebuilt(monkeypatch, rebuild):
     # the rebuilt L and W become the learner's own, uncopied, and the next

@@ -361,15 +361,13 @@ def run_online(config: ExperimentConfig, run_index: int,
     and the label noise are drawn first, then learner initialization, then
     the per-round draws, so every byte of the outcome is reproducible.
 
-    A belief learner's entropy is recorded on every round, at any
-    dimension. Given a snapshot_path, a belief learner's run streams its
-    snapshots there, each written from the learner's own arrays when it is
-    taken; a run that fails leaves no file. A snapshot is a delta, the
-    steps' ``last_flows`` since the previous one (see
-    :func:`write_snapshots`), unless a step left ``last_flows`` None (every
-    step of a diagonal or spherical learner, and a full step that rebuilt
-    W) or the flows would take more floats than W; otherwise it is a
-    keyframe.
+    A belief learner's entropy is recorded every round. Given a
+    snapshot_path, a belief learner's run streams its snapshots there, each
+    written from the learner's own arrays when it is taken; a run that fails
+    leaves no file. A snapshot is a delta, the steps' ``last_flows`` since
+    the previous one (see :func:`write_snapshots`), unless a step's
+    ``last_flows`` was None (every diagonal or spherical step, and a full
+    step that rebuilt W) or the flows would take more floats than W.
     """
     from . import learners as lrn
 

@@ -50,9 +50,9 @@ for name, prior in beliefs.items():
 print("""
 The full variant attains the dense-oracle optimum to machine precision.
 The diagonal and spherical rows also satisfy the constraint exactly but pay
-a small KL premium: they optimize over axis-aligned and isotropic maps
-respectively, so the gap to the unrestricted oracle is the price of the
-cheaper parameterization.
+a small KL premium: each attains the least KL of its family, axis-aligned
+maps and multiples of a rotation respectively, so the gap to the
+unrestricted oracle is the price of the cheaper parameterization.
 
 A non-expansive run clamps every singular value of A at 1 before applying:
 """)

@@ -7,7 +7,8 @@ minimal KL divergence from the prior belief.
 
 For a full covariance the problem reduces, after whitening, to a 2x2 problem
 in the plane spanned by the whitened displacement and its target. Diagonal
-and spherical covariances reduce to independent scalar problems with the
+covariances reduce to independent scalar problems, and spherical ones to
+one at u / sqrt(d) and v / sqrt(d) (see :func:`solve_spherical`), with the
 positive-root scale
 
     a = (u v + sqrt(4 + u^2 (4 + v^2))) / (2 (1 + u^2)),
@@ -229,10 +230,11 @@ def solve_diagonal(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> F
 def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowSolution:
     """Isotropic flow, where :func:`solve` ruled out w' == w: rotate and scale.
 
-    u and v are the whitened norms of w - mu and w' - mu; the scale follows
-    the same positive-root formula as the scalar problem, and the rotation is
-    implicit in the stored target direction d_hat. The flow's u is the
-    unwhitened ||w - mu||, by which :func:`apply_flow` moves the mean.
+    u and v are the whitened norms of w - mu and w' - mu. Once the rotation,
+    implicit in the stored target direction d_hat, aligns them, the KL of a
+    scale a is 1/2 ((v - a u)^2 + d (a^2 - 2 log a - 1)), least at the
+    scalar problem's root at u / sqrt(d) and v / sqrt(d). The flow's u is
+    the unwhitened ||w - mu||, by which :func:`apply_flow` moves the mean.
     """
     sigma = np.sqrt(belief.variances)
     dw = w - belief.mean
@@ -245,7 +247,8 @@ def solve_spherical(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> 
         d_hat = dw / norm_dw if norm_dw > 0.0 else np.zeros(belief.dim)
     else:
         d_hat = dwp / norm_dwp
-    a = float(scalar_scale(norm_dw / sigma, norm_dwp / sigma))
+    root_d = sigma * math.sqrt(belief.dim)
+    a = float(scalar_scale(norm_dw / root_d, norm_dwp / root_d))
     return FlowSolution(SPHERICAL, u=norm_dw, scales=a, d_hat=d_hat)
 
 

@@ -15,6 +15,9 @@ from beliefflow import oracles as orc
 # Frozen 1-D scales, verified against the bounded scalar minimizer.
 A_U1_V2 = 1.3660254037844386   # (uv + sqrt(4 + u^2(4 + v^2))) / (2(1+u^2)) at (1,2)
 A_U1_V0 = 0.7071067811865476   # 1/sqrt(2) at (1,0)
+# Frozen spherical scale at d=2, u=1, v=2: (1 + sqrt(7)) / 3, the root of
+# a^2 (d + u^2) - a u v - d = 0.
+A_SPHERICAL_D2_U1_V2 = 1.2152504370215302
 
 # Frozen in-plane solution at u=1, v_par=1, v_perp=1, deltas (+1,+1),
 # verified against the constrained 2x2 minimizer.
@@ -502,15 +505,15 @@ def test_active_diagonal_floors_sigma_and_writes_the_floor_exactly():
 
 
 def test_spherical_frozen_example():
-    # mu=0, sigma=1, w=(1,0), w'=(0,2): scale 1.366025, mean (0, 0.633975)
+    # mu=0, sigma=1, w=(1,0), w'=(0,2): scale 1.2152504, mean (0, 0.7847496)
     prior = bel.spherical_belief(np.zeros(2), 1.0)
     w = np.array([1.0, 0.0])
     w_prime = np.array([0.0, 2.0])
     flow = fl.solve_spherical(prior, w, w_prime)
-    np.testing.assert_allclose(flow.scales, A_U1_V2, atol=1e-6)
+    np.testing.assert_allclose(flow.scales, A_SPHERICAL_D2_U1_V2, atol=1e-6)
     post = fl.apply_flow(prior, flow, w, w_prime)
-    np.testing.assert_allclose(math.sqrt(post.variances), A_U1_V2, atol=1e-6)
-    np.testing.assert_allclose(post.mean, [0.0, 2.0 - A_U1_V2], atol=1e-6)
+    np.testing.assert_allclose(math.sqrt(post.variances), A_SPHERICAL_D2_U1_V2, atol=1e-6)
+    np.testing.assert_allclose(post.mean, [0.0, 2.0 - A_SPHERICAL_D2_U1_V2], atol=1e-6)
 
 
 def test_spherical_flow_carries_the_draws_distance_from_the_mean():

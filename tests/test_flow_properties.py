@@ -254,7 +254,7 @@ def test_the_closed_form_flow_has_the_least_kl_of_its_family(variant, d, seed, l
     # there follows from its form: a full a2 is Q diag(c, 1) with Q a
     # rotation, so the clamp takes c to min(c, 1), and each scalar KL is
     # convex in its scale. The perturbation is relative, of size
-    # delta = 1e-6..1e-1: of the spherical map, a rotation and a scale.
+    # delta = 1e-6..1e-1, and moves a spherical map's rotation and scale.
     prior, w, w_prime, flow, post, rng = flow_case(variant, d, seed, log_variances, log_step,
                                                    non_expansive)
     s, t = bel.whiten(prior, np.column_stack([w - prior.mean, w_prime - prior.mean])).T

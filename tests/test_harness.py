@@ -514,8 +514,8 @@ def test_run_experiment_writes_all_outputs(tmp_path):
 
 
 def test_entropy_is_recorded_every_round_at_any_dimension(tmp_path):
-    # MLP 100-200-1: d = 20,401, past the 20,000 parameters above which
-    # entropy used to be recorded at snapshot rounds only
+    # MLP 100-200-1, d = 20,401: every round carries the entropy, and the
+    # snapshot rounds' entropy trace holds the same values
     cfg = tiny_config(runs=1, snapshot_every=7, model={"kind": "mlp", "hidden": 200},
                       dataset={"format": "synthetic", "n": 40, "n_features": 100, "seed": 5})
     summary = hns.run_experiment(cfg, tmp_path)

@@ -44,10 +44,6 @@ EPS_DEGENERATE = 1e-10
 _BLOCK_BYTES = 120 * 1024
 
 
-class DegenerateTargetError(ValueError):
-    """The in-plane target vector vanished; the caller must branch."""
-
-
 @dataclasses.dataclass(frozen=True)
 class FlowSolution:
     """Solved flow in the representation natural to the belief variant.
@@ -158,7 +154,7 @@ def solve_2x2(u: float, v_par: float, v_perp: float) -> np.ndarray:
         raise ValueError("v_perp is a norm and cannot be negative")
     s2 = v_par * v_par + v_perp * v_perp
     if s2 <= EPS_DEGENERATE * EPS_DEGENERATE:
-        raise DegenerateTargetError("target vector vanished in whitened coordinates")
+        raise ValueError("target vector vanished in whitened coordinates")
     s = np.sqrt(s2)
     c = (u * s + np.sqrt(4.0 + u * u * (4.0 + s2))) / (2.0 * (1.0 + u * u))
     return np.array([
@@ -171,9 +167,9 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowS
     """Optimal flow for a full belief, where :func:`solve` ruled out w' == w.
 
     Whitens both displacements, solves the in-plane 2x2 problem, and returns
-    the pieces needed to embed the plane back into weight space. Degenerate
-    geometries fall back to pure translation (u below eps) or to a 1-D scale
-    along mu_hat (target colinear with the sample or vanished).
+    the pieces needed to embed the plane back into weight space. Three cases:
+    a draw on the mean (u below eps) translates only; a target on mu_hat's
+    line, colinear or collapsed onto the mean, scales along it; else the plane.
     """
     # One pass over W whitens both displacements.
     dt, dtp = whiten(belief, np.column_stack([w - belief.mean, w_prime - belief.mean])).T
@@ -190,15 +186,11 @@ def solve_full(belief: BeliefState, w: np.ndarray, w_prime: np.ndarray) -> FlowS
     resid -= again * mu_hat
     v_par += again
     v_perp = float(np.linalg.norm(resid))
-    target_norm = float(np.linalg.norm(dtp))
-    if target_norm <= EPS_DEGENERATE or v_perp <= EPS_DEGENERATE:
+    if v_perp <= EPS_DEGENERATE:
         # The plane is a line: a2 = diag(a, 1) leaves the second axis alone,
-        # so nu_hat is zero. A target collapsed onto the mean contracts along
-        # mu_hat; a colinear one solves the scalar problem with signed v_par.
-        if target_norm <= EPS_DEGENERATE:
-            a = 1.0 / np.sqrt(1.0 + u * u)
-        else:
-            a = float(scalar_scale(u, v_par))
+        # so nu_hat is zero. The scalar problem with signed v_par covers a
+        # colinear target and one collapsed onto the mean (v_par ~ 0) alike.
+        a = float(scalar_scale(u, v_par))
         return FlowSolution(FULL, basis=np.stack([mu_hat, np.zeros(belief.dim)], axis=1), u=u,
                             a2=np.diag([a, 1.0]))
     return FlowSolution(FULL, basis=np.stack([mu_hat, resid / v_perp], axis=1), u=u,

@@ -202,7 +202,7 @@ def test_solve_2x2_rejects_bad_inputs():
         fl.solve_2x2(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         fl.solve_2x2(1.0, 1.0, -1.0)
-    with pytest.raises(fl.DegenerateTargetError):
+    with pytest.raises(ValueError, match="target vector vanished"):
         fl.solve_2x2(1.0, 0.0, 0.0)
 
 

@@ -200,7 +200,8 @@ def parse_csv(path, label_column: int = -1, scale_minmax: bool = False,
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise ValueError(f"{path.name} line {linenos[bad[0]]}: non-finite value")
-    label_column = label_column % table.shape[1]
+    if not -table.shape[1] <= label_column < table.shape[1]:
+        raise ValueError(f"{path.name}: label_column {label_column} outside its {table.shape[1]} columns")
     raw_labels = table[:, label_column]
     X = np.delete(table, label_column, axis=1)
     labels, n_classes = _normalize_labels(raw_labels, path.name)
@@ -241,6 +242,9 @@ def parse_idx(images_path, labels_path, name: str | None = None) -> Dataset:
         raise ValueError(f"image count {count} != label count {label_count}")
     if not count:
         raise ValueError(f"{images_path.name}: no examples")
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise ValueError(f"{labels_path.name}: label {labels[bad[0]]} at index {bad[0]} outside 0..9")
     X = pixels.reshape(count, n_rows * n_cols).astype(float) / 255.0
     return _make(name or images_path.stem, X, labels.astype(np.int64), 10, False)
 

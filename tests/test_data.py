@@ -136,6 +136,18 @@ def test_csv_label_column_selection(tmp_path):
     np.testing.assert_array_equal(ds.labels, [1, 0])
 
 
+@pytest.mark.parametrize("column", [7, -5, 5])
+def test_csv_rejects_a_label_column_outside_the_row(tmp_path, column):
+    # the column index wrapped round the row: 7 and -5 read column 3, and 5
+    # read feature column 1, whose integers then served as labels
+    p = tmp_path / "four.csv"
+    p.write_text("1,2,0.5,1\n0,3,0.25,0\n")
+    with pytest.raises(ValueError, match=f"four\\.csv: label_column {column} outside its 4 columns"):
+        dat.parse_csv(p, label_column=column)
+    for edge in (3, -4):
+        np.testing.assert_array_equal(dat.parse_csv(p, label_column=edge).labels, [1, 0])
+
+
 def test_csv_preserves_row_order(tmp_path):
     # time-ordered sources rely on the parser never reordering rows
     rows = ["%d,%f,%d" % (i, i * 0.5, i % 2) for i in range(10)]
@@ -230,6 +242,18 @@ def test_idx_parse(tmp_path):
     assert ds.n_classes == 10
     np.testing.assert_allclose(ds.X[1], images[1].ravel() / 255.0)
     np.testing.assert_array_equal(ds.labels, labels)
+
+
+def test_idx_rejects_a_label_outside_0_to_9(tmp_path):
+    # a 12 in the test split was scored as a plain mistake, and one in the
+    # training split stopped the run with a message that named no file
+    img, lab = idx_bytes(np.zeros((3, 2, 2), dtype=np.uint8), np.array([4, 12, 10]))
+    pi = tmp_path / "imgs"
+    pl = tmp_path / "labs"
+    pi.write_bytes(img)
+    pl.write_bytes(lab)
+    with pytest.raises(ValueError, match=r"labs: label 12 at index 1 outside 0\.\.9"):
+        dat.parse_idx(pi, pl)
 
 
 def test_idx_rejects_wrong_magic(tmp_path):

@@ -877,6 +877,38 @@ def test_cli_run_names_the_line_of_a_non_ascii_byte(tmp_path, capsys, fmt, text,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("label_column, named", [
+    (None, "labels: label 12 at index 1 outside 0..9"),
+    (7, "rows.csv: label_column 7 outside its 4 columns"),
+    (-5, "rows.csv: label_column -5 outside its 4 columns"),
+    (5, "rows.csv: label_column 5 outside its 4 columns"),
+], ids=["idx-label-12", "csv-label_column-7", "csv-label_column-minus-5", "csv-label_column-5"])
+def test_cli_run_rejects_a_label_outside_its_range_without_outputs(tmp_path, capsys,
+                                                                    label_column, named):
+    # each ran: the IDX 12 as a label no model can output, each label column
+    # as the column it named modulo the row's width
+    if label_column is None:
+        (tmp_path / "images").write_bytes(struct.pack(">IIII", 2051, 3, 1, 1) + bytes(3))
+        (tmp_path / "labels").write_bytes(struct.pack(">II", 2049, 3) + bytes([4, 12, 10]))
+        dataset = {"format": "idx", "images": str(tmp_path / "images"),
+                   "labels": str(tmp_path / "labels")}
+        overrides = {"model": MLP}
+    else:
+        (tmp_path / "rows.csv").write_text("1,2,0.5,1\n0,3,0.25,0\n1,2,0.75,1\n0,3,1.5,0\n")
+        dataset = {"format": "csv", "path": str(tmp_path / "rows.csv"),
+                   "label_column": label_column}
+        overrides = {}
+    config = tiny_config(runs=1, dataset=dataset, **overrides)
+    out_dir = tmp_path / "never"
+    code = hns.cli_main(["run", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("fmt, files, named", [
     ("libsvm", {"rows": b""}, "rows: no examples"),
     ("idx", {"images": struct.pack(">IIII", 2051, 0, 1, 1), "labels": struct.pack(">II", 2049, 0)},

@@ -326,3 +326,30 @@ def test_validate_rejects_floor_violation():
     b = bel.BeliefState(bel.DIAGONAL, np.zeros(1), variances=np.array([1e-12]))
     with pytest.raises(ValueError):
         bel.validate(b, bel.LAMBDA_MIN)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bel.full_belief_from_factor(np.zeros(2), np.eye(3)),
+     r"factor shape \(3, 3\) does not match dim 2"),
+    (lambda: bel.full_belief_from_factor(np.zeros(2), np.zeros((2, 2))), "factor is singular"),
+    (lambda: bel.full_belief_from_cov(np.zeros(2), -np.eye(2)),
+     "covariance is not positive definite"),
+    (lambda: bel.diagonal_belief(np.zeros(2), np.ones(3)),
+     "variances and mean have different shapes"),
+    (lambda: bel.validate(bel.BeliefState("banded", np.zeros(2))), "unknown variant 'banded'"),
+    (lambda: bel.validate(bel.diagonal_belief([np.nan, 0.0], [1.0, 1.0])),
+     "mean has non-finite entries"),
+    (lambda: bel.validate(bel.BeliefState(bel.FULL, np.zeros(2))),
+     "full belief is missing a finite inverse factor"),
+    (lambda: bel.validate(bel.full_belief_from_cov(np.zeros(2), np.eye(2)), 2.0),
+     "eigenvalues below floor"),
+    (lambda: bel.validate(bel.diagonal_belief(np.zeros(2), np.ones(2)), 2.0),
+     "variances below floor"),
+    (lambda: bel.kl_divergence(bel.spherical_belief(np.zeros(2), 1.0),
+                               bel.spherical_belief(np.zeros(3), 1.0)), "dimension mismatch"),
+], ids=["factor-shape", "factor-singular", "cov-not-spd", "diagonal-shape", "validate-variant",
+        "validate-mean", "validate-inverse-factor", "validate-eigenvalue-floor",
+        "validate-variance-floor", "kl-dimensions"])
+def test_each_input_guard_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

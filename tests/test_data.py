@@ -369,3 +369,31 @@ def test_synthetic_linear_flip_fraction():
     np.testing.assert_array_equal(clean.true_labels, noisy.true_labels)
     frac = np.mean(noisy.labels != noisy.true_labels)
     assert 0.15 < frac < 0.25
+
+
+def _file(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_bytes(data)
+    return p
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: dat.parse_libsvm(_file(t, "bad.libsvm", b"x 1:0.5\n")),
+     "bad.libsvm line 1: bad label 'x'"),
+    (lambda t: dat.parse_libsvm(_file(t, "bad.libsvm", b"+1 1:0.5\n-1 0:0.5\n")),
+     "bad.libsvm line 2: index 0 is not 1-based"),
+    (lambda t: dat.parse_csv(_file(t, "head.csv", b"a,b,label\n")), "head.csv: no data rows"),
+    (lambda t: dat.parse_csv(_file(t, "half.csv", b"0.5,1.5\n0.25,0\n")),
+     r"half.csv: labels must be integers >= 0 or -1/\+1"),
+    (lambda t: dat.parse_idx(_file(t, "imgs", struct.pack(">IIII", 2051, 1, 2, 2) + bytes(3)),
+                             _file(t, "labs", struct.pack(">II", 2049, 1) + bytes(1))),
+     "imgs: 3 payload bytes, its header says 4"),
+    (lambda t: dat.flip_labels(dat.synthetic_linear(10, 2, seed=0), 1.5, seed=0),
+     r"fraction must be in \[0, 1\]"),
+    (lambda t: dat.split_shuffle(dat.synthetic_linear(10, 2, seed=0), 1.0, seed=0),
+     "train_fraction must be strictly between 0 and 1"),
+], ids=["libsvm-label", "libsvm-0-based", "csv-no-rows", "csv-labels", "idx-payload",
+        "flip-fraction", "split-fraction"])
+def test_each_input_guard_names_its_fault(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

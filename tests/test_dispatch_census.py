@@ -1,5 +1,5 @@
 """The count of variant tests in the package: the ROADMAP's census of
-variant dispatch (item 5), which may fall but must not grow."""
+variant dispatch (item 7), which may fall but must not grow."""
 
 import re
 from pathlib import Path
@@ -20,6 +20,6 @@ def test_variant_dispatch_does_not_spread():
               for path in sorted(Path(bel.__file__).parent.glob("*.py"))}
     total = sum(counts.values())
     assert total <= MAX_VARIANT_TESTS, (
-        f"{total} variant tests in src/beliefflow (at most {MAX_VARIANT_TESTS}): ROADMAP item 5 "
+        f"{total} variant tests in src/beliefflow (at most {MAX_VARIANT_TESTS}): ROADMAP item 7 "
         "asks that variant dispatch live in one place, not spread over the modules; per module: "
         + ", ".join(f"{name} {n}" for name, n in counts.items() if n))

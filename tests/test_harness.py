@@ -1899,3 +1899,33 @@ def test_cli_suite_rejects_two_rows_in_one_cell(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "'slow' and 'fast'" in captured.err and "'toy'" in captured.err
     assert captured.out == ""
+
+
+def _snapshot_of_variant_code(tmp_path, code):
+    p = tmp_path / "snapshots.bin"
+    p.write_bytes(hns.SNAPSHOT_MAGIC + hns._HEADER_V2.pack(2, code, 2, 2))
+    return p
+
+
+def _threads(monkeypatch, value):
+    monkeypatch.setenv("BFLO_THREADS", value)
+    return hns.parallel_workers(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t, mp: hns.load_dataset({"format": "arff", "path": "x.arff"}),
+     "unknown dataset format 'arff'"),
+    (lambda t, mp: hns.build_model({"kind": "logistic"}, dataclasses.replace(
+        dat.synthetic_linear(6, 2, seed=0), n_classes=3)), "logistic model needs a binary dataset"),
+    (lambda t, mp: hns.make_learner({"algorithm": "arow"}, mdl.mlp_model(2, 2, 1),
+                                    np.random.default_rng(0)),
+     "arow is a linear binary learner; use the logistic model"),
+    (lambda t, mp: _threads(mp, "0"), "BFLO_THREADS must be >= 1"),
+    (lambda t, mp: hns.aggregate([]), "no reports to aggregate"),
+    (lambda t, mp: hns.iter_snapshots(_snapshot_of_variant_code(t, 9)),
+     "snapshots.bin: unknown variant code 9"),
+], ids=["dataset-format", "logistic-multiclass", "arow-mlp", "threads-zero", "aggregate-empty",
+        "snapshot-variant-code"])
+def test_each_input_guard_names_its_fault(tmp_path, monkeypatch, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path, monkeypatch)

@@ -914,3 +914,18 @@ def test_snapshot_of_an_owned_full_belief_keeps_its_w_while_the_learner_steps():
         learner.step(ex, rng)
     assert snap.inv_factor.tobytes() == kept
     assert learner.belief.inv_factor.tobytes() != kept
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lrn.BeliefFlowLearner(mdl.logistic_model(3),
+                                   bel.diagonal_belief(np.zeros(2), np.ones(2)), 0.1),
+     "prior dimension 2 != parameter count 3"),
+    (lambda: lrn.AROWLearner(3, r=0.0), "r must be positive"),
+    (lambda: lrn.AROWLearner(2).step(LabeledExample(np.ones(2), 2, 2), np.random.default_rng(0)),
+     "arow handles binary labels only"),
+    (lambda: lrn.DropoutSGDLearner(mdl.mlp_model(2, 2, 1), np.zeros(9), 0.1, p_drop=1.5),
+     r"p_drop must be in \[0, 1\]"),
+], ids=["prior-dimension", "arow-r", "arow-label", "dropout-p_drop"])
+def test_each_input_guard_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -216,3 +216,18 @@ def test_batch_forward_accepts_sparse_input():
     X[X < 0.5] = 0.0
     out_sparse = mdl.batch_forward(spec, w, sparse.csr_matrix(X))
     np.testing.assert_allclose(out_sparse, mdl.batch_forward(spec, w, X), rtol=1e-12)
+
+
+SPEC = mdl.logistic_model(3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mdl.mlp_model(2, 0, 1), "mlp needs at least one hidden unit and one output"),
+    (lambda: mdl.forward(SPEC, np.zeros(2), np.ones(3)), r"expected 3 parameters, got \(2,\)"),
+    (lambda: mdl.active_subproblem(SPEC, np.ones(4)), r"expected 3 features, got shape \(4,\)"),
+    (lambda: mdl.batch_forward(SPEC, np.zeros(4), np.ones((2, 3))),
+     r"expected 3 parameters, got \(4,\)"),
+], ids=["mlp-sizes", "forward-params", "active-features", "batch-params"])
+def test_each_input_guard_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
